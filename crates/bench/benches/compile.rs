@@ -166,9 +166,9 @@ fn interpreted_vs_compiled(c: &mut Criterion) {
     g.finish();
 }
 
-/// Steady-state workloads over the environment-strategy runtime:
-/// fib up to 24 (interpreted and compiled), the evaluation-strategy
-/// ablation on the same program, deep tuple marshalling across the
+/// Steady-state workloads over the default machine: fib up to 24
+/// (interpreted, compiled through `run_fexpr`, and pre-lowered),
+/// the evaluation-strategy ablation, deep tuple marshalling across the
 /// boundary, and a boundary-crossing ping-pong loop.
 fn steady_state(c: &mut Criterion) {
     use funtal::machine::EvalStrategy;
@@ -193,8 +193,8 @@ fn steady_state(c: &mut Criterion) {
                 })
             });
         }
-        // Bytecode tier on the same compiled program; lowering happens
-        // once outside the timing loop (that is the cacheable artifact).
+        // The same compiled program pre-lowered: lowering happens once
+        // outside the timing loop (that is the cacheable artifact).
         let prog = app(compiled.clone(), vec![fint_e(n)]);
         let lowered = funtal::prelower(&prog);
         g.bench_with_input(BenchmarkId::new("bytecode", n), &n, |b, _| {
@@ -316,7 +316,7 @@ fn pingpong_program(k: usize) -> funtal_syntax::FExpr {
 /// artifact (at `prelower` under debug assertions, on cache load, at
 /// JIT promotion, or under `--verify-bytecode`) — never inside the
 /// dispatch loop — so this one-time cost is the entire overhead the
-/// analysis layer adds to the bytecode tier. The gated
+/// analysis layer adds to the bytecode VM. The gated
 /// `fib_steady/bytecode` rows above prove the dispatch loop itself is
 /// untouched.
 fn verify_cost(c: &mut Criterion) {

@@ -27,9 +27,10 @@
 //! `--speedup BASE:CUR:FACTOR` additionally asserts a cross-row
 //! speedup: the `CUR` row of `CURRENT` must be at least `FACTOR`×
 //! faster than the `BASE` row of `BASELINE` (after machine-speed
-//! calibration). This is how the bytecode tier's headline claim —
-//! `fib_steady/bytecode/24` ≥ 2.5× over the frozen
-//! `fib_steady/compiled/24` — is pinned in CI rather than in prose.
+//! calibration). This is how the bytecode VM's headline claim —
+//! `fib_steady/bytecode/24` ≥ 2.5× over the frozen compiled-cursor
+//! `fib_steady/compiled/24` row of the baseline — is pinned in CI
+//! rather than in prose.
 //!
 //! `--min-abs-us N` (default 10) is the absolute-time noise floor: a
 //! gated row whose baseline **and** current medians are both under N
@@ -172,7 +173,7 @@ fn main() -> ExitCode {
         prefixes = vec![
             "interpreted_vs_compiled/".to_string(),
             "tail_call_ablation/".to_string(),
-            // The direct-threaded tier's headline steady-state row
+            // The bytecode VM's headline steady-state row
             // (exact id). The interpreted/compiled fib_steady rows and
             // the short bytecode/16 + /20 rows stay ungated — they
             // feed the calibration sample instead, and the short rows'

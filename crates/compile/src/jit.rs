@@ -7,13 +7,11 @@
 //! materialization — the multi-language program moves between
 //! configurations exactly as the paper describes.
 //!
-//! Beyond the paper's two-point space, the runtime has a third rung:
-//! definitions that stay hot past a second threshold keep their
-//! compiled materialization but execute on the direct-threaded
-//! **bytecode** tier (`EvalStrategy::Bytecode`), which lowers the T
-//! cursor to register-allocated linear IR. The move is again purely a
-//! configuration change — outcomes and step counts are proven
-//! identical across all three rungs in `tests/jit_correctness.rs`.
+//! Both points run on the same machine (CEK for F, the bytecode VM for
+//! T); only the materialization differs. The interpreted→compiled move
+//! is gated on the static bytecode verifier: a definition whose
+//! compiled materialization does not lower to verifiable bytecode
+//! stays interpreted.
 //!
 //! Correctness of every move is testable: all configurations must be
 //! observationally equivalent (see `tests/jit_correctness.rs` and E12
@@ -21,7 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use funtal::machine::{run_fexpr_threaded, EvalStrategy, FtOutcome, RunCfg};
+use funtal::machine::{run_fexpr_threaded, FtOutcome, RunCfg};
 use funtal_syntax::build::*;
 use funtal_syntax::FExpr;
 use funtal_tal::trace::CountTracer;
@@ -37,9 +35,6 @@ pub enum Mode {
     Interpreted,
     /// Materialized as a boundary around compiled T blocks.
     Compiled,
-    /// Compiled materialization, executed on the direct-threaded
-    /// bytecode tier (linear IR below the compiled cursor).
-    Bytecode,
 }
 
 /// Statistics from one invocation.
@@ -66,13 +61,11 @@ pub struct Jit {
     threshold: u64,
     counters: BTreeMap<String, u64>,
     hot: BTreeSet<String>,
-    blazing: BTreeSet<String>,
 }
 
 impl Jit {
     /// Creates a runtime over a validated program. Functions start
-    /// interpreted, are compiled after `threshold` invocations, and
-    /// drop to the bytecode tier after `2 * threshold`.
+    /// interpreted and are compiled after `threshold` invocations.
     pub fn new(program: Program, threshold: u64, opts: CodegenOpts) -> Self {
         let compiled = compile_program(&program, opts);
         Jit {
@@ -81,15 +74,12 @@ impl Jit {
             threshold,
             counters: BTreeMap::new(),
             hot: BTreeSet::new(),
-            blazing: BTreeSet::new(),
         }
     }
 
     /// The current mode of a definition.
     pub fn mode(&self, name: &str) -> Mode {
-        if self.blazing.contains(name) {
-            Mode::Bytecode
-        } else if self.hot.contains(name) {
+        if self.hot.contains(name) {
             Mode::Compiled
         } else {
             Mode::Interpreted
@@ -100,12 +90,6 @@ impl Jit {
     /// move).
     pub fn force_compile(&mut self, name: &str) {
         self.hot.insert(name.to_string());
-    }
-
-    /// Forces a definition straight onto the bytecode tier.
-    pub fn force_bytecode(&mut self, name: &str) {
-        self.hot.insert(name.to_string());
-        self.blazing.insert(name.to_string());
     }
 
     /// Materializes the F expression for `name` under the current
@@ -127,21 +111,16 @@ impl Jit {
     }
 
     /// Invokes `name(args)` under the current configuration, bumping
-    /// its hotness counter (and promoting it — to compiled past the
-    /// threshold, to the bytecode tier past twice the threshold — for
-    /// *future* invocations, as in a real JIT).
+    /// its hotness counter (and promoting it to compiled past the
+    /// threshold for *future* invocations, as in a real JIT).
     pub fn invoke(&mut self, name: &str, args: &[i64], fuel: u64) -> Result<InvokeStats, String> {
         let mode = self.mode(name);
         let expr = app(
             self.materialize(name),
             args.iter().map(|n| fint_e(*n)).collect(),
         );
-        let mut cfg = RunCfg::with_fuel(fuel);
-        if mode == Mode::Bytecode {
-            cfg = cfg.with_strategy(EvalStrategy::Bytecode);
-        }
-        let (out, tr) =
-            run_fexpr_threaded(&expr, cfg, CountTracer::new()).map_err(|e| e.to_string())?;
+        let (out, tr) = run_fexpr_threaded(&expr, RunCfg::with_fuel(fuel), CountTracer::new())
+            .map_err(|e| e.to_string())?;
         let result = match out {
             FtOutcome::Value(FExpr::Int(n)) => n,
             FtOutcome::Value(v) => return Err(format!("non-integer result {v}")),
@@ -153,20 +132,16 @@ impl Jit {
             *c += 1;
             *c
         };
-        if count >= self.threshold {
-            self.hot.insert(name.to_string());
-        }
-        if count >= 2 * self.threshold && !self.blazing.contains(name) {
-            // Promotion to the bytecode tier is gated on the static
-            // verifier: the compiled materialization is lowered once
-            // and checked (register initialization, jump-offset
-            // bounds, fused-cost table). A definition whose lowering
-            // does not verify stays on the compiled cursor — a
-            // codegen or lowering bug degrades to the slower rung
-            // instead of executing unchecked bytecode.
-            let lowered = funtal::prelower(&self.materialize(name));
+        if count >= self.threshold && !self.hot.contains(name) {
+            // Promotion is gated on the static verifier: the compiled
+            // materialization is lowered once and checked (register
+            // initialization, jump-offset bounds, fused-cost table). A
+            // definition whose lowering does not verify stays
+            // interpreted — a codegen or lowering bug degrades to the
+            // F encoding instead of executing unchecked bytecode.
+            let lowered = funtal::prelower(&self.compiled.wrap(name));
             if funtal::verify_lowered(&lowered).is_ok() {
-                self.blazing.insert(name.to_string());
+                self.hot.insert(name.to_string());
             }
         }
         Ok(InvokeStats {
@@ -210,26 +185,13 @@ mod tests {
             s1.f_steps
         );
         assert!(s3.t_instrs > s1.t_instrs);
-        // Past twice the threshold: the bytecode tier, with step
-        // counts identical to the compiled rung (same configuration,
-        // faster machine).
+        // The space has two points: staying hot never moves a
+        // definition further, and repeated compiled runs are identical.
         let s4 = jit.invoke("fact", &[6], 5_000_000).unwrap();
-        assert_eq!(jit.mode("fact"), Mode::Bytecode);
-        let s5 = jit.invoke("fact", &[6], 5_000_000).unwrap();
-        assert_eq!((s5.result, s5.mode), (720, Mode::Bytecode));
+        assert_eq!((s4.result, s4.mode), (720, Mode::Compiled));
         assert_eq!(
-            (s5.t_instrs, s5.f_steps, s5.crossings),
             (s4.t_instrs, s4.f_steps, s4.crossings),
-            "bytecode tier changed observable step counts"
+            (s3.t_instrs, s3.f_steps, s3.crossings),
         );
-    }
-
-    #[test]
-    fn force_bytecode_skips_the_ladder() {
-        let mut jit = Jit::new(factorial_program(), 1_000, CodegenOpts::default());
-        jit.force_bytecode("fact");
-        assert_eq!(jit.mode("fact"), Mode::Bytecode);
-        let s = jit.invoke("fact", &[5], 5_000_000).unwrap();
-        assert_eq!((s.result, s.mode), (120, Mode::Bytecode));
     }
 }

@@ -165,7 +165,7 @@ struct AbsMachine<'a> {
     /// Remaining abstract steps.
     steps: u64,
     /// Pre-lowered modules by component identity (the analogue of the
-    /// bytecode tier's seeded module table).
+    /// bytecode VM's seeded module table).
     seeded: HashMap<usize, (&'a Arc<TComp>, Arc<BcModule>)>,
     /// Heap index → binding for merged and lazily entered cells.
     bound: HashMap<u32, Binding>,

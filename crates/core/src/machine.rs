@@ -21,32 +21,28 @@ use funtal_tal::trace::{Event, Tracer};
 
 use crate::translate::{f_to_t, t_to_f};
 
-/// How the machine evaluates: the paper-literal substitution semantics
-/// or the environment-passing machine that computes the same thing.
+/// Which machine evaluates: the paper-literal substitution oracle or
+/// the one fast machine that computes the same thing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvalStrategy {
     /// Term-rewriting small steps exactly as in Fig 8: every reduction
     /// rebuilds the term, β-reduction substitutes. The executable
     /// specification, kept as the differential-testing oracle.
     Substitution,
-    /// The CEK-style machine of [`crate::machine_fast`]: explicit
-    /// continuation stack + value environment for F, compiled-cursor
-    /// execution with a flat heap for T. Observably identical
-    /// (including fuel accounting, events, and fresh labels), much
-    /// faster. The default.
+    /// The fast machine: the CEK-style F side of
+    /// [`crate::machine_fast`] (explicit continuation stack + value
+    /// environment) with T code on the bytecode VM of
+    /// [`crate::machine_bc`] (each component lowered whole to a flat
+    /// linear IR over a flat heap). Observably identical to the oracle,
+    /// including fuel accounting, events, and fresh labels. The
+    /// default.
     #[default]
     Environment,
-    /// The direct-threaded bytecode VM of [`crate::machine_bc`]: each T
-    /// component is lowered whole to a flat linear IR with jump targets
-    /// resolved to absolute offsets, sharing the environment machine's
-    /// F side. Observably identical to both other strategies; the
-    /// fastest tier for T-heavy programs.
+    /// Another name for [`Environment`](EvalStrategy::Environment): it
+    /// runs the same machine. Kept so the `bytecode`/`bc` spellings on
+    /// the command line and in batch jobs stay valid.
     Bytecode,
 }
-
-/// The execution-tier vocabulary the driver exposes (`--tier`): each
-/// tier is an evaluation strategy of the same observable machine.
-pub type ExecTier = EvalStrategy;
 
 /// Configuration for a run.
 #[derive(Clone, Copy, Debug)]
@@ -92,7 +88,7 @@ impl RunCfg {
 // thread over artifacts shared via `Arc`. Everything a worker receives
 // (configuration, programs, memories) and everything it sends back
 // (outcomes) must therefore be `Send + Sync`; the fast machine's `Rc`
-// values and thread-local compiled-block caches are per-worker
+// values and thread-local lowered-block caches are per-worker
 // internals and never cross threads. These assertions are the
 // compile-time contract — adding an `Rc` or `Cell` to any shared type
 // fails the build here, not intermittently at runtime.
@@ -388,8 +384,9 @@ pub fn run(
     tracer: &mut dyn Tracer,
 ) -> RResult<FtOutcome> {
     match cfg.strategy {
-        EvalStrategy::Environment => crate::machine_fast::run_fast(mem, comp, cfg, tracer),
-        EvalStrategy::Bytecode => crate::machine_bc::run_bc(mem, comp, cfg, tracer),
+        EvalStrategy::Environment | EvalStrategy::Bytecode => {
+            crate::machine_bc::run_bc(mem, comp, cfg, tracer)
+        }
         EvalStrategy::Substitution => run_subst(mem, comp, cfg, tracer),
     }
 }

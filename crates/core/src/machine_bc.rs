@@ -1,10 +1,9 @@
-//! The bytecode tier: a direct-threaded VM below the compiled cursor.
+//! The bytecode VM: the T half of the fast machine.
 //!
-//! The cursor tier of [`crate::machine_fast`] walks one compiled
-//! [`InstrSeq`] at a time and re-resolves every control transfer
-//! through the heap (hash lookup on labels, arity check, inline-cache
-//! probes). This tier lowers a whole T component — entry sequence plus
-//! every block of its heap fragment — into **one flat instruction
+//! Rather than walking one [`InstrSeq`] at a time and re-resolving
+//! every control transfer through the heap (hash lookup on labels,
+//! arity check), the VM lowers a whole T component — entry sequence
+//! plus every block of its heap fragment — into **one flat instruction
 //! stream** ([`BcModule`]):
 //!
 //! - operands are constant-folded at lower time ([`lower_op`]), and
@@ -19,13 +18,12 @@
 //!   ([`BcCell`]): after the first entry, re-entering a block costs a
 //!   pointer compare and a bounds-checked offset load.
 //!
-//! Fuel, events, fresh labels, and error behavior mirror the cursor
-//! tier op for op (which in turn mirrors the Fig 8 substitution
-//! oracle), so all three strategies agree on outcomes *and* exact step
-//! counts; `tests/strategy_equiv.rs` and the driver's differential
-//! suite enforce this. The F side is shared outright: the bytecode VM
-//! plugs into the same CEK machine through the
-//! [`Tier`](crate::machine_fast::Tier) trait.
+//! Fuel, events, fresh labels, and error behavior mirror the Fig 8
+//! substitution oracle op for op, so the oracle and the fast machine
+//! agree on outcomes *and* exact step counts; `tests/strategy_equiv.rs`
+//! and the driver's differential suite enforce this. The F side is the
+//! CEK machine of [`crate::machine_fast`], which hands every suspended
+//! T execution ([`BcCtrl`]) to this module's dispatch loop.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -46,7 +44,7 @@ use funtal_tal::trace::{Event, Tracer};
 use crate::machine::{FtOutcome, RunCfg};
 use crate::machine_fast::{
     ambient_root, ambient_span, lower_op, peel_count, Ctrl, Env, FastHeapVal, FastMem, FastOp,
-    Frame, Machine, MergeOutcome, SpanScope, Step, TWord, Tier,
+    Frame, Machine, MergeOutcome, SpanScope, Step, TWord,
 };
 
 // ---------------------------------------------------------------------
@@ -64,7 +62,7 @@ pub(crate) enum BcTarget {
     /// discharged during lowering.
     Static { off: u32, ord: u32, w: TWord },
     /// Anything else: evaluated and resolved through the heap at
-    /// runtime, exactly as the cursor tier does.
+    /// runtime.
     Dyn(FastOp),
 }
 
@@ -624,9 +622,9 @@ pub(crate) fn lower_renamed(mem: &FastMem, entry: &InstrSeq, indices: &[u32]) ->
 // Lazily lowered single-block modules for cells entered across
 // fragments (translation-allocated closures, `ℓend` blocks, blocks of
 // the initial memory). Keyed by block identity and validated by weak
-// upgrade, like the cursor tier's `SEQ_CACHE`. All targets are dynamic:
-// the same shared block can be bound under different cell names, so no
-// label may be resolved at lower time.
+// upgrade. All targets are dynamic: the same shared block can be bound
+// under different cell names, so no label may be resolved at lower
+// time.
 type BlockModCache = HashMap<usize, (Weak<HeapVal>, Arc<BcModule>)>;
 
 thread_local! {
@@ -656,26 +654,63 @@ pub(crate) fn single_block_module(hv: &Arc<HeapVal>) -> Arc<BcModule> {
     })
 }
 
+// Lowered boundary components, kept across runs on this thread. Every
+// run interns a fresh `TComp`, but its heap cells are the program's own
+// shared `Arc`s, so an entry matches when each cell is the same `Arc`
+// under the same label and the entry sequences are equal — `lower_comp`
+// is a pure function of exactly that. Holding the cells' `Arc`s rules
+// out a recycled address aliasing a stale entry.
+thread_local! {
+    static COMP_MOD_CACHE: RefCell<Vec<(TComp, Arc<BcModule>)>> = const { RefCell::new(Vec::new()) };
+}
+
+fn cached_comp_module(comp: &TComp) -> Arc<BcModule> {
+    let same = |c: &TComp| {
+        c.heap.0.len() == comp.heap.0.len()
+            && c.heap
+                .iter_shared()
+                .zip(comp.heap.iter_shared())
+                .all(|((l1, h1), (l2, h2))| l1 == l2 && Arc::ptr_eq(h1, h2))
+            && c.seq == comp.seq
+    };
+    COMP_MOD_CACHE.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        if let Some((_, m)) = cache.iter().find(|(c, _)| same(c)) {
+            return m.clone();
+        }
+        let m = Arc::new(lower_comp(comp));
+        if cache.len() >= 64 {
+            // Evict the oldest half; evicted components simply lower
+            // again on their next run.
+            cache.drain(..32);
+        }
+        cache.push((comp.clone(), m.clone()));
+        m
+    })
+}
+
 // ---------------------------------------------------------------------
-// The tier
+// Per-run state
 // ---------------------------------------------------------------------
 
-/// The bytecode T tier: a per-run table of lowered modules keyed by
+/// The bytecode VM's per-run state: a table of lowered modules keyed by
 /// component identity (seeded from a [`LoweredProgram`] when the driver
 /// pre-lowered the program).
 #[derive(Debug, Default)]
-pub(crate) struct BcTier {
+pub(crate) struct BcState {
     modules: HashMap<usize, (Weak<TComp>, Arc<BcModule>)>,
-    /// Direct-mapped cache of resolved `Big`-word jump targets (return
-    /// addresses are the hot case: the same shared `Arc<WordVal>` is
-    /// moved into a register on every call). Keyed by `Arc` identity;
-    /// holding the strong `Arc` rules out ABA reuse of the address.
-    /// Label→index bindings are append-only within a run, so a hit can
-    /// never go stale.
+    /// Fully associative cache of resolved `Big`-word jump targets
+    /// (return addresses are the hot case: the same shared
+    /// `Arc<WordVal>` is moved into a register on every call). Keyed by
+    /// `Arc` identity; holding the strong `Arc` rules out ABA reuse of
+    /// the address. Label→index bindings are append-only within a run,
+    /// so a hit can never go stale. Not indexed by address bits: two
+    /// hot words placed in the same slot by the allocator would evict
+    /// each other on every return for the whole run.
     big_cache: [Option<(Arc<WordVal>, u32, u32)>; 4],
 }
 
-impl BcTier {
+impl BcState {
     fn module_for(&mut self, comp: &Arc<TComp>) -> Arc<BcModule> {
         let key = Arc::as_ptr(comp) as usize;
         if let Some((weak, m)) = self.modules.get(&key) {
@@ -685,23 +720,19 @@ impl BcTier {
                 }
             }
         }
-        let m = Arc::new(lower_comp(comp));
+        let m = cached_comp_module(comp);
         self.modules.insert(key, (Arc::downgrade(comp), m.clone()));
         m
     }
 
-    fn seeded(mods: &[(Arc<TComp>, Arc<BcModule>)]) -> BcTier {
-        BcTier {
+    fn seeded(mods: &[(Arc<TComp>, Arc<BcModule>)]) -> BcState {
+        BcState {
             modules: mods
                 .iter()
                 .map(|(c, m)| (Arc::as_ptr(c) as usize, (Arc::downgrade(c), m.clone())))
                 .collect(),
             big_cache: Default::default(),
         }
-    }
-
-    fn cache_slot(b: &Arc<WordVal>) -> usize {
-        (Arc::as_ptr(b) as usize >> 4) & 3
     }
 }
 
@@ -734,39 +765,34 @@ fn bind_instance(
     inst
 }
 
-impl Tier for BcTier {
-    type TCtrl = BcCtrl;
-
-    fn boundary_ctrl(
-        m: &mut Machine<'_, Self>,
-        comp: &Arc<TComp>,
-        env: &Env,
-        merge: MergeOutcome,
-    ) -> BcCtrl {
-        let module = match &merge.renamed_entry {
-            Some(entry) => Arc::new(lower_renamed(&m.mem, entry, &merge.indices)),
-            None => m.tier.module_for(comp),
-        };
-        let inst = bind_instance(&mut m.mem, module, merge.indices, env.clone());
-        BcCtrl { inst, pc: 0 }
-    }
-
-    fn step_t(m: &mut Machine<'_, Self>, t: BcCtrl) -> RResult<Step<Self>> {
-        m.step_bc(t)
-    }
-}
-
 /// What a control transfer resolved to: a new instance (or `None` when
 /// staying in the current one), the offset to jump to, and the target
 /// cell's heap index (for the event label).
 type Transfer = (Option<Rc<BcInstance>>, u32, u32);
 
-impl Machine<'_, BcTier> {
+impl Machine<'_> {
+    /// Builds the T control for a boundary entry. `merge` is the result
+    /// of merging the component's heap fragment (already performed, and
+    /// already ticked/traced, by the F side).
+    pub(crate) fn boundary_ctrl(
+        &mut self,
+        comp: &Arc<TComp>,
+        env: &Env,
+        merge: MergeOutcome,
+    ) -> BcCtrl {
+        let module = match &merge.renamed_entry {
+            Some(entry) => Arc::new(lower_renamed(&self.mem, entry, &merge.indices)),
+            None => self.bc.module_for(comp),
+        };
+        let inst = bind_instance(&mut self.mem, module, merge.indices, env.clone());
+        BcCtrl { inst, pc: 0 }
+    }
+
     /// The dispatch loop entry: monomorphizes on the trace flag so the
     /// untraced instantiation — the perf-critical one — carries no
     /// tracer code at all (every `if TRACED` block folds away, and the
     /// superinstruction arms reduce to their net-effect routes).
-    fn step_bc(&mut self, t: BcCtrl) -> RResult<Step<BcTier>> {
+    pub(crate) fn step_bc(&mut self, t: BcCtrl) -> RResult<Step> {
         if self.trace {
             self.step_bc_loop::<true>(t)
         } else {
@@ -777,7 +803,7 @@ impl Machine<'_, BcTier> {
     /// The dispatch loop. Runs until control leaves T (import, halt,
     /// boundary exit), an error, or fuel exhaustion — never returning
     /// to the outer CEK loop for intra-T transfers.
-    fn step_bc_loop<const TRACED: bool>(&mut self, t: BcCtrl) -> RResult<Step<BcTier>> {
+    fn step_bc_loop<const TRACED: bool>(&mut self, t: BcCtrl) -> RResult<Step> {
         let BcCtrl { mut inst, mut pc } = t;
         // Fuel lives in a local for the duration of the loop (a
         // register instead of a load+store per op). It is synced back
@@ -797,8 +823,6 @@ impl Machine<'_, BcTier> {
             let module = inst.module.clone();
             let ops = &module.ops[..];
             loop {
-                #[cfg(feature = "bc-profile")]
-                profile::count(&ops[pc as usize]);
                 match &ops[pc as usize] {
                     BcOp::ArithRR { op, rd, rs, rt } => {
                         tickl!();
@@ -1371,10 +1395,9 @@ impl Machine<'_, BcTier> {
         }
     }
 
-    /// Resolves a jump-target word through the heap, mirroring the
-    /// cursor tier's `enter` (same resolution, same arity check, same
-    /// guard) but yielding an instance + offset, with the per-cell
-    /// [`BcCell`] as the inline cache.
+    /// Resolves a jump-target word through the heap (label lookup,
+    /// arity check, optional dynamic guard), yielding an instance +
+    /// offset, with the per-cell [`BcCell`] as the inline cache.
     fn enter_bc(
         &mut self,
         cur: &Rc<BcInstance>,
@@ -1386,13 +1409,15 @@ impl Machine<'_, BcTier> {
             self.resolve_code(w)?
         } else if let TWord::Big(b) = w {
             // Hot Big words (return addresses) resolve through the
-            // direct-mapped cache instead of re-hashing the label.
-            let slot = BcTier::cache_slot(b);
-            match &self.tier.big_cache[slot] {
-                Some((cb, idx, count)) if Arc::ptr_eq(cb, b) => (*idx, *count as usize, None),
-                _ => {
+            // cache instead of re-hashing the label; a miss evicts the
+            // oldest entry.
+            let mut cached = self.bc.big_cache.iter().flatten();
+            match cached.find(|(cb, ..)| Arc::ptr_eq(cb, b)) {
+                Some(&(_, idx, count)) => (idx, count as usize, None),
+                None => {
                     let r = self.resolve_code(w)?;
-                    self.tier.big_cache[slot] = Some((b.clone(), r.0, r.1 as u32));
+                    self.bc.big_cache.rotate_right(1);
+                    self.bc.big_cache[0] = Some((b.clone(), r.0, r.1 as u32));
                     r
                 }
             }
@@ -1486,10 +1511,10 @@ impl Machine<'_, BcTier> {
 // Entry points
 // ---------------------------------------------------------------------
 
-/// Runs an FT component with the bytecode tier, reading the initial
+/// Runs an FT component on the fast machine, reading the initial
 /// state from `mem` and writing the final state back — observably
 /// identical (outcomes, events, fuel, final memory, fresh labels) to
-/// [`crate::machine_fast::run_fast`] and the substitution oracle.
+/// the substitution oracle.
 pub fn run_bc(
     mem: &mut Memory,
     comp: &Component,
@@ -1504,7 +1529,7 @@ pub fn run_bc(
         guard: cfg.guard,
         trace: tracer.enabled(),
         tracer,
-        tier: BcTier::default(),
+        bc: BcState::default(),
     };
     let ctrl = match comp {
         Component::F(e) => Ctrl::Eval(IExpr::from_fexpr(e), Env::default()),
@@ -1514,7 +1539,7 @@ pub fn run_bc(
             let merge = machine.mem.merge_fragment(c, &Env::default());
             let module = match &merge.renamed_entry {
                 Some(entry) => Arc::new(lower_renamed(&machine.mem, entry, &merge.indices)),
-                None => Arc::new(lower_comp(c)),
+                None => cached_comp_module(c),
             };
             let inst = bind_instance(&mut machine.mem, module, merge.indices, Env::default());
             Ctrl::T(BcCtrl { inst, pc: 0 })
@@ -1643,8 +1668,8 @@ pub fn prelower_spanned(e: &FExpr, table: Arc<SpanTable>) -> LoweredProgram {
     prelower(e)
 }
 
-/// Runs a pre-lowered program in a fresh memory with the bytecode
-/// tier, seeding the module table so no component is re-lowered.
+/// Runs a pre-lowered program in a fresh memory on the fast machine,
+/// seeding the module table so no component is re-lowered.
 /// Observably identical to running the original expression through
 /// [`crate::machine::run_fexpr`] under any strategy.
 pub fn run_prelowered(
@@ -1661,78 +1686,7 @@ pub fn run_prelowered(
         guard: cfg.guard,
         trace: tracer.enabled(),
         tracer,
-        tier: BcTier::seeded(&lp.modules),
+        bc: BcState::seeded(&lp.modules),
     };
     machine.run(Ctrl::Eval(lp.iexpr.clone(), Env::default()))
-}
-
-#[cfg(feature = "bc-profile")]
-pub mod profile {
-    //! Temporary opcode histogram (feature-gated, off by default).
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    thread_local! {
-        static COUNTS: RefCell<HashMap<&'static str, u64>> = RefCell::new(HashMap::new());
-    }
-    pub(crate) fn count(op: &super::BcOp) {
-        let name: &'static str = match op {
-            super::BcOp::ArithRR { .. } => "ArithRR",
-            super::BcOp::ArithRI { .. } => "ArithRI",
-            super::BcOp::ArithDyn { .. } => "ArithDyn",
-            super::BcOp::MvInt { .. } => "MvInt",
-            super::BcOp::MvUnit { .. } => "MvUnit",
-            super::BcOp::MvReg { .. } => "MvReg",
-            super::BcOp::MvLbl { .. } => "MvLbl",
-            super::BcOp::MvWord { .. } => "MvWord",
-            super::BcOp::MvDyn { .. } => "MvDyn",
-            super::BcOp::Ld { .. } => "Ld",
-            super::BcOp::St { .. } => "St",
-            super::BcOp::Ralloc { .. } => "Ralloc",
-            super::BcOp::Balloc { .. } => "Balloc",
-            super::BcOp::Salloc(_) => "Salloc",
-            super::BcOp::Sfree(_) => "Sfree",
-            super::BcOp::Sld { .. } => "Sld",
-            super::BcOp::Sst { .. } => "Sst",
-            super::BcOp::Unpack { .. } => "Unpack",
-            super::BcOp::Unfold { .. } => "Unfold",
-            super::BcOp::Protect => "Protect",
-            super::BcOp::Import { .. } => "Import",
-            super::BcOp::Bnz { .. } => "Bnz",
-            super::BcOp::Jmp(_) => "Jmp",
-            super::BcOp::Call { .. } => "Call",
-            super::BcOp::Ret { .. } => "Ret",
-            super::BcOp::Halt { .. } => "Halt",
-            super::BcOp::Push { .. } => "Push",
-            super::BcOp::PushJmp { .. } => "PushJmp",
-            super::BcOp::SldPush { .. } => "SldPush",
-            super::BcOp::PopArith { .. } => "PopArith",
-            super::BcOp::PopArithPush { .. } => "PopArithPush",
-            super::BcOp::SldSfree { .. } => "SldSfree",
-            super::BcOp::PopRet { .. } => "PopRet",
-        };
-        COUNTS.with(|c| *c.borrow_mut().entry(name).or_insert(0) += 1);
-    }
-    /// Prints every lowered module of a program (dev profiling).
-    pub fn dump_modules(lp: &super::LoweredProgram) {
-        for (i, (_, m)) in lp.modules.iter().enumerate() {
-            eprintln!("module {i}: blocks {:?}", m.blocks);
-            for (off, op) in m.ops.iter().enumerate() {
-                eprintln!("  {off:4}: {op:?}");
-            }
-        }
-    }
-
-    /// Dumps and clears the histogram.
-    pub fn dump() {
-        COUNTS.with(|c| {
-            let mut v: Vec<_> = c.borrow().iter().map(|(k, n)| (*n, *k)).collect();
-            v.sort_unstable_by(|a, b| b.cmp(a));
-            let total: u64 = v.iter().map(|(n, _)| n).sum();
-            eprintln!("total ops: {total}");
-            for (n, k) in v {
-                eprintln!("{k:>10} {n:>10} ({:.1}%)", 100.0 * n as f64 / total as f64);
-            }
-            c.borrow_mut().clear();
-        });
-    }
 }

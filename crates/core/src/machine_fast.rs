@@ -1,43 +1,47 @@
-//! The environment-passing FT machine: an evaluator for the same
+//! The fast FT machine's shared half: an evaluator for the same
 //! semantics as [`crate::machine`] (Fig 8) that never rebuilds terms.
 //!
-//! The substitution machine re-walks the expression to find the redex
-//! and deep-clones subterms at every β-reduction; this machine instead
-//! keeps
+//! FT runs on exactly two machines: the substitution oracle of
+//! [`crate::machine`] and this one. The substitution machine re-walks
+//! the expression to find the redex and deep-clones subterms at every
+//! β-reduction; this machine instead keeps
 //!
 //! - an explicit **continuation stack** ([`Frame`]) and a **value
 //!   environment** ([`Env`]) for F — a CEK-style machine over the
 //!   [`IExpr`] interned terms of `funtal-syntax`;
-//! - a **cursor** (`Rc<FastSeq>` + program counter) over pre-compiled
-//!   instruction sequences for T, a register file held in a fixed
-//!   array, and a flat `Vec`-indexed heap with a label-interning table
-//!   ([`FastMem`]) — jumps are reference bumps, not block-body clones.
+//! - a register file held in a fixed array, a plain `Vec` stack, and a
+//!   flat `Vec`-indexed heap with a label-interning table ([`FastMem`])
+//!   for T, whose code runs on the bytecode VM of
+//!   [`crate::machine_bc`] (each component lowered whole to a linear
+//!   IR; the dispatch loop lives there, the F side and the Fig 10
+//!   translations live here).
 //!
 //! Fuel is consumed at exactly the reduction points of the
 //! substitution machine and the same [`Event`] stream is emitted, so
-//! the two strategies agree step-for-step: the differential suite
+//! the two machines agree step-for-step: the differential suite
 //! (`tests/strategy_equiv.rs`) checks outcome equality *and* that the
 //! minimal sufficient fuel coincides. Fresh-label generation mirrors
 //! [`Memory`] word for word, so even heap labels in outcomes match.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use funtal_syntax::intern::{IExpr, IKind};
 use funtal_syntax::rename::{rename_heap_val, rename_seq};
 use funtal_syntax::span::{Span, SpanTable};
-use funtal_syntax::subst::{subst_fvars, Subst};
+use funtal_syntax::subst::subst_fvars;
 use funtal_syntax::{
-    ArithOp, Component, FExpr, FTy, HeapVal, Inst, Instr, InstrSeq, Label, Lam, Mutability, Reg,
-    SmallVal, StackTail, StackTy, TComp, TTy, Terminator, TyVar, VarName, WordVal,
+    ArithOp, FExpr, FTy, HeapVal, Inst, InstrSeq, Label, Lam, Mutability, Reg, SmallVal, StackTail,
+    StackTy, TComp, TTy, TyVar, VarName, WordVal,
 };
 use funtal_tal::error::{RResult, RuntimeError};
 use funtal_tal::machine::Memory;
 use funtal_tal::trace::{Event, Tracer};
 
-use crate::machine::{FtOutcome, RunCfg};
+use crate::machine::FtOutcome;
+use crate::machine_bc::{BcCtrl, BcState};
 use crate::translate::{check_wrappable, end_block, fty_to_tty, lambda_glue_block, wrapper_lambda};
 
 // ---------------------------------------------------------------------
@@ -64,15 +68,13 @@ pub enum TWord {
 /// A heap cell of the flat heap.
 #[derive(Debug)]
 pub(crate) enum FastHeapVal {
-    /// A code block, shared with the syntax tree; `seq` caches its
-    /// compiled form after first entry (cursor tier), `bc` caches the
-    /// lowered bytecode entry point (bytecode tier), and `env` is the F
+    /// A code block, shared with the syntax tree; `bc` caches the
+    /// lowered bytecode entry point, and `env` is the F
     /// environment captured when the block was merged (the substitution
     /// machine substitutes those values into `import` bodies at β time;
     /// the environment machine defers the lookup to execution).
     Code {
         hv: Arc<HeapVal>,
-        seq: Option<Rc<FastSeq>>,
         env: Env,
         bc: Option<crate::machine_bc::BcCell>,
     },
@@ -94,21 +96,6 @@ pub struct FastMem {
     pub(crate) regs: [Option<TWord>; 8],
     pub(crate) stack: Vec<TWord>,
     pub(crate) next_fresh: u64,
-    /// Unique per instance (per thread); validates the inline caches
-    /// baked into shared compiled sequences.
-    pub(crate) id: u64,
-}
-
-thread_local! {
-    static MEM_IDS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn next_mem_id() -> u64 {
-    MEM_IDS.with(|c| {
-        let id = c.get() + 1;
-        c.set(id);
-        id
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -118,8 +105,8 @@ fn next_mem_id() -> u64 {
 // The span table of the program currently being lowered, if any. An
 // ambient (thread-local) scope rather than a parameter because lowering
 // happens lazily at block entry, deep inside the step loop — threading
-// a table through every signature would touch every tier for a purely
-// diagnostic concern.
+// a table through every signature would touch the whole machine for a
+// purely diagnostic concern.
 thread_local! {
     static AMBIENT_SPANS: RefCell<Option<Arc<SpanTable>>> = const { RefCell::new(None) };
 }
@@ -127,12 +114,9 @@ thread_local! {
 /// Installs a [`SpanTable`] as the ambient source map for all lowering
 /// on this thread; the previous scope is restored on drop.
 ///
-/// While a scope is installed, every block compiled by the cursor tier
-/// and every module lowered by the bytecode tier records the source
-/// span of its label. Caveat: compiled blocks are cached across runs
-/// (keyed by shared-`Arc` identity), so a block's span is baked at
-/// *first* compile — profile attribution does not read these spans (it
-/// resolves labels through the table directly) and is unaffected.
+/// While a scope is installed, every module the bytecode lowerer emits
+/// records the source span of each block label, readable through
+/// [`crate::machine_bc::LoweredProgram::block_spans`].
 pub struct SpanScope {
     prev: Option<Arc<SpanTable>>,
 }
@@ -174,7 +158,6 @@ impl FastMem {
     pub(crate) fn from_memory(mem: &Memory) -> FastMem {
         let mut fm = FastMem {
             next_fresh: mem.fresh_counter(),
-            id: next_mem_id(),
             ..FastMem::default()
         };
         // Two passes: intern every label first, then convert values
@@ -276,7 +259,6 @@ impl FastMem {
         match &**hv {
             HeapVal::Code(_) => FastHeapVal::Code {
                 hv: hv.clone(),
-                seq: None,
                 env: env.clone(),
                 bc: None,
             },
@@ -350,7 +332,7 @@ impl FastMem {
     }
 
     /// Reads a register that must hold an integer without cloning the
-    /// word — the bytecode tier's arithmetic fast path.
+    /// word — the bytecode VM's arithmetic fast path.
     pub(crate) fn int_reg(&self, r: Reg) -> RResult<i64> {
         match &self.regs[ridx(r)] {
             Some(TWord::Int(n)) => Ok(*n),
@@ -417,9 +399,9 @@ impl FastMem {
     /// fresh names, same sharing of untouched blocks). The outcome
     /// carries the renamed entry sequence when a label collided
     /// (`renamed_entry: None` means the entry is `comp.seq` verbatim,
-    /// so the caller can reuse a cached compilation) plus the flat-heap
+    /// so the caller can reuse a cached lowering) plus the flat-heap
     /// index of each merged block in fragment order, which the bytecode
-    /// tier uses to bind lower-time block ordinals to this instance.
+    /// VM uses to bind lower-time block ordinals to this instance.
     pub(crate) fn merge_fragment(&mut self, comp: &TComp, env: &Env) -> MergeOutcome {
         if comp.heap.is_empty() {
             return MergeOutcome::default();
@@ -472,7 +454,7 @@ pub(crate) struct MergeOutcome {
 }
 
 // ---------------------------------------------------------------------
-// Pre-compiled instruction sequences
+// Operands
 // ---------------------------------------------------------------------
 
 /// An operand, pre-lowered so the hot path never traverses
@@ -484,122 +466,6 @@ pub(crate) enum FastOp {
     Reg(Reg),
     Word(TWord),
     Dyn(Arc<SmallVal>),
-}
-
-#[derive(Debug)]
-enum FastInstr {
-    Arith {
-        op: ArithOp,
-        rd: Reg,
-        rs: Reg,
-        src: FastOp,
-    },
-    Bnz {
-        r: Reg,
-        target: FastTarget,
-    },
-    Ld {
-        rd: Reg,
-        rs: Reg,
-        idx: usize,
-    },
-    St {
-        rd: Reg,
-        idx: usize,
-        rs: Reg,
-    },
-    Ralloc {
-        rd: Reg,
-        n: usize,
-    },
-    Balloc {
-        rd: Reg,
-        n: usize,
-    },
-    Mv {
-        rd: Reg,
-        src: FastOp,
-    },
-    Salloc(usize),
-    Sfree(usize),
-    Sld {
-        rd: Reg,
-        idx: usize,
-    },
-    Sst {
-        idx: usize,
-        rs: Reg,
-    },
-    Unpack {
-        rd: Reg,
-        src: FastOp,
-    },
-    Unfold {
-        rd: Reg,
-        src: FastOp,
-    },
-    Protect,
-    Import {
-        rd: Reg,
-        ty: Arc<FTy>,
-        body: IExpr,
-    },
-}
-
-/// A jump-target operand with an inline cache: after the first
-/// resolution in a given memory, constant targets skip the label hash
-/// and arity check entirely. The cache is validated against the
-/// memory's unique id, so sequences shared across runs stay correct.
-#[derive(Debug)]
-struct FastTarget {
-    op: FastOp,
-    ic: Cell<(u64, u32)>,
-}
-
-impl FastTarget {
-    fn new(u: &SmallVal) -> FastTarget {
-        FastTarget {
-            op: lower_op(u),
-            ic: Cell::new((0, 0)),
-        }
-    }
-}
-
-#[derive(Debug)]
-enum FastTerm {
-    Jmp(FastTarget),
-    Call {
-        target: FastTarget,
-        sigma: Arc<StackTy>,
-        q: Arc<funtal_syntax::RetMarker>,
-    },
-    Ret {
-        target: Reg,
-        val: Reg,
-    },
-    Halt {
-        val: Reg,
-    },
-}
-
-/// A compiled instruction sequence: straight-line [`FastInstr`]s plus a
-/// terminator, independent of any particular memory (so it is cached
-/// per code block, across runs).
-#[derive(Debug)]
-pub(crate) struct FastSeq {
-    instrs: Vec<FastInstr>,
-    term: FastTerm,
-    /// Source region of the block this sequence was compiled from
-    /// (resolved through the ambient [`SpanScope`] at compile time;
-    /// synthetic for generated code or outside a scope).
-    span: Span,
-}
-
-impl FastSeq {
-    /// The source region this sequence maps back to.
-    pub(crate) fn span(&self) -> Span {
-        self.span
-    }
 }
 
 /// Evaluates a small value that mentions no registers to its word form
@@ -635,112 +501,6 @@ pub(crate) fn lower_op(u: &SmallVal) -> FastOp {
     }
 }
 
-fn compile_seq(seq: &InstrSeq, span: Span) -> FastSeq {
-    let instrs = seq
-        .instrs
-        .iter()
-        .map(|i| match i {
-            Instr::Arith { op, rd, rs, src } => FastInstr::Arith {
-                op: *op,
-                rd: *rd,
-                rs: *rs,
-                src: lower_op(src),
-            },
-            Instr::Bnz { r, target } => FastInstr::Bnz {
-                r: *r,
-                target: FastTarget::new(target),
-            },
-            Instr::Ld { rd, rs, idx } => FastInstr::Ld {
-                rd: *rd,
-                rs: *rs,
-                idx: *idx,
-            },
-            Instr::St { rd, idx, rs } => FastInstr::St {
-                rd: *rd,
-                idx: *idx,
-                rs: *rs,
-            },
-            Instr::Ralloc { rd, n } => FastInstr::Ralloc { rd: *rd, n: *n },
-            Instr::Balloc { rd, n } => FastInstr::Balloc { rd: *rd, n: *n },
-            Instr::Mv { rd, src } => FastInstr::Mv {
-                rd: *rd,
-                src: lower_op(src),
-            },
-            Instr::Salloc(n) => FastInstr::Salloc(*n),
-            Instr::Sfree(n) => FastInstr::Sfree(*n),
-            Instr::Sld { rd, idx } => FastInstr::Sld { rd: *rd, idx: *idx },
-            Instr::Sst { idx, rs } => FastInstr::Sst { idx: *idx, rs: *rs },
-            Instr::Unpack { rd, src, .. } => FastInstr::Unpack {
-                rd: *rd,
-                src: lower_op(src),
-            },
-            Instr::Unfold { rd, src } => FastInstr::Unfold {
-                rd: *rd,
-                src: lower_op(src),
-            },
-            Instr::Protect { .. } => FastInstr::Protect,
-            Instr::Import { rd, ty, body, .. } => FastInstr::Import {
-                rd: *rd,
-                ty: Arc::new(ty.clone()),
-                body: IExpr::from_fexpr(body),
-            },
-        })
-        .collect();
-    let term = match &seq.term {
-        Terminator::Jmp(u) => FastTerm::Jmp(FastTarget::new(u)),
-        Terminator::Call { target, sigma, q } => FastTerm::Call {
-            target: FastTarget::new(target),
-            sigma: Arc::new(sigma.clone()),
-            q: Arc::new(q.clone()),
-        },
-        Terminator::Ret { target, val } => FastTerm::Ret {
-            target: *target,
-            val: *val,
-        },
-        Terminator::Halt { val, .. } => FastTerm::Halt { val: *val },
-    };
-    FastSeq { instrs, term, span }
-}
-
-// A process-wide (per-thread) cache of compiled block bodies keyed by
-// heap-value identity, so steady-state workloads that re-enter the
-// same shared blocks in fresh memories skip recompilation. Entries are
-// validated by upgrading the stored weak handle and comparing
-// pointers, so a recycled allocation can never alias a stale entry.
-type SeqCache = HashMap<usize, (Weak<HeapVal>, Rc<FastSeq>)>;
-
-thread_local! {
-    static SEQ_CACHE: RefCell<SeqCache> = RefCell::new(HashMap::new());
-}
-
-// Compiled boundary entry sequences keyed by shared-component
-// identity, validated like `SEQ_CACHE`.
-type EntryCache = HashMap<usize, (Weak<TComp>, Rc<FastSeq>)>;
-
-thread_local! {
-    static ENTRY_CACHE: RefCell<EntryCache> = RefCell::new(HashMap::new());
-}
-
-fn compiled_entry(comp: &Arc<TComp>) -> Rc<FastSeq> {
-    let key = Arc::as_ptr(comp) as usize;
-    ENTRY_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some((weak, seq)) = cache.get(&key) {
-            if let Some(live) = weak.upgrade() {
-                if Arc::ptr_eq(&live, comp) {
-                    return seq.clone();
-                }
-            }
-        }
-        let seq = Rc::new(compile_seq(&comp.seq, ambient_root()));
-        if cache.len() >= 4096 {
-            cache.retain(|_, (w, _)| w.upgrade().is_some());
-        }
-        cache.insert(key, (Arc::downgrade(comp), seq.clone()));
-        seq
-    })
-}
-
 // Memoized Fig 10 code→λ wrappers: (code word, ℓend label, arrow type)
 // → (ℓend block, interned wrapper). Checked by value equality, so it
 // is exact; bounded by wholesale clearing.
@@ -751,45 +511,6 @@ type WrapperCache = Vec<(u64, WordVal, FTy, Arc<HeapVal>, IExpr)>;
 
 thread_local! {
     static WRAPPER_CACHE: RefCell<WrapperCache> = const { RefCell::new(Vec::new()) };
-}
-
-fn compiled_block(hv: &Arc<HeapVal>, label: &Label) -> Rc<FastSeq> {
-    let key = Arc::as_ptr(hv) as usize;
-    SEQ_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some((weak, seq)) = cache.get(&key) {
-            if let Some(live) = weak.upgrade() {
-                if Arc::ptr_eq(&live, hv) {
-                    return seq.clone();
-                }
-            }
-        }
-        let HeapVal::Code(block) = &**hv else {
-            unreachable!("compiled_block called on a tuple")
-        };
-        let seq = Rc::new(compile_seq(&block.body, ambient_span(label.as_str())));
-        if cache.len() >= 4096 {
-            cache.retain(|_, (w, _)| w.upgrade().is_some());
-        }
-        cache.insert(key, (Arc::downgrade(hv), seq.clone()));
-        seq
-    })
-}
-
-/// Compiles every shared code block of `comp` (warming the per-thread
-/// cache) and reports the source span each block maps back to under
-/// the ambient [`SpanScope`] — the cursor-tier analogue of
-/// [`crate::machine_bc::LoweredProgram::block_spans`]. Blocks already
-/// cached from an earlier compile keep the span they were first
-/// attributed.
-pub fn compiled_comp_spans(comp: &TComp) -> Vec<(String, Span)> {
-    comp.heap
-        .iter_shared()
-        .filter_map(|(l, hv)| match &**hv {
-            HeapVal::Code(_) => Some((l.to_string(), compiled_block(hv, l).span())),
-            HeapVal::Tuple { .. } => None,
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -861,44 +582,8 @@ impl Env {
     }
 }
 
-/// A suspended cursor-tier T execution: a compiled sequence plus a
-/// program counter.
-#[derive(Clone, Debug)]
-pub(crate) struct TCtrl {
-    seq: Rc<FastSeq>,
-    pc: usize,
-    /// The F environment `import` bodies in this sequence close over.
-    env: Env,
-}
-
-/// A T execution tier: how the shared F-side machine represents and
-/// steps suspended T code. The cursor tier ([`CursorTier`]) walks
-/// per-block compiled sequences; the bytecode tier
-/// ([`crate::machine_bc::BcTier`]) dispatches over a flat lowered
-/// instruction stream. Both plug into the same CEK machine, so the
-/// F side — and with it fuel accounting, events, and boundary
-/// translation — is identical by construction.
-pub(crate) trait Tier: Sized {
-    /// A suspended T execution for this tier.
-    type TCtrl;
-
-    /// Builds the T control for a boundary entry. `merge` is the
-    /// result of merging the component's heap fragment (already
-    /// performed, and already ticked/traced, by the shared machine).
-    fn boundary_ctrl(
-        m: &mut Machine<'_, Self>,
-        comp: &Arc<TComp>,
-        env: &Env,
-        merge: MergeOutcome,
-    ) -> Self::TCtrl;
-
-    /// Runs T code until control leaves the tier (an import, a halt,
-    /// an error, or fuel exhaustion).
-    fn step_t(m: &mut Machine<'_, Self>, t: Self::TCtrl) -> RResult<Step<Self>>;
-}
-
 /// One continuation frame of the mixed machine.
-pub(crate) enum Frame<T: Tier> {
+pub(crate) enum Frame {
     BinopL {
         op: ArithOp,
         rhs: IExpr,
@@ -944,14 +629,14 @@ pub(crate) enum Frame<T: Tier> {
     ImportF {
         rd: Reg,
         ty: Arc<FTy>,
-        saved: T::TCtrl,
+        saved: BcCtrl,
     },
 }
 
-pub(crate) enum Ctrl<T: Tier> {
+pub(crate) enum Ctrl {
     Eval(IExpr, Env),
     Ret(FastVal),
-    T(T::TCtrl),
+    T(BcCtrl),
 }
 
 // ---------------------------------------------------------------------
@@ -1078,7 +763,6 @@ pub(crate) fn f_to_t_fast(mem: &mut FastMem, v: &FastVal, ty: &FTy) -> RResult<T
                 "clos",
                 FastHeapVal::Code {
                     hv: Arc::new(HeapVal::Code(block)),
-                    seq: None,
                     env: Env::default(),
                     bc: None,
                 },
@@ -1190,7 +874,6 @@ pub(crate) fn t_to_f_fast(mem: &mut FastMem, w: &TWord, ty: &FTy) -> RResult<Fas
             let lend_idx = mem.intern(lend);
             mem.heap[lend_idx as usize] = FastHeapVal::Code {
                 hv: end_hv,
-                seq: None,
                 env: Env::default(),
                 bc: None,
             };
@@ -1210,17 +893,17 @@ pub(crate) fn t_to_f_fast(mem: &mut FastMem, w: &TWord, ty: &FTy) -> RResult<Fas
 // The machine
 // ---------------------------------------------------------------------
 
-pub(crate) struct Machine<'t, T: Tier> {
+pub(crate) struct Machine<'t> {
     pub(crate) mem: FastMem,
-    pub(crate) frames: Vec<Frame<T>>,
+    pub(crate) frames: Vec<Frame>,
     pub(crate) fuel: u64,
     pub(crate) guard: bool,
     /// Cached `tracer.enabled()`: lets the hot loops skip event
     /// construction (label clones) when nobody is listening.
     pub(crate) trace: bool,
     pub(crate) tracer: &'t mut dyn Tracer,
-    /// Tier-local state (e.g. the bytecode tier's module table).
-    pub(crate) tier: T,
+    /// The bytecode VM's per-run state (its module table).
+    pub(crate) bc: BcState,
 }
 
 macro_rules! tick {
@@ -1232,8 +915,8 @@ macro_rules! tick {
     };
 }
 
-pub(crate) enum Step<T: Tier> {
-    Continue(Ctrl<T>),
+pub(crate) enum Step {
+    Continue(Ctrl),
     Done(FtOutcome),
 }
 
@@ -1246,13 +929,13 @@ enum Shape {
     Other,
 }
 
-impl<T: Tier> Machine<'_, T> {
-    pub(crate) fn run(&mut self, mut ctrl: Ctrl<T>) -> RResult<FtOutcome> {
+impl Machine<'_> {
+    pub(crate) fn run(&mut self, mut ctrl: Ctrl) -> RResult<FtOutcome> {
         loop {
             let step = match ctrl {
                 Ctrl::Eval(e, env) => self.eval(e, env)?,
                 Ctrl::Ret(v) => self.ret(v)?,
-                Ctrl::T(t) => T::step_t(self, t)?,
+                Ctrl::T(t) => self.step_bc(t)?,
             };
             match step {
                 Step::Continue(next) => ctrl = next,
@@ -1261,7 +944,7 @@ impl<T: Tier> Machine<'_, T> {
         }
     }
 
-    fn eval(&mut self, e: IExpr, env: Env) -> RResult<Step<T>> {
+    fn eval(&mut self, e: IExpr, env: Env) -> RResult<Step> {
         let next = match e.kind() {
             IKind::Var(x) => match env.lookup(x) {
                 Some(v) => Ctrl::Ret(v.clone()),
@@ -1336,7 +1019,7 @@ impl<T: Tier> Machine<'_, T> {
                     }
                     self.mem.merge_fragment(comp, &env)
                 };
-                let t = T::boundary_ctrl(self, comp, &env, merge);
+                let t = self.boundary_ctrl(comp, &env, merge);
                 self.frames.push(Frame::BoundaryT { ty: ty.clone() });
                 Ctrl::T(t)
             }
@@ -1344,7 +1027,7 @@ impl<T: Tier> Machine<'_, T> {
         Ok(Step::Continue(next))
     }
 
-    fn ret(&mut self, v: FastVal) -> RResult<Step<T>> {
+    fn ret(&mut self, v: FastVal) -> RResult<Step> {
         let Some(frame) = self.frames.pop() else {
             return Ok(Step::Done(FtOutcome::Value(reify_val(&v))));
         };
@@ -1486,7 +1169,7 @@ impl<T: Tier> Machine<'_, T> {
         Ok(Step::Continue(next))
     }
 
-    fn beta(&mut self, func: FastVal, args: Vec<FastVal>) -> RResult<Step<T>> {
+    fn beta(&mut self, func: FastVal, args: Vec<FastVal>) -> RResult<Step> {
         let FastVal::Clos(c) = &func else {
             return Err(RuntimeError::Stuck(format!(
                 "applying a non-function: {}",
@@ -1509,120 +1192,7 @@ impl<T: Tier> Machine<'_, T> {
         Ok(Step::Continue(Ctrl::Eval(body.clone(), env)))
     }
 
-    // --- the T executor (cursor tier) -------------------------------------
-
-    fn step_t(&mut self, t: TCtrl) -> RResult<Step<T>>
-    where
-        T: Tier<TCtrl = TCtrl>,
-    {
-        let TCtrl { seq, mut pc, env } = t;
-        // Straight-line instructions loop here without re-entering the
-        // dispatcher; control effects fall out to the match below.
-        while pc < seq.instrs.len() {
-            match &seq.instrs[pc] {
-                FastInstr::Protect => {
-                    // Typing-only; still one machine step, charged as
-                    // a plain instruction so every tick has exactly
-                    // one charging event (the profiler's invariant).
-                    tick!(self);
-                    if self.trace {
-                        self.tracer.event(&Event::Instr);
-                    }
-                    pc += 1;
-                }
-                FastInstr::Import { rd, ty, body } => {
-                    self.frames.push(Frame::ImportF {
-                        rd: *rd,
-                        ty: ty.clone(),
-                        saved: TCtrl {
-                            seq: seq.clone(),
-                            pc: pc + 1,
-                            env: env.clone(),
-                        },
-                    });
-                    return Ok(Step::Continue(Ctrl::Eval(body.clone(), env.clone())));
-                }
-                FastInstr::Bnz { r, target } => {
-                    tick!(self);
-                    if self.trace {
-                        self.tracer.event(&Event::Instr);
-                    }
-                    let n = self.mem.as_int(self.mem.reg(*r)?)?;
-                    if n != 0 {
-                        let (body, benv, to) = self.enter_target(target, 0, None)?;
-                        if self.trace {
-                            self.tracer.event(&Event::BnzTaken {
-                                to: self.mem.names[to as usize].clone(),
-                            });
-                        }
-                        return Ok(Step::Continue(Ctrl::T(TCtrl {
-                            seq: body,
-                            pc: 0,
-                            env: benv,
-                        })));
-                    }
-                    pc += 1;
-                }
-                instr => {
-                    tick!(self);
-                    if self.trace {
-                        self.tracer.event(&Event::Instr);
-                    }
-                    self.exec(instr)?;
-                    pc += 1;
-                }
-            }
-        }
-        match &seq.term {
-            FastTerm::Jmp(u) => {
-                tick!(self);
-                let (body, benv, to) = self.enter_target(u, 0, None)?;
-                if self.trace {
-                    self.tracer.event(&Event::Jmp {
-                        to: self.mem.names[to as usize].clone(),
-                    });
-                }
-                Ok(Step::Continue(Ctrl::T(TCtrl {
-                    seq: body,
-                    pc: 0,
-                    env: benv,
-                })))
-            }
-            FastTerm::Call { target, sigma, q } => {
-                tick!(self);
-                let (body, benv, to) = self.enter_target(target, 2, Some((sigma, q)))?;
-                if self.trace {
-                    self.tracer.event(&Event::Call {
-                        to: self.mem.names[to as usize].clone(),
-                    });
-                }
-                Ok(Step::Continue(Ctrl::T(TCtrl {
-                    seq: body,
-                    pc: 0,
-                    env: benv,
-                })))
-            }
-            FastTerm::Ret { target, val } => {
-                tick!(self);
-                let w = self.mem.reg(*target)?.clone();
-                let (body, benv, to) = self.enter(&w, 0, None)?;
-                if self.trace {
-                    self.tracer.event(&Event::Ret {
-                        to: self.mem.names[to as usize].clone(),
-                        val: *val,
-                    });
-                }
-                Ok(Step::Continue(Ctrl::T(TCtrl {
-                    seq: body,
-                    pc: 0,
-                    env: benv,
-                })))
-            }
-            FastTerm::Halt { val } => self.halt(*val),
-        }
-    }
-
-    pub(crate) fn halt(&mut self, val: Reg) -> RResult<Step<T>> {
+    pub(crate) fn halt(&mut self, val: Reg) -> RResult<Step> {
         match self.frames.last() {
             Some(Frame::BoundaryT { .. }) => {
                 // Fig 8: a boundary around a halt value translates —
@@ -1685,37 +1255,9 @@ impl<T: Tier> Machine<'_, T> {
         }
     }
 
-    /// [`Machine::enter`] through a [`FastTarget`]'s inline cache:
-    /// a hit skips operand evaluation, label hashing, and the arity
-    /// check (all fixed per constant target per memory).
-    fn enter_target(
-        &mut self,
-        t: &FastTarget,
-        extra_insts: usize,
-        call_extra: Option<(&Arc<StackTy>, &Arc<funtal_syntax::RetMarker>)>,
-    ) -> RResult<(Rc<FastSeq>, Env, u32)> {
-        if !self.guard {
-            let (mem_id, idx) = t.ic.get();
-            if mem_id == self.mem.id {
-                if let FastHeapVal::Code {
-                    seq: Some(s), env, ..
-                } = &self.mem.heap[idx as usize]
-                {
-                    return Ok((s.clone(), env.clone(), idx));
-                }
-            }
-        }
-        let w = self.eval_op(&t.op)?;
-        let out = self.enter(&w, extra_insts, call_extra)?;
-        if !self.guard && matches!(t.op, FastOp::Word(_)) {
-            t.ic.set((self.mem.id, out.2));
-        }
-        Ok(out)
-    }
-
     /// Resolves a jump-target word to its flat-heap index, counting
     /// pending instantiations (and collecting them when the dynamic
-    /// guard needs their content). Shared by every tier's block entry.
+    /// guard needs their content). Shared by every block entry.
     pub(crate) fn resolve_code(&self, w: &TWord) -> RResult<(u32, usize, Option<Vec<Inst>>)> {
         match w {
             TWord::Loc(i) => Ok((*i, 0, None)),
@@ -1739,88 +1281,6 @@ impl<T: Tier> Machine<'_, T> {
                 self.mem.reify_word(other).to_string(),
             )),
         }
-    }
-
-    /// Resolves a jump-target word to a block, arity-checks its
-    /// instantiation, optionally runs the dynamic guard, and returns
-    /// the compiled body plus the target label.
-    fn enter(
-        &mut self,
-        w: &TWord,
-        extra_insts: usize,
-        call_extra: Option<(&Arc<StackTy>, &Arc<funtal_syntax::RetMarker>)>,
-    ) -> RResult<(Rc<FastSeq>, Env, u32)> {
-        let (idx, n_insts, insts) = self.resolve_code(w)?;
-        // Fast path: the block is already compiled — two refcount
-        // bumps and an arity check, no allocation.
-        match &self.mem.heap[idx as usize] {
-            FastHeapVal::Code {
-                hv,
-                seq: Some(s),
-                env,
-                ..
-            } if !self.guard => {
-                let HeapVal::Code(block) = &**hv else {
-                    unreachable!()
-                };
-                if block.delta.len() != n_insts + extra_insts {
-                    return Err(RuntimeError::BadInstantiation {
-                        expected: block.delta.len(),
-                        provided: n_insts + extra_insts,
-                    });
-                }
-                return Ok((s.clone(), env.clone(), idx));
-            }
-            _ => {}
-        }
-        let (hv, cached, benv) = match &self.mem.heap[idx as usize] {
-            FastHeapVal::Code { hv, seq, env, .. } => (hv.clone(), seq.clone(), env.clone()),
-            FastHeapVal::Tuple { .. } => {
-                return Err(RuntimeError::NotCode(format!(
-                    "{} is a tuple",
-                    self.mem.names[idx as usize]
-                )))
-            }
-        };
-        let HeapVal::Code(block) = &*hv else {
-            unreachable!()
-        };
-        if block.delta.len() != n_insts + extra_insts {
-            return Err(RuntimeError::BadInstantiation {
-                expected: block.delta.len(),
-                provided: n_insts + extra_insts,
-            });
-        }
-        let compiled = match cached {
-            Some(s) => s,
-            None => {
-                let s = compiled_block(&hv, &self.mem.names[idx as usize]);
-                if let FastHeapVal::Code { seq, .. } = &mut self.mem.heap[idx as usize] {
-                    *seq = Some(s.clone());
-                }
-                s
-            }
-        };
-        if self.guard {
-            let mut all_insts = insts.unwrap_or_default();
-            if let Some((sigma, q)) = call_extra {
-                all_insts.push(Inst::Stack((**sigma).clone()));
-                all_insts.push(Inst::Ret((**q).clone()));
-            }
-            let subst = Subst::from_pairs(
-                block
-                    .delta
-                    .iter()
-                    .zip(&all_insts)
-                    .map(|(d, i)| (d.var.clone(), i.clone())),
-            );
-            self.guard_entry(
-                &self.mem.names[idx as usize].clone(),
-                &subst.chi(&block.chi),
-                &subst.stack(&block.sigma),
-            )?;
-        }
-        Ok((compiled, benv, idx))
     }
 
     /// The dynamic type-safety guard over fast words, mirroring the
@@ -1879,103 +1339,6 @@ impl<T: Tier> Machine<'_, T> {
             },
         })
     }
-
-    fn exec(&mut self, instr: &FastInstr) -> RResult<()> {
-        match instr {
-            FastInstr::Arith { op, rd, rs, src } => {
-                let a = self.mem.as_int(self.mem.reg(*rs)?)?;
-                let b = self.mem.as_int(&self.eval_op(src)?)?;
-                self.mem.set_reg(*rd, TWord::Int(op.apply(a, b)));
-            }
-            FastInstr::Ld { rd, rs, idx } => {
-                let i = self.mem.loc_of(self.mem.reg(*rs)?)?;
-                let FastHeapVal::Tuple { fields, .. } = &self.mem.heap[i as usize] else {
-                    return Err(RuntimeError::NotTuple(format!(
-                        "{} is code",
-                        self.mem.names[i as usize]
-                    )));
-                };
-                let w = fields
-                    .get(*idx)
-                    .ok_or(RuntimeError::BadFieldIndex(*idx))?
-                    .clone();
-                self.mem.set_reg(*rd, w);
-            }
-            FastInstr::St { rd, idx, rs } => {
-                let i = self.mem.loc_of(self.mem.reg(*rd)?)?;
-                let w = self.mem.reg(*rs)?.clone();
-                let name = self.mem.names[i as usize].clone();
-                let FastHeapVal::Tuple { mutability, fields } = &mut self.mem.heap[i as usize]
-                else {
-                    return Err(RuntimeError::NotTuple(format!("{name} is code")));
-                };
-                if *mutability != Mutability::Ref {
-                    return Err(RuntimeError::ImmutableStore(name));
-                }
-                let slot = fields
-                    .get_mut(*idx)
-                    .ok_or(RuntimeError::BadFieldIndex(*idx))?;
-                *slot = w;
-            }
-            FastInstr::Ralloc { rd, n } | FastInstr::Balloc { rd, n } => {
-                let fields = self.mem.stack_pop_n(*n)?;
-                let mutability = if matches!(instr, FastInstr::Ralloc { .. }) {
-                    Mutability::Ref
-                } else {
-                    Mutability::Boxed
-                };
-                let i = self
-                    .mem
-                    .alloc("t", FastHeapVal::Tuple { mutability, fields });
-                self.mem.set_reg(*rd, TWord::Loc(i));
-            }
-            FastInstr::Mv { rd, src } => {
-                let w = self.eval_op(src)?;
-                self.mem.set_reg(*rd, w);
-            }
-            FastInstr::Salloc(n) => {
-                let len = self.mem.stack.len();
-                self.mem.stack.resize(len + *n, TWord::Unit);
-            }
-            FastInstr::Sfree(n) => {
-                self.mem.stack_drop_n(*n)?;
-            }
-            FastInstr::Sld { rd, idx } => {
-                let w = self.mem.stack_get(*idx)?.clone();
-                self.mem.set_reg(*rd, w);
-            }
-            FastInstr::Sst { idx, rs } => {
-                let w = self.mem.reg(*rs)?.clone();
-                self.mem.stack_set(*idx, w)?;
-            }
-            FastInstr::Unpack { rd, src } => {
-                let w = self.eval_op(src)?;
-                let TWord::Big(b) = &w else {
-                    return Err(RuntimeError::NotPack(self.mem.reify_word(&w).to_string()));
-                };
-                let WordVal::Pack { body, .. } = &**b else {
-                    return Err(RuntimeError::NotPack(self.mem.reify_word(&w).to_string()));
-                };
-                let inner = self.mem.tword_of_word(body);
-                self.mem.set_reg(*rd, inner);
-            }
-            FastInstr::Unfold { rd, src } => {
-                let w = self.eval_op(src)?;
-                let TWord::Big(b) = &w else {
-                    return Err(RuntimeError::NotFold(self.mem.reify_word(&w).to_string()));
-                };
-                let WordVal::Fold { body, .. } = &**b else {
-                    return Err(RuntimeError::NotFold(self.mem.reify_word(&w).to_string()));
-                };
-                let inner = self.mem.tword_of_word(body);
-                self.mem.set_reg(*rd, inner);
-            }
-            FastInstr::Protect | FastInstr::Import { .. } | FastInstr::Bnz { .. } => {
-                unreachable!("handled by the sequence stepper")
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Counts pending instantiations without cloning them; the machine is
@@ -1989,81 +1352,4 @@ pub(crate) fn peel_count(w: &WordVal) -> (&WordVal, usize) {
         }
         other => (other, 0),
     }
-}
-
-// ---------------------------------------------------------------------
-// The cursor tier
-// ---------------------------------------------------------------------
-
-/// The compiled-cursor T tier: per-block [`FastSeq`]s entered through
-/// the heap, with inline caches on constant jump targets.
-pub(crate) struct CursorTier;
-
-impl Tier for CursorTier {
-    type TCtrl = TCtrl;
-
-    fn boundary_ctrl(
-        _m: &mut Machine<'_, Self>,
-        comp: &Arc<TComp>,
-        env: &Env,
-        merge: MergeOutcome,
-    ) -> TCtrl {
-        // When no label was renamed the entry is the shared
-        // component's own sequence: reuse its cached compile.
-        let seq = match merge.renamed_entry {
-            Some(entry) => Rc::new(compile_seq(&entry, ambient_root())),
-            None => compiled_entry(comp),
-        };
-        TCtrl {
-            seq,
-            pc: 0,
-            env: env.clone(),
-        }
-    }
-
-    fn step_t(m: &mut Machine<'_, Self>, t: TCtrl) -> RResult<Step<Self>> {
-        m.step_t(t)
-    }
-}
-
-/// Runs an FT component with the environment-passing machine, reading
-/// the initial state from `mem` and writing the final state back, so
-/// callers observe exactly what the substitution machine would leave
-/// behind.
-pub fn run_fast(
-    mem: &mut Memory,
-    comp: &Component,
-    cfg: RunCfg,
-    tracer: &mut dyn Tracer,
-) -> RResult<FtOutcome> {
-    let fmem = FastMem::from_memory(mem);
-    let mut machine = Machine {
-        mem: fmem,
-        frames: Vec::new(),
-        fuel: cfg.fuel,
-        guard: cfg.guard,
-        trace: tracer.enabled(),
-        tracer,
-        tier: CursorTier,
-    };
-    let ctrl = match comp {
-        Component::F(e) => Ctrl::Eval(IExpr::from_fexpr(e), Env::default()),
-        Component::T(c) => {
-            // The merge happens before the step loop (no fuel), as in
-            // the substitution machine's `run`.
-            let entry = machine
-                .mem
-                .merge_fragment(c, &Env::default())
-                .renamed_entry
-                .unwrap_or_else(|| c.seq.clone());
-            Ctrl::T(TCtrl {
-                seq: Rc::new(compile_seq(&entry, ambient_root())),
-                pc: 0,
-                env: Env::default(),
-            })
-        }
-    };
-    let result = machine.run(ctrl);
-    machine.mem.write_back(mem);
-    result
 }

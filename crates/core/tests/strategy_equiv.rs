@@ -1,18 +1,18 @@
-//! Differential testing of the three evaluation strategies.
+//! Differential testing of the oracle against the fast machine.
 //!
-//! The substitution machine is the executable form of Fig 8; the
-//! environment machine is the fast path; the bytecode VM is the
-//! fastest tier. This suite pins all three together on three axes:
+//! The substitution machine is the executable form of Fig 8; the fast
+//! machine (CEK for F, bytecode VM for T) is what programs run on. This
+//! suite pins the two together on three axes:
 //!
 //! 1. **Outcomes** — every paper figure, the compiled MiniF programs,
 //!    and a proptest-generated corpus produce *identical*
 //!    [`FtOutcome`]s (including heap labels inside halt words and the
 //!    exact shape of returned values).
 //! 2. **Events** — the traced event streams coincide, so step counts
-//!    and control-flow diagrams are strategy-independent.
+//!    and control-flow diagrams are machine-independent.
 //! 3. **Fuel** — the minimal sufficient fuel is the same, i.e. the
-//!    strategies agree step-for-step, not just in the limit; in
-//!    particular all report `OutOfFuel` under exactly the same
+//!    machines agree step-for-step, not just in the limit; in
+//!    particular both report `OutOfFuel` under exactly the same
 //!    bounds.
 
 use std::sync::Arc;
@@ -30,12 +30,8 @@ use funtal_tal::trace::{NullTracer, VecTracer};
 use funtal_tal::{Profiler, RootLang};
 use proptest::prelude::*;
 
-/// Every strategy, oracle first.
-const STRATEGIES: [EvalStrategy; 3] = [
-    EvalStrategy::Substitution,
-    EvalStrategy::Environment,
-    EvalStrategy::Bytecode,
-];
+/// The fast machine (`Bytecode` is another name for it).
+const FAST: EvalStrategy = EvalStrategy::Environment;
 
 fn run_with(
     comp: &Component,
@@ -49,18 +45,13 @@ fn run_with(
     (out, tracer.events)
 }
 
-/// Asserts every strategy agrees with the oracle on outcome and event
-/// stream.
+/// Asserts the fast machine agrees with the oracle on outcome and
+/// event stream.
 fn assert_agree(name: &str, comp: &Component, fuel: u64) {
     let (sub, sub_events) = run_with(comp, EvalStrategy::Substitution, fuel);
-    for strategy in [EvalStrategy::Environment, EvalStrategy::Bytecode] {
-        let (out, events) = run_with(comp, strategy, fuel);
-        assert_eq!(sub, out, "{name}: {strategy:?} outcome disagrees");
-        assert_eq!(
-            sub_events, events,
-            "{name}: {strategy:?} event stream disagrees"
-        );
-    }
+    let (out, events) = run_with(comp, FAST, fuel);
+    assert_eq!(sub, out, "{name}: outcome disagrees");
+    assert_eq!(sub_events, events, "{name}: event stream disagrees");
 }
 
 /// The least fuel under which the strategy completes (binary search).
@@ -142,22 +133,15 @@ fn figures_agree_on_outcomes_and_events() {
 fn figures_agree_on_minimal_fuel() {
     for (name, comp) in figure_programs() {
         let sub = minimal_fuel(&comp, EvalStrategy::Substitution);
-        for strategy in [EvalStrategy::Environment, EvalStrategy::Bytecode] {
-            let other = minimal_fuel(&comp, strategy);
-            assert_eq!(
-                sub, other,
-                "{name}: {strategy:?} minimal sufficient fuel differs"
-            );
-        }
-        // And right below the bound, every strategy must report
+        let fast = minimal_fuel(&comp, FAST);
+        assert_eq!(sub, fast, "{name}: minimal sufficient fuel differs");
+        // And right below the bound, both machines must report
         // OutOfFuel.
         if sub > 0 {
             let (s, _) = run_with(&comp, EvalStrategy::Substitution, sub - 1);
             assert_eq!(s, Ok(FtOutcome::OutOfFuel), "{name}");
-            for strategy in [EvalStrategy::Environment, EvalStrategy::Bytecode] {
-                let (o, _) = run_with(&comp, strategy, sub - 1);
-                assert_eq!(s, o, "{name}: {strategy:?} sub-minimal fuel differs");
-            }
+            let (o, _) = run_with(&comp, FAST, sub - 1);
+            assert_eq!(s, o, "{name}: sub-minimal fuel differs");
         }
     }
 }
@@ -178,13 +162,8 @@ fn compiled_programs_agree() {
             let comp = Component::F(call);
             assert_agree(&format!("{pname}::{fname} tco={tco}"), &comp, 10_000_000);
             let sub = minimal_fuel(&comp, EvalStrategy::Substitution);
-            for strategy in [EvalStrategy::Environment, EvalStrategy::Bytecode] {
-                let other = minimal_fuel(&comp, strategy);
-                assert_eq!(
-                    sub, other,
-                    "{pname}::{fname} tco={tco}: {strategy:?} fuel differs"
-                );
-            }
+            let fast = minimal_fuel(&comp, FAST);
+            assert_eq!(sub, fast, "{pname}::{fname} tco={tco}: fuel differs");
         }
     }
 }
@@ -223,13 +202,11 @@ proptest! {
             let comp = Component::F(prog);
             let (sub, sub_events) = run_with(&comp, EvalStrategy::Substitution, 100_000);
             let msub = minimal_fuel(&comp, EvalStrategy::Substitution);
-            for strategy in [EvalStrategy::Environment, EvalStrategy::Bytecode] {
-                let (out, events) = run_with(&comp, strategy, 100_000);
-                prop_assert_eq!(&sub, &out, "{}: {:?} outcomes disagree", name, strategy);
-                prop_assert_eq!(&sub_events, &events, "{}: {:?} events disagree", name, strategy);
-                let mother = minimal_fuel(&comp, strategy);
-                prop_assert_eq!(msub, mother, "{}: {:?} minimal fuel differs", name, strategy);
-            }
+            let (out, events) = run_with(&comp, FAST, 100_000);
+            prop_assert_eq!(&sub, &out, "{}: outcomes disagree", name);
+            prop_assert_eq!(&sub_events, &events, "{}: events disagree", name);
+            let mfast = minimal_fuel(&comp, FAST);
+            prop_assert_eq!(msub, mfast, "{}: minimal fuel differs", name);
         }
     }
 }
@@ -237,24 +214,19 @@ proptest! {
 #[test]
 fn guarded_runs_agree() {
     // The dynamic type-safety guard must not change behavior on
-    // well-typed programs under either strategy.
+    // well-typed programs on either machine.
     for (name, comp) in figure_programs() {
-        let mut cfgs = Vec::new();
-        for strategy in STRATEGIES {
-            let mut mem = Memory::new();
+        let guarded = |strategy| {
             let cfg = RunCfg {
                 fuel: 1_000_000,
                 guard: true,
                 strategy,
             };
-            cfgs.push(run(&mut mem, &comp, cfg, &mut NullTracer).map_err(|e| e.to_string()));
-        }
-        assert_eq!(cfgs[0], cfgs[1], "{name}: guarded env outcome disagrees");
-        assert_eq!(
-            cfgs[0], cfgs[2],
-            "{name}: guarded bytecode outcome disagrees"
-        );
-        assert!(cfgs[0].is_ok(), "{name}: guard tripped on well-typed code");
+            run(&mut Memory::new(), &comp, cfg, &mut NullTracer).map_err(|e| e.to_string())
+        };
+        let sub = guarded(EvalStrategy::Substitution);
+        assert_eq!(sub, guarded(FAST), "{name}: guarded outcome disagrees");
+        assert!(sub.is_ok(), "{name}: guard tripped on well-typed code");
     }
 }
 
@@ -272,26 +244,13 @@ fn final_memories_agree() {
             &mut NullTracer,
         )
         .map_err(|e| e.to_string());
-        for strategy in [EvalStrategy::Environment, EvalStrategy::Bytecode] {
-            let mut mem = Memory::new();
-            let b = run(
-                &mut mem,
-                &comp,
-                cfg.with_strategy(strategy),
-                &mut NullTracer,
-            )
+        let mut mem = Memory::new();
+        let b = run(&mut mem, &comp, cfg.with_strategy(FAST), &mut NullTracer)
             .map_err(|e| e.to_string());
-            assert_eq!(a, b, "{name}: {strategy:?}");
-            assert_eq!(mem_sub.heap, mem.heap, "{name}: {strategy:?} heap differs");
-            assert_eq!(
-                mem_sub.regs, mem.regs,
-                "{name}: {strategy:?} register file differs"
-            );
-            assert_eq!(
-                mem_sub.stack, mem.stack,
-                "{name}: {strategy:?} stack differs"
-            );
-        }
+        assert_eq!(a, b, "{name}");
+        assert_eq!(mem_sub.heap, mem.heap, "{name}: heap differs");
+        assert_eq!(mem_sub.regs, mem.regs, "{name}: register file differs");
+        assert_eq!(mem_sub.stack, mem.stack, "{name}: stack differs");
     }
 }
 
@@ -299,9 +258,9 @@ fn final_memories_agree() {
 fn merged_blocks_with_captured_imports_write_back_substituted() {
     // A β-substituted variable reaching an `import` body inside a
     // component-local heap block: the substitution machine substitutes
-    // before merging, so the environment machine must write the merged
-    // block back in substituted form — and a fresh run on the final
-    // memory must still agree.
+    // before merging, so the fast machine must write the merged block
+    // back in substituted form — and a fresh run on the final memory
+    // must still agree.
     let comp = tcomp(
         seq(vec![], jmp(loc("l"))),
         vec![(
@@ -322,50 +281,42 @@ fn merged_blocks_with_captured_imports_write_back_substituted() {
     let prog = Component::F(app(lam_e, vec![fint_e(5)]));
 
     let mut mem_sub = Memory::new();
-    let mut mem_env = Memory::new();
-    let mut mem_bc = Memory::new();
+    let mut mem_fast = Memory::new();
     let cfg = RunCfg::with_fuel(10_000);
     for (mem, strategy) in [
         (&mut mem_sub, EvalStrategy::Substitution),
-        (&mut mem_env, EvalStrategy::Environment),
-        (&mut mem_bc, EvalStrategy::Bytecode),
+        (&mut mem_fast, FAST),
     ] {
         let out = run(mem, &prog, cfg.with_strategy(strategy), &mut NullTracer).unwrap();
         assert_eq!(out, FtOutcome::Value(fint_e(5)), "{strategy:?}");
     }
-    assert_eq!(mem_sub.heap, mem_env.heap, "written-back heaps differ");
-    assert_eq!(
-        mem_sub.heap, mem_bc.heap,
-        "bytecode written-back heap differs"
-    );
+    assert_eq!(mem_sub.heap, mem_fast.heap, "written-back heaps differ");
 
     // Re-running another component on the final memories must agree
     // too (the merged block collides and is freshened identically).
     for (mem, strategy) in [
         (&mut mem_sub, EvalStrategy::Substitution),
-        (&mut mem_env, EvalStrategy::Environment),
-        (&mut mem_bc, EvalStrategy::Bytecode),
+        (&mut mem_fast, FAST),
     ] {
         let out = run(mem, &prog, cfg.with_strategy(strategy), &mut NullTracer).unwrap();
         assert_eq!(out, FtOutcome::Value(fint_e(5)), "re-run {strategy:?}");
     }
-    assert_eq!(mem_sub.heap, mem_env.heap, "re-run heaps differ");
-    assert_eq!(mem_sub.heap, mem_bc.heap, "bytecode re-run heap differs");
+    assert_eq!(mem_sub.heap, mem_fast.heap, "re-run heaps differ");
 }
 
 #[test]
 fn prelowered_programs_match_environment_trace() {
-    // `prelower` + `run_prelowered` (the warm-batch bytecode path) must
+    // `prelower` + `run_prelowered` (the batch engine's path) must
     // replay exactly the same outcome and event stream as a cold
-    // `run_fexpr` — for every figure program, reused across runs to
-    // exercise the cached-module path.
+    // `run_fexpr` on the oracle — for every figure program, reused
+    // across runs to exercise the cached-module path.
     for (name, comp) in figure_programs() {
         let Component::F(e) = comp else { continue };
         let cfg = RunCfg::with_fuel(1_000_000);
         let mut tracer = VecTracer::new();
         let oracle = run_fexpr(
             &e,
-            cfg.with_strategy(EvalStrategy::Environment),
+            cfg.with_strategy(EvalStrategy::Substitution),
             &mut tracer,
         )
         .map_err(|err| err.to_string());
@@ -408,7 +359,7 @@ fn profile_with(comp: &Component, strategy: EvalStrategy, fuel: u64) -> Profiler
 /// The cost-accounting certificate the profiler ships with: per-span
 /// attribution sums exactly to the run's total step count (= the
 /// minimal sufficient fuel), and the rendered profile is byte-identical
-/// on every execution tier.
+/// on the oracle and the fast machine.
 #[test]
 fn profiles_are_certified_across_tiers() {
     let mut programs = figure_programs();
@@ -447,20 +398,18 @@ fn profiles_are_certified_across_tiers() {
             .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
             .sum();
         assert_eq!(folded_sum, oracle.total(), "{name}: folded does not sum");
-        // ...and both renderings are byte-identical on every tier.
-        for strategy in [EvalStrategy::Environment, EvalStrategy::Bytecode] {
-            let p = profile_with(&comp, strategy, 10_000_000);
-            assert_eq!(
-                oracle.render_table(),
-                p.render_table(),
-                "{name}: {strategy:?} profile table differs"
-            );
-            assert_eq!(
-                oracle.render_folded(),
-                p.render_folded(),
-                "{name}: {strategy:?} folded profile differs"
-            );
-        }
+        // ...and both renderings are byte-identical on both machines.
+        let p = profile_with(&comp, FAST, 10_000_000);
+        assert_eq!(
+            oracle.render_table(),
+            p.render_table(),
+            "{name}: profile table differs"
+        );
+        assert_eq!(
+            oracle.render_folded(),
+            p.render_folded(),
+            "{name}: folded profile differs"
+        );
     }
 }
 
@@ -492,29 +441,23 @@ fn fuel_exhaustion_at_every_bound_agrees_across_tiers() {
                     fuel < minimal,
                     "{pname} tco={tco}: exhaustion boundary off at fuel {fuel}"
                 );
-                for strategy in [EvalStrategy::Environment, EvalStrategy::Bytecode] {
-                    let (out, events) = run_with(&comp, strategy, fuel);
-                    assert_eq!(
-                        sub, out,
-                        "{pname} tco={tco} fuel={fuel}: {strategy:?} outcome differs"
-                    );
-                    assert_eq!(
-                        sub_events, events,
-                        "{pname} tco={tco} fuel={fuel}: {strategy:?} events differ"
-                    );
-                    let mut mem = Memory::new();
-                    let untraced = run(
-                        &mut mem,
-                        &comp,
-                        RunCfg::with_fuel(fuel).with_strategy(strategy),
-                        &mut NullTracer,
-                    )
-                    .map_err(|e| e.to_string());
-                    assert_eq!(
-                        sub, untraced,
-                        "{pname} tco={tco} fuel={fuel}: {strategy:?} untraced outcome differs"
-                    );
-                }
+                let (out, events) = run_with(&comp, FAST, fuel);
+                assert_eq!(sub, out, "{pname} tco={tco} fuel={fuel}: outcome differs");
+                assert_eq!(
+                    sub_events, events,
+                    "{pname} tco={tco} fuel={fuel}: events differ"
+                );
+                let untraced = run(
+                    &mut Memory::new(),
+                    &comp,
+                    RunCfg::with_fuel(fuel).with_strategy(FAST),
+                    &mut NullTracer,
+                )
+                .map_err(|e| e.to_string());
+                assert_eq!(
+                    sub, untraced,
+                    "{pname} tco={tco} fuel={fuel}: untraced outcome differs"
+                );
             }
         }
     }
@@ -524,7 +467,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Fresh-seed certification: the profile of a generated program is
-    /// byte-identical across tiers and its total equals the minimal
+    /// byte-identical on both machines and its total equals the minimal
     /// sufficient fuel.
     #[test]
     fn generated_corpus_profiles_agree(seed in 0u32..u32::MAX) {
@@ -537,17 +480,15 @@ proptest! {
                 oracle.total(), minimal,
                 "{}: profiled total != minimal sufficient fuel", name
             );
-            for strategy in [EvalStrategy::Environment, EvalStrategy::Bytecode] {
-                let p = profile_with(&comp, strategy, minimal);
-                prop_assert_eq!(
-                    oracle.render_table(), p.render_table(),
-                    "{}: {:?} profile table differs", name, strategy
-                );
-                prop_assert_eq!(
-                    oracle.render_folded(), p.render_folded(),
-                    "{}: {:?} folded profile differs", name, strategy
-                );
-            }
+            let p = profile_with(&comp, FAST, minimal);
+            prop_assert_eq!(
+                oracle.render_table(), p.render_table(),
+                "{}: profile table differs", name
+            );
+            prop_assert_eq!(
+                oracle.render_folded(), p.render_folded(),
+                "{}: folded profile differs", name
+            );
         }
     }
 
@@ -566,11 +507,9 @@ proptest! {
         let call = app(compiled.wrap(fname), args.iter().map(|n| fint_e(*n)).collect());
         let comp = Component::F(call);
         let (sub, sub_events) = run_with(&comp, EvalStrategy::Substitution, fuel);
-        for strategy in [EvalStrategy::Environment, EvalStrategy::Bytecode] {
-            let (out, events) = run_with(&comp, strategy, fuel);
-            prop_assert_eq!(&sub, &out, "fuel={}: {:?} outcome differs", fuel, strategy);
-            prop_assert_eq!(&sub_events, &events, "fuel={}: {:?} events differ", fuel, strategy);
-        }
+        let (out, events) = run_with(&comp, FAST, fuel);
+        prop_assert_eq!(&sub, &out, "fuel={}: outcome differs", fuel);
+        prop_assert_eq!(&sub_events, &events, "fuel={}: events differ", fuel);
     }
 }
 

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use funtal::machine::{EvalStrategy, ExecTier, FtOutcome};
+use funtal::machine::{EvalStrategy, FtOutcome};
 use funtal_tal::trace::CountTracer;
 
 use crate::cache::{ArtifactCache, CacheStats};
@@ -56,8 +56,8 @@ pub enum JobKind {
         src: String,
         /// Per-job fuel override (engine default otherwise).
         fuel: Option<u64>,
-        /// Per-job execution-tier override (engine default otherwise).
-        tier: Option<ExecTier>,
+        /// Per-job machine override (engine default otherwise).
+        tier: Option<EvalStrategy>,
         /// Attach a span-attributed fuel profile to the result.
         profile: bool,
     },
@@ -116,8 +116,8 @@ impl Job {
         }
     }
 
-    /// A `run` job pinned to an execution tier.
-    pub fn run_tiered(id: impl Into<String>, src: impl Into<String>, tier: ExecTier) -> Job {
+    /// A `run` job pinned to a machine.
+    pub fn run_tiered(id: impl Into<String>, src: impl Into<String>, tier: EvalStrategy) -> Job {
         Job {
             id: id.into(),
             kind: JobKind::Run {
@@ -696,11 +696,11 @@ impl Batch {
                     pipeline = pipeline.with_tier(*t);
                 }
                 // The cache proved the term well-typed; evaluate
-                // without re-checking. Bytecode runs go through the
+                // without re-checking. Fast-machine runs go through the
                 // lowered-artifact cache, so only the first job per
-                // distinct program pays for register allocation.
-                let bytecode = pipeline.tier() == EvalStrategy::Bytecode;
-                let lowered = bytecode.then(|| {
+                // distinct program pays for lowering.
+                let fast = pipeline.tier() != EvalStrategy::Substitution;
+                let lowered = fast.then(|| {
                     self.cache
                         .lower_keyed(&parsed.check_key, || funtal::prelower(&parsed.expr))
                 });
@@ -992,9 +992,19 @@ mod tests {
         ]);
         let warm = batch.cache().stats();
         assert_eq!((warm.lower.hits, warm.lower.misses), (2, 1));
-        // Non-bytecode runs never touch the lowering cache.
-        batch.run(&[Job::run("d", src)]);
+        // Oracle runs never touch the lowering cache.
+        batch.run(&[Job::run_tiered("d", src, EvalStrategy::Substitution)]);
         assert_eq!(batch.cache().stats().lower, warm.lower);
+
+        // `environment` and `bytecode` name one machine, so a job under
+        // each spelling shares one lowering: a miss, then a hit.
+        let batch = Batch::new(Pipeline::new());
+        batch.run(&[Job::run_tiered("e", src, EvalStrategy::Environment)]);
+        let first = batch.cache().stats().lower;
+        assert_eq!((first.hits, first.misses), (0, 1));
+        batch.run(&[Job::run_tiered("f", src, EvalStrategy::Bytecode)]);
+        let second = batch.cache().stats().lower;
+        assert_eq!((second.hits, second.misses), (1, 1));
     }
 
     #[test]

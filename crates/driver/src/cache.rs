@@ -134,7 +134,7 @@ pub struct CacheStats {
     pub parse: StageStats,
     /// The FT typecheck stage.
     pub check: StageStats,
-    /// The bytecode lowering stage (`--tier bytecode` runs).
+    /// The bytecode lowering stage (every run not on the oracle).
     pub lower: StageStats,
     /// The MiniF parse+compile stage (`.mf` sources).
     pub compile: StageStats,
@@ -398,7 +398,7 @@ impl ArtifactCache {
     /// rendering the caller already holds (a [`Parsed`] artifact's
     /// `check_key`). Keyed like the typecheck stage — on the term, not
     /// the source — so differently formatted sources of one program
-    /// share a single lowering, and a warm `--tier bytecode` run skips
+    /// share a single lowering, and a warm fast-machine run skips
     /// register allocation and fusion entirely.
     ///
     /// Every load out of the cache is re-checked by the bytecode

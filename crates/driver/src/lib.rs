@@ -41,7 +41,7 @@ pub mod report;
 
 use std::sync::Arc;
 
-use funtal::machine::{run, run_fexpr, EvalStrategy, ExecTier, FtOutcome, RunCfg};
+use funtal::machine::{run, run_fexpr, EvalStrategy, FtOutcome, RunCfg};
 use funtal::{LoweredProgram, SpanScope};
 use funtal_compile::codegen::{compile_program, CodegenOpts, Compiled};
 use funtal_compile::lang::Program;
@@ -86,9 +86,10 @@ fn minif_span_table(
     table
 }
 
-/// Parses an execution-tier (= evaluation-strategy) name as the CLI
-/// flags and the batch job protocol spell them.
-pub fn parse_tier(name: &str) -> Option<ExecTier> {
+/// Parses a machine (= evaluation-strategy) name as the CLI flags and
+/// the batch job protocol spell them. `bytecode`/`bc` stay accepted and
+/// name the same machine as `environment`.
+pub fn parse_tier(name: &str) -> Option<EvalStrategy> {
     match name {
         "substitution" | "subst" => Some(EvalStrategy::Substitution),
         "environment" | "env" => Some(EvalStrategy::Environment),
@@ -147,19 +148,17 @@ impl Pipeline {
         self
     }
 
-    /// Selects the evaluation strategy (environment-passing by
-    /// default; substitution is the paper-literal oracle; bytecode is
-    /// the direct-threaded tier below the compiled cursor).
+    /// Selects the evaluation strategy: the fast machine by default
+    /// (CEK for F, bytecode VM for T), or the paper-literal
+    /// substitution oracle. `Bytecode` names the fast machine too.
     pub fn with_strategy(mut self, strategy: EvalStrategy) -> Pipeline {
         self.strategy = strategy;
         self
     }
 
-    /// Selects the execution tier. `ExecTier` is the strategy enum
-    /// viewed as a performance ladder (substitution → environment →
-    /// bytecode), so this is [`with_strategy`](Pipeline::with_strategy)
-    /// under the tier vocabulary the CLI and batch protocol use.
-    pub fn with_tier(self, tier: ExecTier) -> Pipeline {
+    /// [`with_strategy`](Pipeline::with_strategy) under the `tier`
+    /// name the CLI and batch protocol use.
+    pub fn with_tier(self, tier: EvalStrategy) -> Pipeline {
         self.with_strategy(tier)
     }
 
@@ -181,8 +180,8 @@ impl Pipeline {
         self.fuel
     }
 
-    /// The configured execution tier (= evaluation strategy).
-    pub fn tier(&self) -> ExecTier {
+    /// The configured evaluation strategy.
+    pub fn tier(&self) -> EvalStrategy {
         self.strategy
     }
 
@@ -313,10 +312,10 @@ impl Pipeline {
     }
 
     /// Evaluates a pre-lowered bytecode program whose type is already
-    /// known — the bytecode-tier analogue of
+    /// known — the fast machine's analogue of
     /// [`run_prechecked`](Pipeline::run_prechecked). The batch engine
-    /// calls this when its cache already holds both the type and the
-    /// lowered artifact, so a warm `--tier bytecode` run is hash
+    /// calls this for every run not on the oracle, with the type and
+    /// the lowered artifact from its cache, so a warm run is hash
     /// lookups plus the dispatch loop: no re-parse, no re-check, no
     /// re-lowering.
     pub fn run_prelowered(
@@ -338,12 +337,12 @@ impl Pipeline {
     /// it with a [`Profiler`] tracer that charges every fuel tick to
     /// the source span responsible for it.
     ///
-    /// The profile is a pure function of the program — the three
-    /// execution tiers emit byte-identical renderings (certified by
-    /// the differential tests), so a profile taken on the fast tier
+    /// The profile is a pure function of the program — the oracle and
+    /// the fast machine emit byte-identical renderings (certified by
+    /// the differential tests), so a profile taken on the fast machine
     /// speaks for the paper-literal oracle too. The span scope is
-    /// installed for the duration so blocks compiled during the run
-    /// also bake their spans for the introspection APIs.
+    /// installed for the duration so modules lowered during the run
+    /// also record their spans.
     pub fn profile_prechecked(
         &self,
         e: &FExpr,
@@ -367,7 +366,7 @@ impl Pipeline {
         })
     }
 
-    /// Profiles a pre-lowered bytecode program — the bytecode-tier
+    /// Profiles a pre-lowered bytecode program — the fast machine's
     /// analogue of [`profile_prechecked`](Pipeline::profile_prechecked).
     /// An enabled tracer makes the bytecode VM take its faithful
     /// per-instruction route through fused superinstructions, so every

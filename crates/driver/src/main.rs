@@ -32,7 +32,7 @@ COMMANDS:
     profile  FILE.ft|.mf    like `run`, but print where the fuel went: a
                             hot-span table attributing every machine step
                             to its source region (.mf needs --call; the
-                            profile is identical on every --tier)
+                            profile is identical on both machines)
     compile  FILE.mf        compile a MiniF program to T assembly and print
                             the boundary-wrapped result
     lint     FILE...        run the static analyses over .ft/.mf sources:
@@ -60,12 +60,11 @@ COMMANDS:
 
 OPTIONS:
     --fuel N        evaluation step bound          [default: 1000000]
-    --strategy S    evaluation strategy: `environment` (fast, default),
-                    `substitution` (the paper-literal Fig 8 oracle), or
-                    `bytecode` (the direct-threaded tier)
-    --tier T        execution tier: `substitution`, `environment`, or
-                    `bytecode` — the strategy ladder under its tier
-                    name; same as --strategy
+    --strategy S    which machine evaluates: `environment` (the fast
+                    machine — CEK for F, bytecode VM for T; default) or
+                    `substitution` (the paper-literal Fig 8 oracle);
+                    `bytecode` is another name for `environment`
+    --tier T        same as --strategy
     --guard         enable the dynamic type-safety guard at T jumps
     --steps         print step counts after `run`
     --trace         with `run`: also print the control-flow diagram

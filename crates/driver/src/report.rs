@@ -91,7 +91,7 @@ impl ProfileReport {
     /// The JSON payload embedded as the `"profile"` field of batch and
     /// serve result lines, and printed by `funtal profile --format
     /// json`. Purely a function of the program, so byte-comparable
-    /// across runs, worker counts, and execution tiers.
+    /// across runs, worker counts, and machines.
     pub fn profile_json(&self) -> Json {
         obj([
             ("total", Json::Int(self.profiler.total() as i64)),

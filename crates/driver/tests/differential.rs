@@ -1,24 +1,21 @@
 //! Driver-level differential property tests.
 //!
 //! The core crate already proves (in `strategy_equiv.rs`) that the
-//! Fig 8 substitution oracle and the environment-passing machine agree
-//! on the figures. This suite pushes that property up through the
-//! driver over a *generated* corpus of well-typed programs — pure F,
-//! pure-T boundaries, Fig 9/10-style import/export lambdas, and the
-//! paper's figures at sampled inputs (`funtal_equiv::gen::gen_program`)
-//! — and adds the bytecode tier and the batch engine as further
-//! contenders:
+//! Fig 8 substitution oracle and the fast machine (CEK for F, bytecode
+//! VM for T) agree on the figures. This suite pushes that property up
+//! through the driver over a *generated* corpus of well-typed programs
+//! — pure F, pure-T boundaries, Fig 9/10-style import/export lambdas,
+//! and the paper's figures at sampled inputs
+//! (`funtal_equiv::gen::gen_program`) — and adds the batch engine as a
+//! further contender:
 //!
-//! - **Substitution vs Environment vs Bytecode** through
-//!   [`Pipeline::trace`]: identical outcomes, identical event streams,
-//!   identical step/fuel accounting — the direct-threaded tier is held
-//!   to the exact observable behavior of the paper-literal oracle.
+//! - **Oracle vs fast machine** through [`Pipeline::trace`]: identical
+//!   outcomes, identical event streams, identical step/fuel accounting.
 //! - **Batch vs sequential**: the batch engine consumes each program's
-//!   canonical *rendering* as a source job and must reproduce the
-//!   in-memory pipeline's outcome, type, and counts exactly — and its
-//!   rendered result lines must be byte-identical across worker counts.
-//!   Bytecode-tier batch jobs (through the lowered-artifact cache) must
-//!   agree with all of the above.
+//!   canonical *rendering* as a source job, runs it through the
+//!   lowered-artifact cache, and must reproduce the in-memory
+//!   pipeline's outcome, type, and counts exactly — and its rendered
+//!   result lines must be byte-identical across worker counts.
 //!
 //! The committed corpus (`tests/corpus/differential_seeds.txt`) keeps a
 //! fixed seed list so failures reproduce; the proptest below samples
@@ -38,57 +35,33 @@ fn base_pipeline() -> Pipeline {
     Pipeline::new().with_fuel(FUEL)
 }
 
-/// The four-way differential assertion for one generated program.
+/// The three-way differential assertion for one generated program.
 fn assert_differential_clean(p: &GenProgram) {
     let subst = base_pipeline()
         .with_strategy(EvalStrategy::Substitution)
         .trace(&p.expr)
         .unwrap_or_else(|e| panic!("{}: substitution failed: {e}\n{}", p.describe, p.expr));
-    let env = base_pipeline()
+    let fast = base_pipeline()
         .with_strategy(EvalStrategy::Environment)
         .trace(&p.expr)
-        .unwrap_or_else(|e| panic!("{}: environment failed: {e}\n{}", p.describe, p.expr));
+        .unwrap_or_else(|e| panic!("{}: fast machine failed: {e}\n{}", p.describe, p.expr));
 
-    // Strategy equivalence at the driver level: outcome, event stream,
+    // Machine equivalence at the driver level: outcome, event stream,
     // and fuel accounting all match the oracle.
     assert_eq!(
-        subst.outcome, env.outcome,
+        subst.outcome, fast.outcome,
         "{}: outcomes diverge\n{}",
         p.describe, p.expr
     );
     assert_eq!(
-        subst.events, env.events,
+        subst.events, fast.events,
         "{}: event streams diverge\n{}",
         p.describe, p.expr
     );
     assert_eq!(
         subst.counts(),
-        env.counts(),
+        fast.counts(),
         "{}: step counts diverge\n{}",
-        p.describe,
-        p.expr
-    );
-
-    // The bytecode tier is a fourth contender held to the same bar:
-    // outcome, event stream, and fuel accounting all match the oracle.
-    let bc = base_pipeline()
-        .with_tier(EvalStrategy::Bytecode)
-        .trace(&p.expr)
-        .unwrap_or_else(|e| panic!("{}: bytecode failed: {e}\n{}", p.describe, p.expr));
-    assert_eq!(
-        subst.outcome, bc.outcome,
-        "{}: bytecode outcome diverges\n{}",
-        p.describe, p.expr
-    );
-    assert_eq!(
-        subst.events, bc.events,
-        "{}: bytecode event stream diverges\n{}",
-        p.describe, p.expr
-    );
-    assert_eq!(
-        subst.counts(),
-        bc.counts(),
-        "{}: bytecode step counts diverge\n{}",
         p.describe,
         p.expr
     );
@@ -106,34 +79,9 @@ fn assert_differential_clean(p: &GenProgram) {
         }) => (ty.clone(), outcome.clone(), *counts),
         other => panic!("{}: batch failed: {other:?}\n{}", p.describe, p.expr),
     };
-    assert_eq!(ty, env.ty.to_string(), "{}: batch type", p.describe);
-    assert_eq!(outcome, env.outcome, "{}: batch outcome", p.describe);
-    assert_eq!(counts, env.counts(), "{}: batch fuel", p.describe);
-
-    // ...as must a bytecode-tier batch job, which additionally routes
-    // through the lowered-artifact cache.
-    let bc_jobs = vec![Job::run_tiered(
-        "p",
-        p.expr.to_string(),
-        EvalStrategy::Bytecode,
-    )];
-    let one_bc = Batch::new(base_pipeline()).run(&bc_jobs);
-    match &one_bc.outcomes[0].result {
-        Ok(JobSuccess::Ran {
-            ty: bty,
-            outcome: boutcome,
-            counts: bcounts,
-            profile: _,
-        }) => {
-            assert_eq!(bty, &ty, "{}: bytecode batch type", p.describe);
-            assert_eq!(boutcome, &outcome, "{}: bytecode batch outcome", p.describe);
-            assert_eq!(bcounts, &counts, "{}: bytecode batch fuel", p.describe);
-        }
-        other => panic!(
-            "{}: bytecode batch failed: {other:?}\n{}",
-            p.describe, p.expr
-        ),
-    }
+    assert_eq!(ty, fast.ty.to_string(), "{}: batch type", p.describe);
+    assert_eq!(outcome, fast.outcome, "{}: batch outcome", p.describe);
+    assert_eq!(counts, fast.counts(), "{}: batch fuel", p.describe);
 
     // ...and its report must be byte-identical across worker counts
     // (here over copies of the same job; the stress test covers big

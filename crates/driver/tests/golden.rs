@@ -72,8 +72,8 @@ const CASES: &[Case] = &[
             "--steps",
         ],
     ),
-    // The bytecode tier: same value and step counts as the other
-    // snapshots of this file, just a different machine underneath.
+    // `--tier bytecode` is another name for the fast machine: same
+    // value and step counts as the other snapshots of this file.
     case(
         "run_fact_t_bytecode",
         &["run", "examples/fact_t.ft", "--tier", "bytecode", "--steps"],
@@ -191,7 +191,7 @@ const CASES: &[Case] = &[
             "2",
         ],
     ),
-    // batch on the bytecode tier: per-job `tier` fields, one worker so
+    // batch with per-job `tier` fields, one worker so
     // the lower-stage cache counters in the summary are deterministic
     // (the repeated program must report a lower-cache hit).
     case(
@@ -348,10 +348,11 @@ fn cli_output_matches_golden_snapshots() {
     );
 }
 
-/// The profile a user sees must not depend on the tier that produced
-/// it: `funtal profile --tier X` prints byte-identical output for all
-/// three. (The library-level certification lives in the core crate's
-/// strategy_equiv suite; this pins the full CLI path, spans included.)
+/// The profile a user sees must not depend on the machine that produced
+/// it: `funtal profile --tier X` prints byte-identical output for every
+/// tier spelling. (The library-level certification lives in the core
+/// crate's strategy_equiv suite; this pins the full CLI path, spans
+/// included.)
 #[test]
 fn profile_output_is_tier_independent() {
     for (file, format) in [

@@ -2,16 +2,16 @@
 //!
 //! The [`Profiler`] is a [`Tracer`] that charges every fuel tick to the
 //! source span responsible for it, using the charging invariant shared
-//! by all three execution tiers:
+//! by both machines (the Fig 8 oracle and the fast machine):
 //!
 //! > every fuel tick is accompanied by **exactly one** charging event —
 //! > `Instr`, `FStep`, `FBeta`, `Jmp`, `Call`, `Ret`, `Halt`,
 //! > `BoundaryEnter`, `BoundaryExit`, or `ImportExit`.
 //!
 //! (`BnzTaken` rides along with the `Instr` of the same tick, and
-//! `ImportEnter` is never emitted; neither charges.)  Because the three
-//! tiers are proven to emit byte-identical event streams, the profile
-//! they induce is byte-identical too — the certification test in the
+//! `ImportEnter` is never emitted; neither charges.)  Because the two
+//! machines are proven to emit byte-identical event streams, the
+//! profile they induce is byte-identical too — the certification test in the
 //! driver pins this.
 //!
 //! Attribution is structural: the profiler maintains a frame stack that

@@ -1,9 +1,6 @@
 //! The §6 JIT pipeline: a MiniF program starts interpreted, gets hot,
-//! and is replaced by compiled assembly — then, at twice the
-//! threshold, the compiled T code is re-lowered onto the
-//! direct-threaded bytecode tier. Per-invocation step counts show the
-//! configuration changes (the counts themselves are identical on the
-//! compiled and bytecode rungs — only the execution engine differs).
+//! and is replaced by compiled assembly. Per-invocation step counts
+//! show the configuration change: less F work, more T instructions.
 //!
 //! ```sh
 //! cargo run --example jit_pipeline
@@ -30,7 +27,7 @@ fn main() -> Result<(), FunTalError> {
             tail_call_opt: true,
         },
     );
-    println!("threshold: 3 invocations (bytecode at 2x = 6)\n");
+    println!("threshold: 3 invocations\n");
     println!("call | mode        | result | F steps | T instrs | crossings");
     println!("-----+-------------+--------+---------+----------+----------");
     for i in 1..=8 {
@@ -42,7 +39,6 @@ fn main() -> Result<(), FunTalError> {
             match stats.mode {
                 Mode::Interpreted => "interpreted",
                 Mode::Compiled => "compiled",
-                Mode::Bytecode => "bytecode",
             },
             stats.result,
             stats.f_steps,
@@ -51,8 +47,7 @@ fn main() -> Result<(), FunTalError> {
         );
     }
     println!("\nafter the threshold the same source runs as T code behind a");
-    println!("boundary (then on the bytecode VM at twice the threshold);");
-    println!("§6's correctness condition (source ≈ compiled ≈ bytecode) is");
+    println!("boundary; §6's correctness condition (source ≈ compiled) is");
     println!("checked in crates/compile/tests/jit_correctness.rs.");
     Ok(())
 }

@@ -29,11 +29,11 @@ bench-snapshot:
 # Regression gate: re-measure the smoke benches and fail if any
 # interpreted_vs_compiled / tail_call_ablation / fib_steady/bytecode/24
 # / single-threaded batch_throughput median regressed >25% versus the
-# committed BENCH_pr10.json, if the bytecode tier's headline speedup
-# over the compiled cursor drops below 2.5x, or if the persistent
-# store's cross-process warm start drops below 2x over cold (see
-# PERFORMANCE.md). Rows whose medians are under the 10us noise floor
-# are recorded but never fail.
+# committed BENCH_pr10.json, if the pre-lowered fib_steady/bytecode/24
+# row is less than 2.5x faster than the snapshot's frozen
+# compiled-cursor row, or if the persistent store's cross-process warm
+# start drops below 2x over cold (see PERFORMANCE.md). Rows whose
+# medians are under the 10us noise floor are recorded but never fail.
 # The 600ms measure budget matters: the slowest gated rows run ~15-45ms
 # per iteration, and a median over only a handful of iterations can be
 # poisoned by one background-CPU burst on a small runner.
