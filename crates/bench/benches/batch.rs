@@ -12,13 +12,16 @@
 //! gates only the single-threaded rows (`workers/1`, `warm/1`); the
 //! multi-worker rows are recorded for observation.
 //!
-//! `store_warm_start/{cold,warm}/24` measures the persistent tier's
-//! cross-process warm start: both rows run a memory-cold engine (a
-//! fresh [`ArtifactCache`] per iteration — the second-process
-//! configuration), against an empty store directory (`cold`) or one a
-//! previous "process" fully populated (`warm`). The warm row skips
-//! parse, typecheck, lowering, *and* MiniF compilation, paying only
-//! disk load + decode + verify-on-load; the gate pins warm ≥ 2× cold.
+//! `store_warm_start/{none,cold,warm}/24` measures the persistent
+//! tier's cross-process warm start against having no store at all.
+//! Every row runs a memory-cold engine (a fresh [`ArtifactCache`] per
+//! iteration — the second-process configuration): `none` has no store
+//! (the simplest alternative), `cold` an empty store directory, `warm`
+//! one a previous "process" fully populated. The store persists only
+//! typecheck verdicts, so the warm row still parses, lowers and runs
+//! MiniF codegen, and skips every FT typecheck, paying disk load +
+//! decode of the stored type text instead; the gate pins
+//! warm ≥ 2× cold.
 
 #![forbid(unsafe_code)]
 
@@ -83,8 +86,8 @@ fn batch_throughput(c: &mut Criterion) {
 }
 
 /// The persistent-tier workload: every corpus program on the bytecode
-/// tier (parse + check + lower all cacheable) plus six distinct MiniF
-/// compilations — 6×3 + 6 = 24 jobs exercising all four store stages.
+/// tier (parse + check + lower) plus six distinct MiniF compilations —
+/// 6×3 + 6 = 24 jobs exercising both persisted stages (check, compile).
 fn store_jobs() -> Vec<Job> {
     let sources = paper_corpus();
     let mut jobs: Vec<Job> = (0..3)
@@ -112,7 +115,7 @@ fn store_jobs() -> Vec<Job> {
 }
 
 /// A memory-cold engine (fresh `ArtifactCache`) over `dir` — the
-/// second-process configuration both rows measure.
+/// second-process configuration the store rows measure.
 fn store_engine(dir: &std::path::Path) -> Batch {
     let store = Arc::new(DiskStore::open(dir, 0).expect("open store"));
     Batch::new(Pipeline::new().with_fuel(1_000_000))
@@ -124,6 +127,16 @@ fn store_warm_start(c: &mut Criterion) {
     let mut g = c.benchmark_group("store_warm_start");
     let seq = AtomicUsize::new(0);
     let base = std::env::temp_dir().join(format!("funtal_bench_store_{}", std::process::id()));
+
+    // None: no store, the baseline the store must beat — every stage
+    // computes and nothing touches the disk.
+    g.bench_function(BenchmarkId::new("none", jobs.len()), |b| {
+        b.iter(|| {
+            let report = engine(1).run(&jobs);
+            assert_eq!(report.err_count(), 0);
+            report.outcomes.len()
+        })
+    });
 
     // Cold: an empty store per iteration — every stage computes and
     // writes through (the first process to ever see this corpus).

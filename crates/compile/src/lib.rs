@@ -42,7 +42,6 @@ pub mod codegen;
 pub mod femit;
 pub mod jit;
 pub mod lang;
-pub mod wire;
 
 pub use codegen::{compile_def, compile_program, CodegenOpts, Compiled};
 pub use femit::def_to_fexpr;

@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod bc_verify;
-pub mod bc_wire;
 pub mod check;
 pub mod cost;
 pub mod figures;
@@ -55,7 +54,6 @@ pub mod mutref;
 pub mod translate;
 
 pub use bc_verify::{verify_lowered, BcVerifyError, ModuleVerifyError};
-pub use bc_wire::{decode_lowered, encode_lowered};
 pub use check::{type_of_fexpr, typecheck, typecheck_component, FtCtx, Gamma};
 pub use cost::{infer_fuel, FuelBound};
 pub use funtal_analysis::diag::{normalize, Diagnostic, Severity};

@@ -1,32 +1,28 @@
-//! Payload codecs for the persistent artifact store's four stages.
+//! The persistent store's entry gate: typecheck verdicts as
+//! canonical type text.
 //!
 //! The disk tier ([`funtal_store::DiskStore`]) moves opaque byte
-//! payloads; this module is where the driver's artifact types meet
-//! those bytes. Per stage:
+//! payloads. Only the FT typing judgment is worth replaying from disk,
+//! so both persisted stages store *types*, framed by [`crate::wire`]
+//! (one [canonical](crate::codec) type per `\n`-separated line):
 //!
-//! | stage   | store key bytes              | payload                        |
-//! |---------|------------------------------|--------------------------------|
-//! | parse   | the source text              | term + span table              |
-//! | check   | the term's canonical rendering | the F type                   |
-//! | lower   | the term's canonical rendering | [`funtal::encode_lowered`]   |
-//! | compile | `[tco] ++ source text`       | program + heap + wrapped defs  |
+//! | stage   | store key bytes                | payload                                   |
+//! |---------|--------------------------------|-------------------------------------------|
+//! | check   | the term's canonical rendering | the term's type                           |
+//! | compile | `[tco] ++ source text`         | each wrapped definition's type, in `program.defs` order |
 //!
-//! Decode is **total** (it returns `WireError`, never panics) and
-//! conservative: a decoded parse artifact recomputes its `check_key`
-//! from the decoded term (so a stale rendering cannot be resurrected),
-//! a decoded MiniF program re-validates, and callers of
-//! [`decode_lowered`](funtal::decode_lowered) re-verify with
-//! [`funtal::verify_lowered`] before serving. Any failure on this path
-//! is a store *reject*: the entry is deleted and the stage recomputes.
+//! [`decode`] is **total** and strict: every line must parse with
+//! [`funtal_parser::parse_fty`], re-render to exactly the same bytes
+//! and have no free type variables, and a compile payload must hold
+//! one line per definition of the program its key names. Any failure is a store *reject*: the
+//! entry is deleted and the stage recomputes. `funtal store verify`
+//! applies the same function.
 
-use std::sync::Arc;
-
-use funtal_store::{decode_from_slice, encode_to_vec, Reader, Wire, WireError, Writer};
-use funtal_syntax::span::SpanTable;
+use funtal_compile::lang::Program;
+use funtal_store::Stage;
 use funtal_syntax::FTy;
 
-use crate::cache::Parsed;
-use crate::report::CompiledMiniF;
+use crate::wire::decode_types;
 
 /// The store key for a MiniF compilation: the codegen option byte
 /// followed by the source text (the disk analogue of the in-memory
@@ -38,134 +34,120 @@ pub fn compile_key(src: &str, tail_call_opt: bool) -> Vec<u8> {
     key
 }
 
-/// Encodes a parse artifact (term + span table). The canonical
-/// rendering is *not* stored: decode recomputes it, so the typecheck
-/// key always agrees with the term actually served.
-pub fn encode_parsed(p: &Parsed) -> Vec<u8> {
-    let mut w = Writer::new();
-    p.expr.encode(&mut w);
-    p.spans.encode(&mut w);
-    w.into_vec()
+/// A decoded store entry.
+#[derive(Debug)]
+pub enum Verdict {
+    /// A check-stage entry: the term's type.
+    Check(FTy),
+    /// A compile-stage entry: the program its key names and the type
+    /// of each wrapped definition, in `program.defs` order.
+    Compile {
+        /// The MiniF program parsed from the key's source text.
+        program: Program,
+        /// The codegen option byte of the key.
+        tail_call_opt: bool,
+        /// One type per definition.
+        types: Vec<FTy>,
+    },
 }
 
-/// Decodes a parse artifact; inverse of [`encode_parsed`].
-pub fn decode_parsed(bytes: &[u8]) -> Result<Parsed, WireError> {
-    let mut r = Reader::new(bytes);
-    let expr = Wire::decode(&mut r)?;
-    let spans: SpanTable = Wire::decode(&mut r)?;
-    r.finish()?;
-    Ok(Parsed {
-        check_key: funtal_syntax::FExpr::to_string(&expr),
-        expr,
-        spans: Arc::new(spans),
-    })
-}
-
-/// Encodes a typecheck artifact (the program's F type).
-pub fn encode_checked(ty: &FTy) -> Vec<u8> {
-    encode_to_vec(ty)
-}
-
-/// Decodes a typecheck artifact; inverse of [`encode_checked`].
-pub fn decode_checked(bytes: &[u8]) -> Result<FTy, WireError> {
-    decode_from_slice(bytes)
-}
-
-/// Encodes a MiniF compilation artifact: the validated source program,
-/// the generated T heap, and the boundary-wrapped definitions.
-pub fn encode_compiled(bundle: &CompiledMiniF) -> Vec<u8> {
-    let mut w = Writer::new();
-    bundle.program.encode(&mut w);
-    bundle.compiled.encode(&mut w);
-    bundle.wrapped.encode(&mut w);
-    w.into_vec()
-}
-
-/// Decodes a MiniF compilation artifact; inverse of
-/// [`encode_compiled`]. The embedded program re-validates during
-/// decode (see `funtal_compile::wire`).
-pub fn decode_compiled(bytes: &[u8]) -> Result<CompiledMiniF, WireError> {
-    let mut r = Reader::new(bytes);
-    let program = Wire::decode(&mut r)?;
-    let compiled = Wire::decode(&mut r)?;
-    let wrapped = Wire::decode(&mut r)?;
-    r.finish()?;
-    Ok(CompiledMiniF {
-        program,
-        compiled,
-        wrapped,
-    })
+/// Decodes the entry stored under `key` in `stage` — the one gate both
+/// a cache load and `funtal store verify` apply.
+pub fn decode(stage: Stage, key: &[u8], payload: &[u8]) -> Result<Verdict, String> {
+    match stage {
+        Stage::Check => Ok(Verdict::Check(decode_types(payload, 1)?.remove(0))),
+        Stage::Compile => {
+            let (&tco, src) = key.split_first().ok_or("empty compile key")?;
+            let tail_call_opt = match tco {
+                0 => false,
+                1 => true,
+                b => return Err(format!("codegen option byte {b}")),
+            };
+            let src = std::str::from_utf8(src).map_err(|e| format!("key: {e}"))?;
+            let program = crate::minif::parse_minif(src).map_err(|e| e.to_string())?;
+            let types = decode_types(payload, program.defs.len())?;
+            Ok(Verdict::Compile {
+                program,
+                tail_call_opt,
+                types,
+            })
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_types;
     use crate::Pipeline;
-
-    #[test]
-    fn parse_artifact_round_trips_and_recomputes_its_key() {
-        let p = Pipeline::new();
-        let src = "FT[int](mv r1, 6; mul r1, r1, 7; halt int, * {r1})";
-        let (expr, spans) = p.parse_spanned(src).expect("parse");
-        let parsed = Parsed {
-            check_key: expr.to_string(),
-            expr,
-            spans: Arc::new(spans),
-        };
-        let bytes = encode_parsed(&parsed);
-        let back = decode_parsed(&bytes).expect("decode");
-        assert_eq!(back.expr, parsed.expr);
-        assert_eq!(back.check_key, parsed.check_key);
-        assert_eq!(*back.spans, *parsed.spans);
-    }
 
     #[test]
     fn checked_artifact_round_trips() {
         let p = Pipeline::new();
         let expr = p.parse("(lam[z](x: int). x + 1)(41)").expect("parse");
         let ty = p.check(&expr).expect("check");
-        let bytes = encode_checked(&ty);
-        assert_eq!(decode_checked(&bytes).expect("decode"), ty);
+        let bytes = encode_types([&ty]);
+        match decode(Stage::Check, b"key", &bytes).expect("decode") {
+            Verdict::Check(back) => assert_eq!(back, ty),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn compiled_artifact_round_trips_for_both_tco_modes() {
+        let src = "fn fact(n) = if0 n { 1 } { fact(n - 1) * n }\nfn twice(n) = n + n";
         for tco in [false, true] {
             let p = Pipeline::new()
                 .with_codegen(funtal_compile::codegen::CodegenOpts { tail_call_opt: tco });
-            let bundle = p
-                .compile_minif_source("fn fact(n) = if0 n { 1 } { fact(n - 1) * n }")
-                .expect("compile");
-            let bytes = encode_compiled(&bundle);
-            let back = decode_compiled(&bytes).expect("decode");
-            assert_eq!(back.program, bundle.program);
-            assert_eq!(back.compiled.entries, bundle.compiled.entries);
-            assert_eq!(back.block_count(), bundle.block_count());
-            assert_eq!(back.wrapped.len(), bundle.wrapped.len());
-            for ((n1, e1, t1), (n2, e2, t2)) in bundle.wrapped.iter().zip(back.wrapped.iter()) {
-                assert_eq!(n1, n2);
-                assert_eq!(e1, e2);
-                assert_eq!(t1, t2);
-            }
+            let bundle = p.compile_minif_source(src).expect("compile");
+            let bytes = encode_types(bundle.wrapped.iter().map(|(_, _, t)| t));
+            let Verdict::Compile {
+                program,
+                tail_call_opt,
+                types,
+            } = decode(Stage::Compile, &compile_key(src, tco), &bytes).expect("decode")
+            else {
+                panic!("a compile entry decoded as a check entry");
+            };
+            assert_eq!(program, bundle.program);
+            assert_eq!(tail_call_opt, tco);
+            let want: Vec<&FTy> = bundle.wrapped.iter().map(|(_, _, t)| t).collect();
+            assert_eq!(types.iter().collect::<Vec<_>>(), want);
         }
     }
 
     #[test]
     fn truncated_payloads_reject() {
-        let p = Pipeline::new();
-        let (expr, spans) = p.parse_spanned("1 + 2").expect("parse");
-        let parsed = Parsed {
-            check_key: expr.to_string(),
-            expr,
-            spans: Arc::new(spans),
-        };
-        let bytes = encode_parsed(&parsed);
+        let bytes = encode_types([&funtal_parser::parse_fty("(int, int) -> int").unwrap()]);
         for cut in 0..bytes.len() {
             assert!(
-                decode_parsed(&bytes[..cut]).is_err(),
+                decode(Stage::Check, b"key", &bytes[..cut]).is_err(),
                 "prefix of {cut} bytes decoded"
             );
         }
+    }
+
+    #[test]
+    fn non_canonical_and_miscounted_payloads_reject() {
+        let key = compile_key("fn f(n) = n", false);
+        for (stage, key, payload) in [
+            (Stage::Check, &b"k"[..], &b"int "[..]),
+            (Stage::Check, b"k", b"(int,int) -> int"),
+            (Stage::Check, b"k", b"int\nint"),
+            (Stage::Check, b"k", b"int\n"),
+            (Stage::Check, b"k", b"\xff"),
+            (Stage::Compile, &key, b"(int) -> int\n(int) -> int"),
+            (Stage::Compile, &key, b"(int) -> "),
+            (Stage::Compile, b"\x02fn f(n) = n", b"(int) -> int"),
+            (Stage::Compile, b"\x00fn f(n) =", b"(int) -> int"),
+        ] {
+            assert!(
+                decode(stage, key, payload).is_err(),
+                "{stage:?} {:?} decoded",
+                String::from_utf8_lossy(payload)
+            );
+        }
+        assert!(decode(Stage::Compile, &key, b"(int) -> int").is_ok());
     }
 
     #[test]

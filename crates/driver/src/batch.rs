@@ -546,7 +546,9 @@ pub fn render_summary(
     ];
     if let Some(s) = store {
         // Every disk stage verifies on load, so every disk stage
-        // carries a reject counter.
+        // carries a reject counter. Parse and lower are never
+        // persisted; their keys stay (always zero) so the schema is
+        // stable.
         let disk = |d: funtal_store::StageDiskStats| {
             obj([
                 ("hits", Json::Int(d.hits as i64)),

@@ -39,30 +39,39 @@
 //! # The persistent tier
 //!
 //! A cache opened [`with_store`](ArtifactCache::with_store) layers a
-//! disk-backed [`DiskStore`] *below* the in-process maps:
+//! disk-backed [`DiskStore`] *below* two of the in-process maps:
 //!
 //! ```text
 //! memory probe → disk probe (verify-on-load) → compute (write-through)
 //! ```
+//!
+//! The store holds *verdicts*, not artifacts: only the FT typing
+//! judgment costs more to recompute than to load. The check stage
+//! persists a term's type; the compile stage persists the types of the
+//! wrapped definitions and, on a disk hit, re-runs MiniF codegen (which
+//! is cheaper than decoding its output) with those types instead of
+//! re-checking. Parse and lower are memory-only. Both verdicts are
+//! canonical type text ([`artifact`]).
 //!
 //! A memory miss still counts as a memory miss — the in-process
 //! counters keep their exact storeless semantics — and the disk tier
 //! keeps its own per-stage hit/miss/reject counters
 //! ([`store_stats`](ArtifactCache::store_stats)). Every disk load is
 //! re-verified before it is served: the container layer already proved
-//! magic/version/checksum/full-key, and this layer re-decodes the
-//! payload (total, never panics) plus re-runs `verify_lowered` for
-//! lowered bytecode. Anything that fails is a *reject*: the entry is
-//! deleted, the counters record it, and the stage degrades to
-//! recompute — a corrupt store can cost time, never correctness.
-//! Computed artifacts are written through (errors are not stored), so
-//! a second process pointed at the same `--store-dir` warm-starts
-//! every stage.
+//! magic/version/checksum/full-key, and [`artifact::decode`] re-parses
+//! every type and demands its exact re-rendering (total, never
+//! panics). Anything that fails is a *reject*: the entry is deleted,
+//! the counters record it, and the stage degrades to recompute — a
+//! corrupt store can cost time, never correctness. Computed verdicts
+//! are written through (errors are not stored), so a second process
+//! pointed at the same `--store-dir` skips every typecheck the first
+//! one ran.
 //!
 //! [`source_key`]: ArtifactCache::source_key
 //! [`term_key`]: ArtifactCache::term_key
 //! [`compile_key`]: ArtifactCache::compile_key
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -72,8 +81,12 @@ use funtal_syntax::hash::{hash_fexpr, StableHasher};
 use funtal_syntax::span::SpanTable;
 use funtal_syntax::{FExpr, FTy};
 
-use crate::artifact;
+use funtal_compile::codegen::CodegenOpts;
+
+use crate::artifact::{self, Verdict};
+use crate::error::FunTalError;
 use crate::report::CompiledMiniF;
+use crate::wire;
 
 /// Hit/miss counters for one cached stage.
 #[derive(Debug, Default)]
@@ -158,13 +171,18 @@ impl<K: std::hash::Hash + Eq, V> Shard<K, V> {
     /// Returns the cached artifact or computes, stores, and returns it.
     /// The lock is held only for the probes; `compute` runs unlocked.
     /// The map compares **full keys** on probe, so a digest collision
-    /// can never alias two programs.
-    fn get_or_try_insert<E>(
+    /// can never alias two programs. A hit borrows `key`; only a miss
+    /// copies it into the map.
+    fn get_or_try_insert<Q, E>(
         &self,
-        key: K,
+        key: &Q,
         compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<Arc<V>, E> {
-        if let Some(found) = self.map.lock().expect("cache poisoned").get(&key) {
+    ) -> Result<Arc<V>, E>
+    where
+        K: Borrow<Q>,
+        Q: std::hash::Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        if let Some(found) = self.map.lock().expect("cache poisoned").get(key) {
             self.counters.hit();
             return Ok(found.clone());
         }
@@ -173,9 +191,53 @@ impl<K: std::hash::Hash + Eq, V> Shard<K, V> {
         self.map
             .lock()
             .expect("cache poisoned")
-            .insert(key, value.clone());
+            .insert(key.to_owned(), value.clone());
         Ok(value)
     }
+}
+
+/// Probes the disk tier for `key`, decoding with [`artifact::decode`]
+/// and then `accept`. A payload either step refuses is a reject: the
+/// entry is deleted and the probe reports a (disk) miss.
+fn disk_probe<V>(
+    store: &DiskStore,
+    stage: Stage,
+    key: &[u8],
+    accept: impl FnOnce(Verdict) -> Option<V>,
+) -> Option<V> {
+    let payload = store.load(stage, key)?;
+    match artifact::decode(stage, key, &payload).ok().and_then(accept) {
+        Some(value) => {
+            store.hit(stage);
+            Some(value)
+        }
+        None => {
+            store.reject(stage, key);
+            None
+        }
+    }
+}
+
+/// Rebuilds a MiniF bundle from a compile-stage verdict: the codegen
+/// [`Pipeline::compile_minif`](crate::Pipeline::compile_minif) runs,
+/// with each wrapped definition's type taken from the store instead of
+/// re-checked.
+fn rebuild_compiled(verdict: Verdict) -> Option<CompiledMiniF> {
+    let Verdict::Compile {
+        program,
+        tail_call_opt,
+        types,
+    } = verdict
+    else {
+        return None;
+    };
+    let mut types = types.into_iter();
+    crate::build_minif(program, CodegenOpts { tail_call_opt }, |_| {
+        types
+            .next()
+            .ok_or_else(|| FunTalError::driver("a definition has no stored type"))
+    })
+    .ok()
 }
 
 /// A cached parse artifact: the term plus its canonical rendering.
@@ -242,38 +304,6 @@ impl ArtifactCache {
         self.store.as_ref().map(|s| s.stats())
     }
 
-    /// Probes the disk tier (if any) for `key`, decoding and verifying
-    /// with `decode`. A payload that fails decode/verify is a reject:
-    /// the entry is deleted and the probe reports a (disk) miss.
-    fn disk_probe<V>(
-        &self,
-        stage: Stage,
-        key: &[u8],
-        decode: impl FnOnce(&[u8]) -> Option<V>,
-    ) -> Option<V> {
-        let store = self.store.as_deref()?;
-        let payload = store.load(stage, key)?;
-        match decode(&payload) {
-            Some(value) => {
-                store.hit(stage);
-                Some(value)
-            }
-            None => {
-                store.reject(stage, key);
-                None
-            }
-        }
-    }
-
-    /// Writes a computed artifact through to the disk tier (if any).
-    /// Write failures are deliberately swallowed: the store is a
-    /// cache, and a full or read-only disk must not fail the job.
-    fn disk_save(&self, stage: Stage, key: &[u8], encode: impl FnOnce() -> Vec<u8>) {
-        if let Some(store) = &self.store {
-            let _ = store.save(stage, key, &encode());
-        }
-    }
-
     /// The 64-bit content address of a source text (reporting and
     /// persistent tiers; the in-process map keys on the text itself).
     pub fn source_key(src: &str) -> u64 {
@@ -300,43 +330,21 @@ impl ArtifactCache {
     /// The parse artifact for a source, from cache or `compute`. The
     /// artifact carries the term's canonical rendering, so downstream
     /// typecheck lookups ([`check_keyed`](ArtifactCache::check_keyed))
-    /// never re-render on the warm path.
+    /// never re-render on the warm path. Parsing is cheaper to redo
+    /// than to load, so this stage never touches the disk tier.
     pub fn parse<E>(
         &self,
         src: &str,
         compute: impl FnOnce() -> Result<(FExpr, SpanTable), E>,
     ) -> Result<Arc<Parsed>, E> {
-        if let Some(found) = self.parse.map.lock().expect("cache poisoned").get(src) {
-            self.parse.counters.hit();
-            return Ok(found.clone());
-        }
-        self.parse.counters.miss();
-        if let Some(parsed) = self.disk_probe(Stage::Parse, src.as_bytes(), |bytes| {
-            artifact::decode_parsed(bytes).ok()
-        }) {
-            let value = Arc::new(parsed);
-            self.parse
-                .map
-                .lock()
-                .expect("cache poisoned")
-                .insert(src.to_string(), value.clone());
-            return Ok(value);
-        }
-        let (expr, spans) = compute()?;
-        let value = Arc::new(Parsed {
-            check_key: expr.to_string(),
-            expr,
-            spans: Arc::new(spans),
-        });
-        self.disk_save(Stage::Parse, src.as_bytes(), || {
-            artifact::encode_parsed(&value)
-        });
-        self.parse
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .insert(src.to_string(), value.clone());
-        Ok(value)
+        self.parse.get_or_try_insert(src, || {
+            let (expr, spans) = compute()?;
+            Ok(Parsed {
+                check_key: expr.to_string(),
+                expr,
+                spans: Arc::new(spans),
+            })
+        })
     }
 
     /// The type of a term whose canonical rendering the caller already
@@ -347,38 +355,23 @@ impl ArtifactCache {
         check_key: &str,
         compute: impl FnOnce() -> Result<FTy, E>,
     ) -> Result<Arc<FTy>, E> {
-        if let Some(found) = self
-            .check
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .get(check_key)
-        {
-            self.check.counters.hit();
-            return Ok(found.clone());
-        }
-        self.check.counters.miss();
-        if let Some(ty) = self.disk_probe(Stage::Check, check_key.as_bytes(), |bytes| {
-            artifact::decode_checked(bytes).ok()
-        }) {
-            let value = Arc::new(ty);
-            self.check
-                .map
-                .lock()
-                .expect("cache poisoned")
-                .insert(check_key.to_string(), value.clone());
-            return Ok(value);
-        }
-        let value = Arc::new(compute()?);
-        self.disk_save(Stage::Check, check_key.as_bytes(), || {
-            artifact::encode_checked(&value)
-        });
-        self.check
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .insert(check_key.to_string(), value.clone());
-        Ok(value)
+        self.check.get_or_try_insert(check_key, || {
+            let Some(store) = &self.store else {
+                return compute();
+            };
+            let key = check_key.as_bytes();
+            if let Some(ty) = disk_probe(store, Stage::Check, key, |verdict| match verdict {
+                Verdict::Check(ty) => Some(ty),
+                Verdict::Compile { .. } => None,
+            }) {
+                return Ok(ty);
+            }
+            let ty = compute()?;
+            // Write failures are swallowed: the store is a cache, and a
+            // full or read-only disk must not fail the job.
+            let _ = store.save(Stage::Check, key, &wire::encode_types([&ty]));
+            Ok(ty)
+        })
     }
 
     /// The type of a term, from cache or `compute`. Keyed on the
@@ -399,7 +392,8 @@ impl ArtifactCache {
     /// `check_key`). Keyed like the typecheck stage — on the term, not
     /// the source — so differently formatted sources of one program
     /// share a single lowering, and a warm fast-machine run skips
-    /// register allocation and fusion entirely.
+    /// register allocation and fusion entirely. Lowering is cheaper to
+    /// redo than to load, so this stage never touches the disk tier.
     ///
     /// Every load out of the cache is re-checked by the bytecode
     /// verifier (`funtal::verify_lowered`). An artifact that no longer
@@ -429,27 +423,7 @@ impl ArtifactCache {
             self.lower.counters.reject();
         }
         self.lower.counters.miss();
-        // The disk probe verifies twice over: the payload must decode
-        // (total, structural) *and* the decoded program must pass the
-        // bytecode verifier — the same `verify_lowered` gate the
-        // in-memory tier applies on every hit.
-        if let Some(lowered) = self.disk_probe(Stage::Lower, check_key.as_bytes(), |bytes| {
-            funtal::decode_lowered(bytes)
-                .ok()
-                .filter(|lp| funtal::verify_lowered(lp).is_ok())
-        }) {
-            let value = Arc::new(lowered);
-            self.lower
-                .map
-                .lock()
-                .expect("cache poisoned")
-                .insert(check_key.to_string(), value.clone());
-            return value;
-        }
         let value = Arc::new(compute());
-        self.disk_save(Stage::Lower, check_key.as_bytes(), || {
-            funtal::encode_lowered(&value)
-        });
         self.lower
             .map
             .lock()
@@ -459,45 +433,32 @@ impl ArtifactCache {
     }
 
     /// The compiled MiniF bundle for a source, from cache or `compute`.
+    ///
+    /// With a store, a memory miss probes the disk for the wrapped
+    /// definitions' types. On a disk hit the bundle is rebuilt by the
+    /// same codegen `compute` would run (parse, validate, compile,
+    /// wrap) with each type taken from the store instead of re-checked.
     pub fn compile<E>(
         &self,
         src: &str,
         tail_call_opt: bool,
         compute: impl FnOnce() -> Result<CompiledMiniF, E>,
     ) -> Result<Arc<CompiledMiniF>, E> {
-        if self.store.is_none() {
-            return self
-                .compile
-                .get_or_try_insert((src.to_string(), tail_call_opt), compute);
-        }
         let key = (src.to_string(), tail_call_opt);
-        if let Some(found) = self.compile.map.lock().expect("cache poisoned").get(&key) {
-            self.compile.counters.hit();
-            return Ok(found.clone());
-        }
-        self.compile.counters.miss();
-        let disk_key = artifact::compile_key(src, tail_call_opt);
-        if let Some(bundle) = self.disk_probe(Stage::Compile, &disk_key, |bytes| {
-            artifact::decode_compiled(bytes).ok()
-        }) {
-            let value = Arc::new(bundle);
-            self.compile
-                .map
-                .lock()
-                .expect("cache poisoned")
-                .insert(key, value.clone());
-            return Ok(value);
-        }
-        let value = Arc::new(compute()?);
-        self.disk_save(Stage::Compile, &disk_key, || {
-            artifact::encode_compiled(&value)
-        });
-        self.compile
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, value.clone());
-        Ok(value)
+        self.compile.get_or_try_insert(&key, || {
+            let Some(store) = &self.store else {
+                return compute();
+            };
+            let disk_key = artifact::compile_key(src, tail_call_opt);
+            if let Some(bundle) = disk_probe(store, Stage::Compile, &disk_key, rebuild_compiled) {
+                return Ok(bundle);
+            }
+            let bundle = compute()?;
+            let payload = wire::encode_types(bundle.wrapped.iter().map(|(_, _, ty)| ty));
+            // Best-effort, as in `check_keyed`.
+            let _ = store.save(Stage::Compile, &disk_key, &payload);
+            Ok(bundle)
+        })
     }
 
     /// A point-in-time copy of all counters.

@@ -33,17 +33,19 @@
 pub mod artifact;
 pub mod batch;
 pub mod cache;
+pub mod codec;
 pub mod corpus;
 pub mod error;
 pub mod json;
 pub mod minif;
 pub mod report;
+pub mod wire;
 
 use std::sync::Arc;
 
 use funtal::machine::{run, run_fexpr, EvalStrategy, FtOutcome, RunCfg};
 use funtal::{LoweredProgram, SpanScope};
-use funtal_compile::codegen::{compile_program, CodegenOpts, Compiled};
+use funtal_compile::codegen::{compile_program, CodegenOpts};
 use funtal_compile::lang::Program;
 use funtal_equiv::{equivalent, EquivCfg, Verdict};
 use funtal_parser::lex::Tok;
@@ -84,6 +86,30 @@ fn minif_span_table(
         }
     }
     table
+}
+
+/// Validates `program`, compiles it with `opts`, and boundary-wraps
+/// each definition in `program.defs` order, typing every wrapped entry
+/// with `type_of`. [`Pipeline::compile_minif`] passes the FT checker;
+/// a compile-stage store hit passes the stored types instead.
+pub(crate) fn build_minif(
+    program: Program,
+    opts: CodegenOpts,
+    mut type_of: impl FnMut(&FExpr) -> Result<FTy, FunTalError>,
+) -> Result<CompiledMiniF, FunTalError> {
+    program.validate()?;
+    let compiled = compile_program(&program, opts);
+    let mut wrapped = Vec::with_capacity(program.defs.len());
+    for name in program.defs.keys() {
+        let f = compiled.wrap(name);
+        let ty = type_of(&f)?;
+        wrapped.push((name.clone(), f, ty));
+    }
+    Ok(CompiledMiniF {
+        program,
+        compiled,
+        wrapped,
+    })
 }
 
 /// Parses a machine (= evaluation-strategy) name as the CLI flags and
@@ -252,19 +278,7 @@ impl Pipeline {
     /// [`CodegenOpts`], returning the heap fragment plus
     /// boundary-wrapped (and type-checked) entry points.
     pub fn compile_minif(&self, program: &Program) -> Result<CompiledMiniF, FunTalError> {
-        program.validate()?;
-        let compiled: Compiled = compile_program(program, self.codegen);
-        let mut wrapped = Vec::new();
-        for name in program.defs.keys() {
-            let f = compiled.wrap(name);
-            let ty = self.check(&f)?;
-            wrapped.push((name.clone(), f, ty));
-        }
-        Ok(CompiledMiniF {
-            program: program.clone(),
-            compiled,
-            wrapped,
-        })
+        build_minif(program.clone(), self.codegen, |f| self.check(f))
     }
 
     /// Parses MiniF concrete syntax (see [`minif`]) and compiles it.

@@ -51,7 +51,7 @@ COMMANDS:
     serve                   long-lived JSON-lines loop: one job per stdin
                             line, one result per stdout line, caches warm
                             across requests
-    store    ACTION         inspect the persistent artifact store
+    store    ACTION         inspect the persistent verdict store
                             (needs --store-dir): `stats` prints per-stage
                             entry counts and sizes, `gc` enforces the
                             size cap (least-recently-used eviction),
@@ -87,10 +87,11 @@ OPTIONS:
     --repeat K      with `batch`: submit the job list K times (repeat
                     r >= 2 suffixes ids with #r; exercises the caches)
     --store-dir DIR with `batch`/`serve`/`store`: directory of the
-                    persistent artifact store; computed artifacts are
-                    written through and later processes warm-start
-                    from disk (every load is verified, corrupt entries
-                    degrade to recompute)
+                    persistent verdict store; FT typecheck results
+                    (of run and compile jobs) are written through as
+                    type text and later processes skip those checks
+                    (every load is verified, corrupt entries degrade
+                    to recompute)
     --store-cap N   with --store-dir: store size cap in bytes before
                     least-recently-used eviction (0 = unlimited)
                                             [default: 268435456]
@@ -547,7 +548,7 @@ fn batch_jobs(o: &Opts) -> Result<Vec<Job>, FunTalError> {
     Ok(jobs)
 }
 
-/// Opens the persistent artifact store named by `--store-dir`, if any.
+/// Opens the persistent verdict store named by `--store-dir`, if any.
 fn open_store(o: &Opts) -> Result<Option<std::sync::Arc<funtal_driver::DiskStore>>, FunTalError> {
     match &o.store_dir {
         None => Ok(None),
@@ -672,7 +673,7 @@ fn cmd_serve(o: &Opts) -> Result<(), FunTalError> {
 }
 
 /// `funtal store stats|gc|verify --store-dir DIR`: offline maintenance
-/// of the persistent artifact store.
+/// of the persistent verdict store.
 fn cmd_store(o: &Opts) -> Result<(), FunTalError> {
     use funtal_store::{parse_container, Stage};
     let action = match o.files.as_slice() {
@@ -728,32 +729,20 @@ fn cmd_store(o: &Opts) -> Result<(), FunTalError> {
         }
         "verify" => {
             // A read-only walk: every entry's container must parse for
-            // its own stage and its payload must decode (and, for
-            // lowerings, pass the bytecode verifier) — the exact gate
-            // a load would apply, without counters or deletions.
+            // its own stage and its payload must decode through
+            // `artifact::decode` — the exact gate a load applies,
+            // without counters or deletions.
             let mut ok = 0usize;
             let mut corrupt = 0usize;
             for entry in store.all_entries().map_err(io_err)? {
                 let bytes = std::fs::read(&entry.path).map_err(io_err)?;
-                let verdict = match parse_container(&bytes, Some(entry.stage), None) {
-                    Err(e) => Err(e.to_string()),
-                    Ok((_, _, payload)) => match entry.stage {
-                        Stage::Parse => funtal_driver::artifact::decode_parsed(&payload)
-                            .map(|_| ())
-                            .map_err(|e| e.to_string()),
-                        Stage::Check => funtal_driver::artifact::decode_checked(&payload)
-                            .map(|_| ())
-                            .map_err(|e| e.to_string()),
-                        Stage::Lower => funtal::decode_lowered(&payload)
-                            .map_err(|e| e.to_string())
-                            .and_then(|lp| funtal::verify_lowered(&lp).map_err(|e| e.to_string())),
-                        Stage::Compile => funtal_driver::artifact::decode_compiled(&payload)
-                            .map(|_| ())
-                            .map_err(|e| e.to_string()),
-                    },
-                };
+                let verdict = parse_container(&bytes, Some(entry.stage), None)
+                    .map_err(|e| e.to_string())
+                    .and_then(|(stage, key, payload)| {
+                        funtal_driver::artifact::decode(stage, &key, &payload)
+                    });
                 match verdict {
-                    Ok(()) => ok += 1,
+                    Ok(_) => ok += 1,
                     Err(msg) => {
                         corrupt += 1;
                         println!("corrupt: {} ({msg})", entry.path.display());

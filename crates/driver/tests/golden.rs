@@ -224,13 +224,13 @@ const CASES: &[Case] = &[
         pre_clean: None,
     },
     // The persistent tier, as a cross-process sequence over one shared
-    // store directory. Cold: every stage computes and writes through
-    // (the summary's "store" block shows only misses). Warm: a new
-    // process, so the memory cache is cold but every artifact loads
-    // from disk (hits, zero rejects). The bytecode corpus then adds
-    // lower-stage entries, and stats/verify read the populated store
-    // back. Error jobs in the corpus pin that failures are never
-    // written through.
+    // store directory. Cold: every typecheck computes and writes its
+    // verdict through (the summary's "store" block shows only misses).
+    // Warm: a new process, so the memory cache is cold but every check
+    // and compile verdict loads from disk (hits, zero rejects; parse
+    // and lower stay at zero). The bytecode corpus then adds its check
+    // entries, and stats/verify read the populated store back. Error
+    // jobs in the corpus pin that failures are never written through.
     Case {
         name: "batch_store_cold",
         args: &[

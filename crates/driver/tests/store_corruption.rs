@@ -1,19 +1,24 @@
 //! Corruption injection against the persistent store: every mutated
 //! entry must be rejected on load (counted in `rejects`), the stage
-//! must recompute the correct artifact, and nothing may panic.
+//! must recompute the correct verdict, and nothing may panic.
 //!
 //! Four container-level mutations (truncation, bit flip, version bump,
-//! simulated digest collision) are applied to every artifact kind, plus
-//! two payload-level corruptions that keep the container checksum valid
-//! (garbage payload bytes; a lowering that decodes but fails the
-//! bytecode verifier) to prove the decode/verify layer rejects what the
-//! container layer cannot see.
+//! simulated digest collision) are applied to both persisted stages,
+//! plus payload-level corruptions that keep the container checksum
+//! valid (garbage bytes, non-canonical type text, a compile payload
+//! with the wrong line count, a line that does not parse) to prove the
+//! decode layer rejects what the container layer cannot see.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use funtal_driver::artifact::compile_key;
 use funtal_driver::{ArtifactCache, Batch, DiskStore, Job, Pipeline};
 use funtal_store::Stage;
+
+const SRC_PLAIN: &str = "6 * 7";
+const SRC_BC: &str = "FT[int](mv r1, 6; mul r1, r1, 7; halt int, * {r1})";
+const SRC_MF: &str = "fn double(n) = n + n";
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -22,17 +27,13 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One job per artifact kind; two parse-stage sources so the
-/// collision simulation has a pair of entries to swap.
+/// Jobs that persist both verdict kinds: two FT runs (check) and a
+/// MiniF compile.
 fn jobs() -> Vec<Job> {
     vec![
-        Job::run("plain", "6 * 7"),
-        Job::run_tiered(
-            "bc",
-            "FT[int](mv r1, 6; mul r1, r1, 7; halt int, * {r1})",
-            funtal::machine::EvalStrategy::Bytecode,
-        ),
-        Job::compile("mf", "fn double(n) = n + n"),
+        Job::run("plain", SRC_PLAIN),
+        Job::run_tiered("bc", SRC_BC, funtal::machine::EvalStrategy::Bytecode),
+        Job::compile("mf", SRC_MF),
     ]
 }
 
@@ -51,9 +52,10 @@ fn assert_mutation_rejects(tag: &str, mutate: impl Fn(&Path)) {
 
     let store = DiskStore::open(&dir, 0).expect("reopen");
     let entries = store.all_entries().expect("entries");
-    assert!(
-        entries.len() >= 4,
-        "expected all stages populated: {entries:?}"
+    assert_eq!(
+        entries.len(),
+        3,
+        "expected both stages populated: {entries:?}"
     );
     for e in &entries {
         mutate(&e.path);
@@ -69,7 +71,7 @@ fn assert_mutation_rejects(tag: &str, mutate: impl Fn(&Path)) {
     assert_eq!(stats.total_hits(), 0, "{tag}: a corrupt entry was served");
     // Every stage that was probed rejected its corrupt entry. (100%
     // rejection: rejects == lookups that found a file.)
-    assert!(stats.total_rejects() >= 4, "{tag}: {stats:?}");
+    assert_eq!(stats.total_rejects(), 3, "{tag}: {stats:?}");
     for stage in Stage::ALL {
         let s = stats.stage(stage);
         assert_eq!(s.hits, 0, "{tag}/{stage:?}: {s:?}");
@@ -110,100 +112,149 @@ fn version_bumped_entries_reject_on_every_stage() {
 fn simulated_digest_collisions_reject() {
     // Serve entry A's container under entry B's path — what a 64-bit
     // digest collision (or a renamed file) would look like. The
-    // embedded full key must catch it.
+    // embedded full key must catch it, in both stages.
     let dir = temp_dir("collide");
-    engine_on(&dir).run(&[Job::run("a", "6 * 7"), Job::run("b", "7 * 8")]);
+    let jobs = [
+        Job::run("a", "6 * 7"),
+        Job::run("b", "7 * 8"),
+        Job::compile("f", "fn f(n) = n + 1"),
+        Job::compile("g", "fn g(n) = n * 2"),
+    ];
+    let baseline = engine_on(&dir).run(&jobs);
     let store = DiskStore::open(&dir, 0).expect("reopen");
-    let parse = store.entries(Stage::Parse).expect("entries");
-    assert_eq!(parse.len(), 2);
-    std::fs::copy(&parse[0].path, &parse[1].path).expect("copy");
+    for stage in Stage::ALL {
+        let entries = store.entries(stage).expect("entries");
+        assert_eq!(entries.len(), 2, "{stage:?}");
+        std::fs::copy(&entries[0].path, &entries[1].path).expect("copy");
+    }
 
-    let recovered = engine_on(&dir).run(&[Job::run("a", "6 * 7"), Job::run("b", "7 * 8")]);
-    assert_eq!(recovered.err_count(), 0);
+    let recovered = engine_on(&dir).run(&jobs);
+    assert_eq!(baseline.result_lines(), recovered.result_lines());
     let stats = recovered.store.expect("store stats");
-    // One of the two sources still loads fine; the clobbered one is a
+    // In each stage one entry still loads fine; the clobbered one is a
     // key mismatch and must reject.
-    assert_eq!(stats.parse.hits, 1, "{stats:?}");
-    assert_eq!(stats.parse.rejects, 1, "{stats:?}");
+    for stage in Stage::ALL {
+        let s = stats.stage(stage);
+        assert_eq!((s.hits, s.rejects), (1, 1), "{stage:?}: {stats:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn check_key(src: &str) -> Vec<u8> {
+    Pipeline::new()
+        .parse(src)
+        .expect("parse")
+        .to_string()
+        .into_bytes()
+}
+
+/// A stage, a store key, and the payload to store under it.
+type BadEntry<'a> = (Stage, Vec<u8>, &'a [u8]);
+
+/// Overwrites each listed entry with a valid container around a bad
+/// payload — magic, version and checksum all hold, so only the payload
+/// decoder can reject it — then asserts a memory-cold engine rejects
+/// every one, recomputes byte-identical results, and a third engine
+/// hits the rewritten entries.
+fn assert_payloads_reject(tag: &str, bad: &[BadEntry]) {
+    let dir = temp_dir(tag);
+    let baseline = engine_on(&dir).run(&jobs());
+    let store = DiskStore::open(&dir, 0).expect("reopen");
+    for (stage, key, payload) in bad {
+        assert!(
+            store.entry_path(*stage, key).exists(),
+            "{tag}: {stage:?} entry missing"
+        );
+        store.save(*stage, key, payload).expect("save");
+    }
+
+    let recovered = engine_on(&dir).run(&jobs());
+    assert_eq!(baseline.result_lines(), recovered.result_lines(), "{tag}");
+    let stats = recovered.store.expect("store stats");
+    for stage in Stage::ALL {
+        let n = bad.iter().filter(|(s, _, _)| *s == stage).count() as u64;
+        assert_eq!(stats.stage(stage).rejects, n, "{tag}: {stats:?}");
+    }
+    assert_eq!(stats.total_hits(), 3 - bad.len() as u64, "{tag}: {stats:?}");
+
+    let third = engine_on(&dir).run(&jobs());
+    assert_eq!(baseline.result_lines(), third.result_lines(), "{tag}");
+    let stats = third.store.expect("store stats");
+    assert_eq!((stats.total_hits(), stats.total_rejects()), (3, 0), "{tag}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn valid_containers_with_garbage_payloads_reject_at_decode() {
-    // `DiskStore::save` writes a perfectly valid container (magic,
-    // version, checksum over the garbage) — only the payload decoder
-    // can reject it. This exercises the `store.reject` path in the
-    // cache rather than the container parser.
-    let dir = temp_dir("garbage");
-    let baseline = engine_on(&dir).run(&jobs());
-    let store = DiskStore::open(&dir, 0).expect("reopen");
-
-    let src_plain = "6 * 7";
-    let src_bc = "FT[int](mv r1, 6; mul r1, r1, 7; halt int, * {r1})";
-    let src_mf = "fn double(n) = n + n";
-    let check_key = |src: &str| Pipeline::new().parse(src).expect("parse").to_string();
     let garbage = b"not an artifact".as_slice();
-    store
-        .save(Stage::Parse, src_plain.as_bytes(), garbage)
-        .expect("save");
-    store
-        .save(Stage::Check, check_key(src_plain).as_bytes(), garbage)
-        .expect("save");
-    store
-        .save(Stage::Lower, check_key(src_bc).as_bytes(), garbage)
-        .expect("save");
-    store
-        .save(
-            Stage::Compile,
-            &funtal_driver::artifact::compile_key(src_mf, false),
-            garbage,
-        )
-        .expect("save");
-
-    let recovered = engine_on(&dir).run(&jobs());
-    assert_eq!(baseline.result_lines(), recovered.result_lines());
-    let stats = recovered.store.expect("store stats");
-    assert_eq!(stats.parse.rejects, 1, "{stats:?}");
-    assert_eq!(stats.check.rejects, 1, "{stats:?}");
-    assert_eq!(stats.lower.rejects, 1, "{stats:?}");
-    assert_eq!(stats.compile.rejects, 1, "{stats:?}");
-    let _ = std::fs::remove_dir_all(&dir);
+    let plain = || check_key(SRC_PLAIN);
+    let mf = || compile_key(SRC_MF, false);
+    let cases: [(&str, Vec<BadEntry>); 4] = [
+        (
+            "garbage",
+            vec![
+                (Stage::Check, plain(), garbage),
+                (Stage::Check, check_key(SRC_BC), garbage),
+                (Stage::Compile, mf(), garbage),
+            ],
+        ),
+        // Each payload parses to the right type; only the
+        // byte-for-byte re-rendering check catches it.
+        (
+            "noncanonical",
+            vec![
+                (Stage::Check, plain(), b" int"),
+                (Stage::Compile, mf(), b"(int)  ->  int"),
+            ],
+        ),
+        (
+            "linecount",
+            vec![
+                (Stage::Check, plain(), b"int\nint"),
+                (Stage::Compile, mf(), b"(int) -> int\n(int) -> int"),
+            ],
+        ),
+        (
+            "unparsable",
+            vec![
+                (Stage::Check, plain(), b"int ->"),
+                (Stage::Compile, mf(), b"(int) -> ?"),
+            ],
+        ),
+    ];
+    for (tag, bad) in &cases {
+        assert_payloads_reject(tag, bad);
+    }
 }
 
 #[test]
-fn lowerings_that_decode_but_fail_verification_reject() {
-    // The strongest corruption: a payload that round-trips the wire
-    // format but whose bytecode no longer verifies (an out-of-bounds
-    // jump target). Only the `verify_lowered` gate catches this one.
-    let dir = temp_dir("unverifiable");
-    let src = "FT[int](mv r1, 6; mul r1, r1, 7; halt int, * {r1})";
-    let job = [Job::run_tiered(
-        "bc",
-        src,
-        funtal::machine::EvalStrategy::Bytecode,
-    )];
-    let baseline = engine_on(&dir).run(&job);
+fn retired_stage_dirs_go_and_v1_entries_recompute() {
+    // A store left by format version 1: a lowering under `lower/` and
+    // a check entry whose header says version 1.
+    let dir = temp_dir("v1");
+    let baseline = engine_on(&dir).run(&jobs());
+    let v1 = DiskStore::open(&dir, 0)
+        .expect("reopen")
+        .entry_path(Stage::Check, &check_key(SRC_PLAIN));
+    let lower = dir.join("lower");
+    std::fs::create_dir_all(&lower).expect("mkdir");
+    std::fs::write(lower.join("00000000deadbeef.art"), b"FTST v1 lowering").expect("write");
+    let mut bytes = std::fs::read(&v1).expect("read");
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(&v1, &bytes).expect("write");
+    assert!(lower.exists());
 
-    let expr = Pipeline::new().parse(src).expect("parse");
-    let mut corrupted = funtal::prelower(&expr);
-    assert!(funtal::bc_verify::corrupt_for_tests(&mut corrupted));
-    assert!(funtal::verify_lowered(&corrupted).is_err());
     let store = DiskStore::open(&dir, 0).expect("reopen");
-    store
-        .save(
-            Stage::Lower,
-            expr.to_string().as_bytes(),
-            &funtal::encode_lowered(&corrupted),
-        )
-        .expect("save");
-
-    let recovered = engine_on(&dir).run(&job);
+    assert!(!lower.exists(), "open left the retired lower/ directory");
+    assert!(v1.exists());
+    let recovered = Batch::new(Pipeline::new())
+        .with_cache(Arc::new(ArtifactCache::with_store(Arc::new(store))))
+        .run(&jobs());
     assert_eq!(baseline.result_lines(), recovered.result_lines());
     let stats = recovered.store.expect("store stats");
-    assert_eq!(stats.lower.hits, 0, "{stats:?}");
-    assert_eq!(stats.lower.rejects, 1, "{stats:?}");
-    // The recompute replaced the bad entry: a third engine hits.
-    let third = engine_on(&dir).run(&job);
-    assert_eq!(third.store.expect("store stats").lower.hits, 1);
+    assert_eq!((stats.check.hits, stats.check.rejects), (1, 1), "{stats:?}");
+    // The recompute rewrote the entry at the current version.
+    let bytes = std::fs::read(&v1).expect("read");
+    assert_eq!(bytes[4..6], funtal_store::FORMAT_VERSION.to_le_bytes());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,4 +1,4 @@
-//! The persistent artifact store as a cache tier: cross-process warm
+//! The persistent verdict store as a cache tier: cross-process warm
 //! starts, counter accounting, and the summary JSON contract.
 //!
 //! "Cross-process" is simulated with two independent [`ArtifactCache`]
@@ -17,8 +17,9 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// A job mix that exercises all four stages: parse + check + lower
-/// (every FT run job) and compile (the MiniF job).
+/// A job mix that exercises all four cache stages: parse + check +
+/// lower (every FT run job) and compile (the MiniF job). Only check and
+/// compile persist.
 fn all_stage_jobs() -> Vec<Job> {
     vec![
         Job::run("plain", "6 * 7"),
@@ -48,25 +49,27 @@ fn second_process_warm_starts_every_stage() {
         assert_eq!(s.hits, 0, "{stage:?} hit on a cold store");
         assert_eq!(s.rejects, 0, "{stage:?} reject on a cold store");
     }
-    // Every exercised stage wrote through.
-    assert!(cold_store.parse.misses >= 2);
-    assert_eq!(cold_store.lower.misses, 2);
+    // Both persisted stages wrote through; parse and lower never
+    // touch the disk.
+    assert_eq!(cold_store.check.misses, 2);
     assert_eq!(cold_store.compile.misses, 1);
+    assert_eq!(cold_store.parse, Default::default());
+    assert_eq!(cold_store.lower, Default::default());
 
     // A second, memory-cold engine on the same directory: identical
-    // results, every stage served from disk.
+    // results, every typecheck verdict served from disk.
     let warm = engine_on(&dir).run(&jobs);
     assert_eq!(cold.result_lines(), warm.result_lines());
     let warm_store = warm.store.expect("store stats present");
-    assert!(warm_store.parse.hits >= 2, "{warm_store:?}");
-    assert!(warm_store.check.hits >= 2, "{warm_store:?}");
-    assert_eq!(warm_store.lower.hits, 2, "{warm_store:?}");
+    assert_eq!(warm_store.check.hits, 2, "{warm_store:?}");
     assert_eq!(warm_store.compile.hits, 1, "{warm_store:?}");
     assert_eq!(warm_store.total_rejects(), 0, "{warm_store:?}");
+    assert_eq!(warm_store.parse, Default::default());
+    assert_eq!(warm_store.lower, Default::default());
     // The in-memory tier keeps its storeless semantics: a disk hit is
     // still a memory miss.
-    assert_eq!(warm.cache.parse.hits, 0);
-    assert!(warm.cache.parse.misses >= 2);
+    assert_eq!(warm.cache.check.hits, 0);
+    assert_eq!(warm.cache.check.misses, 2);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -85,7 +88,10 @@ fn store_block_appears_only_when_configured() {
     let with_store = engine_on(&dir).run(&jobs);
     let summary = with_store.summary_json().to_string();
     assert!(
-        summary.contains("\"store\":{\"parse\":{\"hits\":0,\"misses\":1,\"rejects\":0}"),
+        summary.contains(concat!(
+            "\"store\":{\"parse\":{\"hits\":0,\"misses\":0,\"rejects\":0},",
+            "\"check\":{\"hits\":0,\"misses\":1,\"rejects\":0}"
+        )),
         "{summary}"
     );
     assert!(summary.contains("\"cache\":{"), "{summary}");
@@ -96,38 +102,47 @@ fn store_block_appears_only_when_configured() {
 fn errors_are_not_written_through() {
     let dir = temp_dir("errs");
     let engine = engine_on(&dir);
-    let report = engine.run(&[Job::run("bad", "1 +")]);
-    assert_eq!(report.err_count(), 1);
+    let report = engine.run(&[
+        Job::run("ill-typed", "1 + (lam[z](x: int). x)"),
+        Job::compile("bad-mf", "fn f(n) = g(n)"),
+    ]);
+    assert_eq!(report.err_count(), 2);
     let store = engine.cache().store().expect("store configured");
     assert_eq!(
-        store.entries(Stage::Parse).expect("entries").len(),
+        store.all_entries().expect("entries").len(),
         0,
-        "a failed parse must not persist an artifact"
+        "a failed check or compile must not persist a verdict"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn formatting_changes_share_check_and_lower_entries() {
-    // Disk keys mirror the in-memory keys: check/lower key on the
-    // term's canonical rendering, so a reformatted source re-parses
-    // but reuses the persisted typecheck and lowering.
+    // Check keys on the term's canonical rendering on disk as in
+    // memory, so a reformatted source re-parses but reuses the
+    // persisted typecheck. Lowering keys on the same rendering in
+    // memory: within one engine the reformatted job reuses it.
     let dir = temp_dir("fmt");
     let src = "FT[int](mv r1, 6; mul r1, r1, 7; halt int, * {r1})";
     let resrc = src.replace("; ", ";  ");
-    engine_on(&dir).run(&[Job::run_tiered(
-        "a",
-        src,
-        funtal::machine::EvalStrategy::Bytecode,
-    )]);
-    let warm = engine_on(&dir).run(&[Job::run_tiered(
-        "b",
-        &resrc,
-        funtal::machine::EvalStrategy::Bytecode,
-    )]);
+    let job =
+        |id: &str, src: &str| Job::run_tiered(id, src, funtal::machine::EvalStrategy::Bytecode);
+    engine_on(&dir).run(&[job("a", src)]);
+    let warm = engine_on(&dir).run(&[job("b", &resrc), job("c", src)]);
     let stats = warm.store.expect("store stats");
-    assert_eq!(stats.parse.hits, 0, "different source text: parse is cold");
     assert_eq!(stats.check.hits, 1, "same term: typecheck served from disk");
-    assert_eq!(stats.lower.hits, 1, "same term: lowering served from disk");
+    assert_eq!(
+        warm.cache.parse.misses, 2,
+        "different source texts both parse"
+    );
+    assert_eq!(
+        warm.cache.check.hits, 1,
+        "same term: one typecheck lookup hits memory"
+    );
+    assert_eq!(
+        warm.cache.lower.hits, 1,
+        "same term: lowering shared in memory"
+    );
+    assert_eq!(warm.cache.lower.misses, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,11 +1,11 @@
 //! The disk tier: atomic, checksummed, full-key-verified, LRU-capped.
 //!
 //! Layout: one directory per [`Stage`] under the store root, one file
-//! per artifact named by the 64-bit FNV-1a digest of its key
+//! per entry named by the 64-bit FNV-1a digest of its key
 //! (`<digest16hex>.art`). The digest only *names* the file — the
 //! container embeds the full key, and [`DiskStore::load`] compares it
 //! byte-for-byte, so a digest collision degrades to a miss, never to a
-//! wrong artifact.
+//! wrong verdict.
 //!
 //! Container format (all integers little-endian):
 //!
@@ -39,33 +39,35 @@ use funtal_syntax::hash::{hash_bytes, hash_bytes_from};
 pub const MAGIC: [u8; 4] = *b"FTST";
 
 /// The on-disk format version. Any change to the container layout or
-/// to a payload codec's byte layout must bump this; old entries then
-/// reject on load and degrade to recompute.
-pub const FORMAT_VERSION: u16 = 1;
+/// to a payload's encoding must bump this; old entries then reject on
+/// load and degrade to recompute. Version 2 persists typecheck
+/// verdicts as canonical type text; version 1 also persisted binary
+/// parse, lowering and compile artifacts.
+pub const FORMAT_VERSION: u16 = 2;
 
-/// The four artifact kinds the pipeline caches.
+/// Stage directories that format version 1 wrote and no stage reads
+/// any more. [`DiskStore::open`] deletes them so their bytes cannot
+/// sit outside the size cap.
+const RETIRED_DIRS: [&str; 2] = ["parse", "lower"];
+
+/// The two verdict kinds the store persists.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Stage {
-    /// Parsed FT terms, keyed on source text.
-    Parse,
-    /// Typecheck results (F types), keyed on the term's canonical rendering.
+    /// An FT term's type, keyed on the term's canonical rendering.
     Check,
-    /// Bytecode lowerings, keyed on the term's canonical rendering.
-    Lower,
-    /// MiniF compilation artifacts, keyed on source text + options.
+    /// The types of a MiniF program's boundary-wrapped definitions,
+    /// keyed on codegen options + source text.
     Compile,
 }
 
 impl Stage {
     /// Every stage, in fixed order.
-    pub const ALL: [Stage; 4] = [Stage::Parse, Stage::Check, Stage::Lower, Stage::Compile];
+    pub const ALL: [Stage; 2] = [Stage::Check, Stage::Compile];
 
     /// The stage's directory name under the store root.
     pub fn dir(self) -> &'static str {
         match self {
-            Stage::Parse => "parse",
             Stage::Check => "check",
-            Stage::Lower => "lower",
             Stage::Compile => "compile",
         }
     }
@@ -73,10 +75,8 @@ impl Stage {
     /// The stage's container tag byte.
     pub fn tag(self) -> u8 {
         match self {
-            Stage::Parse => 0,
-            Stage::Check => 1,
-            Stage::Lower => 2,
-            Stage::Compile => 3,
+            Stage::Check => 0,
+            Stage::Compile => 1,
         }
     }
 
@@ -153,14 +153,16 @@ impl StageDiskStats {
     }
 }
 
-/// Disk-tier counters for all four stages.
+/// Disk-tier counters, one field per cached pipeline stage. Parsing
+/// and lowering are never persisted, so `parse` and `lower` always
+/// read zero; they keep the summary schema's four keys stable.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct StoreStats {
-    /// Parse-stage counters.
+    /// Parse-stage counters (always zero: not persisted).
     pub parse: StageDiskStats,
     /// Typecheck-stage counters.
     pub check: StageDiskStats,
-    /// Lowering-stage counters.
+    /// Lowering-stage counters (always zero: not persisted).
     pub lower: StageDiskStats,
     /// Compile-stage counters.
     pub compile: StageDiskStats,
@@ -170,9 +172,7 @@ impl StoreStats {
     /// The counters for `stage`.
     pub fn stage(&self, stage: Stage) -> StageDiskStats {
         match stage {
-            Stage::Parse => self.parse,
             Stage::Check => self.check,
-            Stage::Lower => self.lower,
             Stage::Compile => self.compile,
         }
     }
@@ -221,7 +221,7 @@ pub struct GcReport {
 pub struct DiskStore {
     root: PathBuf,
     cap_bytes: u64,
-    counters: [StageCounters; 4],
+    counters: [StageCounters; 2],
     evicted: AtomicU64,
     tmp_seq: AtomicU64,
 }
@@ -233,9 +233,16 @@ const _: () = {
 
 impl DiskStore {
     /// Opens (creating if needed) a store rooted at `root` with a size
-    /// cap of `cap_bytes` (`0` = unlimited).
+    /// cap of `cap_bytes` (`0` = unlimited). The directories of retired
+    /// stages, left by a version 1 store, are deleted.
     pub fn open(root: impl Into<PathBuf>, cap_bytes: u64) -> io::Result<DiskStore> {
         let root = root.into();
+        for dir in RETIRED_DIRS {
+            match fs::remove_dir_all(root.join(dir)) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+        }
         for stage in Stage::ALL {
             fs::create_dir_all(root.join(stage.dir()))?;
         }
@@ -430,10 +437,9 @@ impl DiskStore {
             }
         };
         StoreStats {
-            parse: snap(Stage::Parse),
             check: snap(Stage::Check),
-            lower: snap(Stage::Lower),
             compile: snap(Stage::Compile),
+            ..StoreStats::default()
         }
     }
 }
@@ -501,12 +507,12 @@ mod tests {
     #[test]
     fn save_load_round_trip_counts_protocol() {
         let s = temp_store("roundtrip", 0);
-        assert_eq!(s.load(Stage::Parse, b"k"), None); // cold: miss
-        s.save(Stage::Parse, b"k", b"artifact").unwrap();
-        let got = s.load(Stage::Parse, b"k").expect("warm load");
+        assert_eq!(s.load(Stage::Check, b"k"), None); // cold: miss
+        s.save(Stage::Check, b"k", b"artifact").unwrap();
+        let got = s.load(Stage::Check, b"k").expect("warm load");
         assert_eq!(got, b"artifact");
-        s.hit(Stage::Parse);
-        let st = s.stats().parse;
+        s.hit(Stage::Check);
+        let st = s.stats().check;
         assert_eq!((st.hits, st.misses, st.rejects), (1, 1, 0));
         assert_eq!(st.lookups(), 2);
     }
@@ -514,11 +520,11 @@ mod tests {
     #[test]
     fn stages_do_not_alias() {
         let s = temp_store("stages", 0);
-        s.save(Stage::Parse, b"k", b"parse-art").unwrap();
-        assert_eq!(s.load(Stage::Check, b"k"), None);
+        s.save(Stage::Check, b"k", b"check-art").unwrap();
+        assert_eq!(s.load(Stage::Compile, b"k"), None);
         assert_eq!(
-            s.load(Stage::Parse, b"k").as_deref(),
-            Some(&b"parse-art"[..])
+            s.load(Stage::Check, b"k").as_deref(),
+            Some(&b"check-art"[..])
         );
     }
 
@@ -546,13 +552,13 @@ mod tests {
     #[test]
     fn explicit_reject_removes_and_counts() {
         let s = temp_store("reject", 0);
-        s.save(Stage::Lower, b"k", b"payload-that-wont-decode")
+        s.save(Stage::Compile, b"k", b"payload-that-wont-decode")
             .unwrap();
-        assert!(s.load(Stage::Lower, b"k").is_some());
-        s.reject(Stage::Lower, b"k");
-        let st = s.stats().lower;
+        assert!(s.load(Stage::Compile, b"k").is_some());
+        s.reject(Stage::Compile, b"k");
+        let st = s.stats().compile;
         assert_eq!((st.hits, st.misses, st.rejects), (0, 1, 1));
-        assert!(!s.entry_path(Stage::Lower, b"k").exists());
+        assert!(!s.entry_path(Stage::Compile, b"k").exists());
     }
 
     #[test]
@@ -583,34 +589,34 @@ mod tests {
     #[test]
     fn truncations_reject() {
         let s = temp_store("trunc", 0);
-        s.save(Stage::Parse, b"key", b"some payload bytes").unwrap();
-        let path = s.entry_path(Stage::Parse, b"key");
+        s.save(Stage::Check, b"key", b"some payload bytes").unwrap();
+        let path = s.entry_path(Stage::Check, b"key");
         let original = fs::read(&path).unwrap();
         for cut in 0..original.len() {
             fs::write(&path, &original[..cut]).unwrap();
-            assert_eq!(s.load(Stage::Parse, b"key"), None, "cut at {cut}");
+            assert_eq!(s.load(Stage::Check, b"key"), None, "cut at {cut}");
         }
     }
 
     #[test]
     fn version_bump_rejects() {
         let s = temp_store("version", 0);
-        s.save(Stage::Parse, b"key", b"payload").unwrap();
-        let path = s.entry_path(Stage::Parse, b"key");
+        s.save(Stage::Check, b"key", b"payload").unwrap();
+        let path = s.entry_path(Stage::Check, b"key");
         let mut bytes = fs::read(&path).unwrap();
         bytes[4] = bytes[4].wrapping_add(1); // version field
         fs::write(&path, &bytes).unwrap();
-        assert_eq!(s.load(Stage::Parse, b"key"), None);
-        assert_eq!(s.stats().parse.rejects, 1);
+        assert_eq!(s.load(Stage::Check, b"key"), None);
+        assert_eq!(s.stats().check.rejects, 1);
     }
 
     #[test]
     fn lru_eviction_respects_cap_and_recency() {
         let s = temp_store("lru", 0);
         let payload = vec![0u8; 128];
-        s.save(Stage::Parse, b"old", &payload).unwrap();
-        s.save(Stage::Parse, b"mid", &payload).unwrap();
-        s.save(Stage::Parse, b"new", &payload).unwrap();
+        s.save(Stage::Check, b"old", &payload).unwrap();
+        s.save(Stage::Check, b"mid", &payload).unwrap();
+        s.save(Stage::Check, b"new", &payload).unwrap();
         // Backdate mtimes so recency is unambiguous even on coarse
         // filesystem clocks.
         let t0 = SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_000);
@@ -619,26 +625,26 @@ mod tests {
         for (key, t) in [(&b"old"[..], t0), (&b"mid"[..], t1), (&b"new"[..], t2)] {
             let f = fs::OpenOptions::new()
                 .write(true)
-                .open(s.entry_path(Stage::Parse, key))
+                .open(s.entry_path(Stage::Check, key))
                 .unwrap();
             f.set_modified(t).unwrap();
         }
-        let one = fs::metadata(s.entry_path(Stage::Parse, b"old"))
+        let one = fs::metadata(s.entry_path(Stage::Check, b"old"))
             .unwrap()
             .len();
         let report = s.enforce_cap(2 * one).unwrap();
         assert_eq!(report.examined, 3);
         assert_eq!(report.removed, 1);
-        assert!(!s.entry_path(Stage::Parse, b"old").exists());
-        assert!(s.entry_path(Stage::Parse, b"mid").exists());
-        assert!(s.entry_path(Stage::Parse, b"new").exists());
+        assert!(!s.entry_path(Stage::Check, b"old").exists());
+        assert!(s.entry_path(Stage::Check, b"mid").exists());
+        assert!(s.entry_path(Stage::Check, b"new").exists());
         assert_eq!(s.evicted(), 1);
     }
 
     #[test]
     fn gc_with_zero_cap_reports_without_removing() {
         let s = temp_store("gc0", 0);
-        s.save(Stage::Parse, b"a", b"x").unwrap();
+        s.save(Stage::Check, b"a", b"x").unwrap();
         let report = s.gc().unwrap();
         assert_eq!(report.removed, 0);
         assert_eq!(report.examined, 1);
@@ -648,9 +654,9 @@ mod tests {
     #[test]
     fn temp_files_are_invisible_to_entries() {
         let s = temp_store("tmpvis", 0);
-        s.save(Stage::Parse, b"a", b"x").unwrap();
-        fs::write(s.root().join("parse").join(".tmp-999-0"), b"partial").unwrap();
-        let entries = s.entries(Stage::Parse).unwrap();
+        s.save(Stage::Check, b"a", b"x").unwrap();
+        fs::write(s.root().join("check").join(".tmp-999-0"), b"partial").unwrap();
+        let entries = s.entries(Stage::Check).unwrap();
         assert_eq!(entries.len(), 1);
     }
 }

@@ -1,4 +1,4 @@
-//! Persistent content-addressed artifact store.
+//! Persistent content-addressed verdict store.
 //!
 //! The in-process [`ArtifactCache`] (in `funtal-driver`) keys parse,
 //! typecheck, lower, and compile artifacts on full content with stable
@@ -6,32 +6,25 @@
 //! below it: a disk-backed store so a *second process* (a `serve`
 //! restart, the next CI job) starts warm.
 //!
-//! Three layers:
+//! Only the work worth replaying is persisted: the FT typecheck
+//! *verdicts* of the check and compile stages. Parsing and lowering
+//! are cheaper to redo than to load, so they stay in memory. The store
+//! moves opaque byte payloads; the driver encodes each verdict as
+//! canonical type text and re-parses it on load.
 //!
-//! - [`wire`] — a hand-rolled, versioned binary encoding (`Writer` /
-//!   `Reader` / the [`Wire`] trait). No serde in the offline vendor
-//!   set, so every codec is explicit; decoding is total (never
-//!   panics) and every length is bounds-checked before allocation.
-//! - [`codec`] — [`Wire`] implementations for the `funtal-syntax`
-//!   vocabulary (terms, types, spans). Codecs for crate-private types
-//!   (`BcModule`) and downstream artifact structs live in their owning
-//!   crates against the same trait.
-//! - [`disk`] — [`DiskStore`]: atomic temp-file + rename writes, a
-//!   container header that stores the *full key* (so a 64-bit digest
-//!   collision can never serve a wrong artifact), checksums, per-stage
-//!   hit/miss/reject counters, and size-capped mtime-LRU eviction.
+//! [`disk`] holds [`DiskStore`]: atomic temp-file + rename writes, a
+//! container header that stores the *full key* (so a 64-bit digest
+//! collision can never serve a wrong artifact), checksums, per-stage
+//! hit/miss/reject counters, and size-capped mtime-LRU eviction.
 //!
 //! [`ArtifactCache`]: https://docs.rs/funtal-driver
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod disk;
-pub mod wire;
 
 pub use disk::{
     parse_container, ContainerError, DiskStore, EntryInfo, GcReport, Stage, StageDiskStats,
     StoreStats, FORMAT_VERSION,
 };
-pub use wire::{decode_from_slice, encode_to_vec, Reader, Wire, WireError, Writer};

@@ -99,7 +99,7 @@ pub fn hash_str(s: &str) -> u64 {
 }
 
 /// Hashes raw bytes. For `&str` input this agrees with [`hash_str`],
-/// so byte-keyed consumers (the persistent artifact store) report the
+/// so byte-keyed consumers (the persistent verdict store) report the
 /// same content addresses as the in-process caches.
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
     hash_bytes_from(FNV_OFFSET, bytes)

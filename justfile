@@ -68,7 +68,7 @@ lint-gate:
         examples/double_twice.ft examples/fact_t.ft \
         examples/fact.mf examples/poly.mf --deny warnings
 
-# Evict the local persistent artifact store down to its size cap
+# Evict the local persistent verdict store down to its size cap
 # (default ~/.cache/funtal-store at 256 MiB; override DIR/CAP to match
 # however you pointed --store-dir).
 store-gc DIR="~/.cache/funtal-store" CAP="268435456":
