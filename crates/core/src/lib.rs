@@ -16,7 +16,11 @@
 //!
 //! This crate provides the FT type system ([`check`], Fig 7), the
 //! boundary type/value translations ([`translate`], Figs 9–10), the
-//! mixed-language machine ([`machine`], Fig 8), the paper's mixed
+//! two FT machines — the Fig 8 substitution oracle ([`machine`]) and
+//! the fast machine ([`machine_fast`] for F, [`machine_bc`] for T) —
+//! the bytecode verifier ([`bc_verify`]), `funtal lint` ([`lint`]),
+//! exact fuel bounds that run the fast machine under a static loop
+//! gate ([`cost`]), the paper's mixed
 //! examples ([`figures`]: the JIT example of Fig 11, the two-block
 //! equivalence of Fig 16, the two factorials of Fig 17, and the push-7
 //! stack-modifying lambda of §4.2), and the §4.2 mutable-reference

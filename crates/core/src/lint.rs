@@ -15,7 +15,10 @@
 //!   data), and `constant-import` (a boundary crossing whose
 //!   marshalled value is statically constant);
 //! - **whole program**: `static-fuel-bound` reports the certified
-//!   fuel bound when [`crate::infer_fuel`] commits to one.
+//!   fuel bound when [`crate::infer_fuel`] commits to one — it runs
+//!   the program on the fast machine under the static loop gate, so
+//!   the bound is that machine's own fuel count and only programs
+//!   that enter no looping T module get one.
 //!
 //! Findings are [`normalize`]d — sorted by `(file, span, rule,
 //! message)` and deduplicated — so renderings are byte-stable

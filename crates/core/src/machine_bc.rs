@@ -41,6 +41,7 @@ use funtal_tal::error::{RResult, RuntimeError};
 use funtal_tal::machine::Memory;
 use funtal_tal::trace::{Event, Tracer};
 
+use crate::bc_verify::module_regions;
 use crate::machine::{FtOutcome, RunCfg};
 use crate::machine_fast::{
     ambient_root, ambient_span, lower_op, peel_count, Ctrl, Env, FastHeapVal, FastMem, FastOp,
@@ -597,14 +598,14 @@ fn frag_cells(heap: &HeapFrag) -> Vec<FragCell> {
         .collect()
 }
 
-pub(crate) fn lower_comp(comp: &TComp) -> BcModule {
+fn lower_comp(comp: &TComp) -> BcModule {
     lower_module(&comp.seq, &frag_cells(&comp.heap))
 }
 
 /// Lowers a renamed merge: the module is instance-specific (its labels
 /// embed the collision-renamed names), built from the already-renamed
 /// cells the merge left in the flat heap.
-pub(crate) fn lower_renamed(mem: &FastMem, entry: &InstrSeq, indices: &[u32]) -> BcModule {
+fn lower_renamed(mem: &FastMem, entry: &InstrSeq, indices: &[u32]) -> BcModule {
     let frag: Vec<FragCell> = indices
         .iter()
         .map(|&i| {
@@ -631,7 +632,7 @@ thread_local! {
     static BC_BLOCK_CACHE: RefCell<BlockModCache> = RefCell::new(HashMap::new());
 }
 
-pub(crate) fn single_block_module(hv: &Arc<HeapVal>) -> Arc<BcModule> {
+fn single_block_module(hv: &Arc<HeapVal>) -> Arc<BcModule> {
     let key = Arc::as_ptr(hv) as usize;
     BC_BLOCK_CACHE.with(|cache| {
         let mut cache = cache.borrow_mut();
@@ -708,6 +709,11 @@ pub(crate) struct BcState {
     /// hot words placed in the same slot by the allocator would evict
     /// each other on every return for the whole run.
     big_cache: [Option<(Arc<WordVal>, u32, u32)>; 4],
+    /// The static loop gate, set only by [`crate::cost::infer_fuel`]:
+    /// while set, every module the run instantiates must have a
+    /// loop-free static CFG. Memoized per module; holding the module's
+    /// `Arc` rules out a reused address aliasing an old verdict.
+    pub(crate) loop_gate: Option<HashMap<usize, (Arc<BcModule>, bool)>>,
 }
 
 impl BcState {
@@ -731,8 +737,43 @@ impl BcState {
                 .iter()
                 .map(|(c, m)| (Arc::as_ptr(c) as usize, (Arc::downgrade(c), m.clone())))
                 .collect(),
-            big_cache: Default::default(),
+            ..BcState::default()
         }
+    }
+
+    /// Admits a module about to be instantiated: always, unless the
+    /// loop gate is set — one branch per instantiation otherwise.
+    #[inline]
+    fn admit(&mut self, m: &Arc<BcModule>) -> RResult<()> {
+        match &mut self.loop_gate {
+            None => Ok(()),
+            Some(memo) => admit_loop_free(memo, m),
+        }
+    }
+}
+
+/// The loop gate's test: the module's static CFG, rooted at the entry
+/// region and every externally enterable block, has no back edge
+/// (data-dependent trip counts are not statically bounded). A refused
+/// module stops the run.
+#[cold]
+fn admit_loop_free(
+    memo: &mut HashMap<usize, (Arc<BcModule>, bool)>,
+    m: &Arc<BcModule>,
+) -> RResult<()> {
+    let (_, loop_free) = memo.entry(Arc::as_ptr(m) as usize).or_insert_with(|| {
+        let loop_free = module_regions(m).is_ok_and(|r| {
+            let roots: Vec<usize> = (0..r.enterable.len()).filter(|&i| r.enterable[i]).collect();
+            r.cfg.is_loop_free_from(&roots)
+        });
+        (m.clone(), loop_free)
+    });
+    if *loop_free {
+        Ok(())
+    } else {
+        Err(RuntimeError::Stuck(
+            "loop gate: module has a static back edge".to_owned(),
+        ))
     }
 }
 
@@ -779,13 +820,14 @@ impl Machine<'_> {
         comp: &Arc<TComp>,
         env: &Env,
         merge: MergeOutcome,
-    ) -> BcCtrl {
+    ) -> RResult<BcCtrl> {
         let module = match &merge.renamed_entry {
             Some(entry) => Arc::new(lower_renamed(&self.mem, entry, &merge.indices)),
             None => self.bc.module_for(comp),
         };
+        self.bc.admit(&module)?;
         let inst = bind_instance(&mut self.mem, module, merge.indices, env.clone());
-        BcCtrl { inst, pc: 0 }
+        Ok(BcCtrl { inst, pc: 0 })
     }
 
     /// The dispatch loop entry: monomorphizes on the trace flag so the
@@ -1465,6 +1507,7 @@ impl Machine<'_> {
                 // First cross-fragment entry into an unbound cell:
                 // lower (or fetch) its single-block module and bind.
                 let module = single_block_module(&hv);
+                self.bc.admit(&module)?;
                 let inst2 = Rc::new(BcInstance {
                     module,
                     labels: Vec::new(),
@@ -1677,16 +1720,22 @@ pub fn run_prelowered(
     cfg: RunCfg,
     tracer: &mut dyn Tracer,
 ) -> RResult<FtOutcome> {
-    let mem = Memory::new();
-    let fmem = FastMem::from_memory(&mem);
-    let mut machine = Machine {
-        mem: fmem,
+    prelowered_machine(lp, cfg, tracer).run(Ctrl::Eval(lp.iexpr.clone(), Env::default()))
+}
+
+/// A fresh-memory machine whose module table is seeded from `lp`.
+pub(crate) fn prelowered_machine<'t>(
+    lp: &LoweredProgram,
+    cfg: RunCfg,
+    tracer: &'t mut dyn Tracer,
+) -> Machine<'t> {
+    Machine {
+        mem: FastMem::from_memory(&Memory::new()),
         frames: Vec::new(),
         fuel: cfg.fuel,
         guard: cfg.guard,
         trace: tracer.enabled(),
         tracer,
         bc: BcState::seeded(&lp.modules),
-    };
-    machine.run(Ctrl::Eval(lp.iexpr.clone(), Env::default()))
+    }
 }

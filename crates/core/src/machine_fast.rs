@@ -543,8 +543,8 @@ pub enum FastVal {
 /// free variables are looked up in.
 #[derive(Debug)]
 pub struct Closure {
-    pub(crate) lam: IExpr,
-    pub(crate) env: Env,
+    lam: IExpr,
+    env: Env,
 }
 
 #[derive(Debug)]
@@ -656,7 +656,7 @@ type LamParts<'a> = (
     &'a IExpr,
 );
 
-pub(crate) fn lam_parts(lam: &IExpr) -> LamParts<'_> {
+fn lam_parts(lam: &IExpr) -> LamParts<'_> {
     let IKind::Lam {
         params,
         zeta,
@@ -710,7 +710,7 @@ fn reify_closure(c: &Closure) -> FExpr {
 /// `ᵗℱ𝒯(v, M)` over the fast memory, mirroring
 /// [`crate::translate::f_to_t`] (including allocation order, so labels
 /// coincide between strategies).
-pub(crate) fn f_to_t_fast(mem: &mut FastMem, v: &FastVal, ty: &FTy) -> RResult<TWord> {
+fn f_to_t_fast(mem: &mut FastMem, v: &FastVal, ty: &FTy) -> RResult<TWord> {
     match (v, ty) {
         (FastVal::Int(n), FTy::Int) => Ok(TWord::Int(*n)),
         (FastVal::Unit, FTy::Unit) => Ok(TWord::Unit),
@@ -778,7 +778,7 @@ pub(crate) fn f_to_t_fast(mem: &mut FastMem, v: &FastVal, ty: &FTy) -> RResult<T
 
 /// `τℱ𝒯(w, M)` over the fast memory, mirroring
 /// [`crate::translate::t_to_f`].
-pub(crate) fn t_to_f_fast(mem: &mut FastMem, w: &TWord, ty: &FTy) -> RResult<FastVal> {
+fn t_to_f_fast(mem: &mut FastMem, w: &TWord, ty: &FTy) -> RResult<FastVal> {
     match (w, ty) {
         (TWord::Int(n), FTy::Int) => Ok(FastVal::Int(*n)),
         (TWord::Unit, FTy::Unit) => Ok(FastVal::Unit),
@@ -1019,7 +1019,7 @@ impl Machine<'_> {
                     }
                     self.mem.merge_fragment(comp, &env)
                 };
-                let t = self.boundary_ctrl(comp, &env, merge);
+                let t = self.boundary_ctrl(comp, &env, merge)?;
                 self.frames.push(Frame::BoundaryT { ty: ty.clone() });
                 Ctrl::T(t)
             }

@@ -1,13 +1,18 @@
 //! Certification of static fuel-bound inference against the profiler.
 //!
-//! [`funtal::infer_fuel`] claims *exactness*: when it returns
-//! [`FuelBound::Exact(n)`], the program consumes precisely `n` fuel.
-//! This suite holds it to that claim on three fronts:
+//! [`funtal::infer_fuel`] runs the program on the fast machine — one of
+//! FT's two machines, next to the Fig 8 oracle — under a static loop
+//! gate that refuses every T module with a back edge the run enters,
+//! and claims *exactness*: when it returns [`FuelBound::Exact(n)`],
+//! the program consumes precisely `n` fuel (the budget is 1 000 000
+//! fuel). This suite holds it to that claim on three fronts:
 //!
 //! 1. every loop-free paper figure gets an `Exact` bound equal to the
 //!    dynamically measured total of the span profiler (which is itself
-//!    certified equal to the minimal sufficient fuel);
-//! 2. programs with static T loops (the Fig 17 T factorial, the
+//!    certified equal to the minimal sufficient fuel) — including a
+//!    program that holds a looping module on a branch it never takes,
+//!    since the gate judges the modules entered, not those present;
+//! 2. programs that enter static T loops (the Fig 17 T factorial, the
 //!    compiled MiniF programs) are refused with `Unknown` — never a
 //!    wrong number;
 //! 3. on a generated corpus, *whenever* inference commits to `Exact`
@@ -92,6 +97,13 @@ fn loop_free_figures() -> Vec<(String, FExpr)> {
         "mutref_cell_demo".to_string(),
         funtal::mutref::cell_demo(-3, 3),
     ));
+    // The gate judges the modules a run enters, not the modules
+    // present: the looping factT component sits on the branch not
+    // taken, so only the if0 is charged.
+    out.push((
+        "if0 0 {7} {factT(6)}".to_string(),
+        if0(fint_e(0), fint_e(7), app(fig17_fact_t(), vec![fint_e(6)])),
+    ));
     out
 }
 
@@ -130,6 +142,12 @@ fn t_loops_are_refused() {
             "factT({n}): a looping module must not get a static bound"
         );
     }
+    let e = if0(fint_e(1), fint_e(7), app(fig17_fact_t(), vec![fint_e(6)]));
+    assert_eq!(
+        infer_fuel(&prelower(&e)),
+        FuelBound::Unknown,
+        "if0 1 {{7}} {{factT(6)}}: the taken branch enters a looping module"
+    );
 }
 
 /// Generated-corpus certification: the same generators as the

@@ -14,12 +14,7 @@
 //! The in-process maps key on the **full content** (a cache must never
 //! serve another program's artifact, so a 64-bit digest alone is not a
 //! key — a long-lived `funtal serve` would turn a digest collision
-//! into a silently wrong answer). The FNV-1a digests of
-//! [`funtal_syntax::hash`] remain the stage's *content addresses* —
-//! [`source_key`]/[`term_key`]/[`compile_key`] expose them for
-//! reporting, distinct-key accounting in tests, and any future
-//! persistent or distributed tier, and `IExpr::stable_hash` memoizes
-//! the same term digest at the intern layer.
+//! into a silently wrong answer).
 //!
 //! Keying the typecheck stage on the *term* rather than the source
 //! means two differently-formatted sources of the same program share
@@ -66,10 +61,6 @@
 //! are written through (errors are not stored), so a second process
 //! pointed at the same `--store-dir` skips every typecheck the first
 //! one ran.
-//!
-//! [`source_key`]: ArtifactCache::source_key
-//! [`term_key`]: ArtifactCache::term_key
-//! [`compile_key`]: ArtifactCache::compile_key
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -77,7 +68,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use funtal_store::{DiskStore, Stage, StoreStats};
-use funtal_syntax::hash::{hash_fexpr, StableHasher};
 use funtal_syntax::span::SpanTable;
 use funtal_syntax::{FExpr, FTy};
 
@@ -304,29 +294,6 @@ impl ArtifactCache {
         self.store.as_ref().map(|s| s.stats())
     }
 
-    /// The 64-bit content address of a source text (reporting and
-    /// persistent tiers; the in-process map keys on the text itself).
-    pub fn source_key(src: &str) -> u64 {
-        funtal_syntax::hash::hash_str(src)
-    }
-
-    /// The 64-bit content address of a parsed term — the digest of its
-    /// canonical rendering, identical to what
-    /// `funtal_syntax::intern::IExpr::stable_hash` memoizes.
-    pub fn term_key(e: &FExpr) -> u64 {
-        hash_fexpr(e)
-    }
-
-    /// The 64-bit content address of a MiniF compilation:
-    /// source ⊕ codegen options.
-    pub fn compile_key(src: &str, tail_call_opt: bool) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_field("minif");
-        h.write_field(src);
-        h.write_u64(tail_call_opt as u64);
-        h.finish()
-    }
-
     /// The parse artifact for a source, from cache or `compute`. The
     /// artifact carries the term's canonical rendering, so downstream
     /// typecheck lookups ([`check_keyed`](ArtifactCache::check_keyed))
@@ -523,19 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn term_key_agrees_with_interned_stable_hash() {
-        // The content address of a term must match what the intern
-        // layer memoizes (`IExpr::stable_hash`), so a future interned
-        // pipeline can swap the memoized digest in without
-        // invalidating any recorded cache addresses.
-        let e = funtal_parser::parse_fexpr("(lam[z](x: int). x + 1)(41)").unwrap();
-        assert_eq!(
-            ArtifactCache::term_key(&e),
-            funtal_syntax::intern::IExpr::from_fexpr(&e).stable_hash()
-        );
-    }
-
-    #[test]
     fn colliding_digests_cannot_alias_entries() {
         // Full-key maps: even if two sources shared a 64-bit digest,
         // the cache must keep them separate. (We cannot forge an FNV
@@ -594,17 +548,5 @@ mod tests {
         let again = cache.lower_keyed(&key, || panic!("expected a verified hit"));
         assert!(funtal::verify_lowered(&again).is_ok());
         assert_eq!(cache.stats().lower.rejects, 1);
-    }
-
-    #[test]
-    fn term_key_ignores_formatting() {
-        // Differently formatted sources, same parsed term, same key.
-        let a = funtal_parser::parse_fexpr("1 + 2").unwrap();
-        let b = funtal_parser::parse_fexpr("  1   +   2 ").unwrap();
-        assert_eq!(ArtifactCache::term_key(&a), ArtifactCache::term_key(&b));
-        assert_ne!(
-            ArtifactCache::source_key("1 + 2"),
-            ArtifactCache::source_key("  1   +   2 ")
-        );
     }
 }

@@ -62,9 +62,10 @@ fn eight_workers_match_sequential_byte_for_byte() {
     // typecheck stage sees one fewer distinct key than the parse stage.
     let distinct_terms = {
         let p = Pipeline::new();
-        let keys: std::collections::BTreeSet<u64> = corpus()
+        // The check cache's key: the parsed term's canonical rendering.
+        let keys: std::collections::BTreeSet<String> = corpus()
             .iter()
-            .map(|(_, src)| funtal_driver::ArtifactCache::term_key(&p.parse(src).unwrap()))
+            .map(|(_, src)| p.parse(src).unwrap().to_string())
             .collect();
         keys.len() as u64
     };

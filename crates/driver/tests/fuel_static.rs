@@ -1,13 +1,14 @@
 //! The compiled-MiniF half of the static fuel-bound certification.
 //!
 //! `crates/core/tests/fuel_bounds.rs` certifies [`funtal::infer_fuel`]
-//! against the span profiler on every loop-free paper figure; this
-//! suite extends the same exactness claim across the §6 compiler: for
-//! the loop-free `examples/poly.mf`, the statically inferred bound of
-//! every compiled call equals the profiler's dynamically measured
-//! total *exactly*, while the recursive `examples/fact.mf` is refused
-//! with `Unknown` (its compiled T code has back edges), never
-//! mis-measured.
+//! — a fast-machine run under a static loop gate, with a 1 000 000-fuel
+//! budget — against the span profiler on every loop-free paper figure;
+//! this suite extends the same exactness claim across the §6 compiler:
+//! for the loop-free `examples/poly.mf`, the inferred bound of every
+//! compiled call equals the profiler's dynamically measured total
+//! *exactly*, while the recursive `examples/fact.mf` is refused with
+//! `Unknown` (the gate refuses its compiled T code, which has back
+//! edges), never mis-measured.
 
 use std::path::Path;
 use std::sync::Arc;

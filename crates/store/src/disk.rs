@@ -472,10 +472,12 @@ pub fn parse_container(
     let checksum = u64::from_le_bytes(bytes[7..15].try_into().expect("8 bytes"));
     let key_len = u64::from_le_bytes(bytes[15..23].try_into().expect("8 bytes"));
     let rest = &bytes[23..];
-    let key_len = usize::try_from(key_len).map_err(|_| ContainerError::BadLength)?;
-    if rest.len() < key_len + 8 {
-        return Err(ContainerError::BadLength);
-    }
+    // `key_len` comes from the file: an absurd value must reject, not
+    // overflow.
+    let key_len = usize::try_from(key_len)
+        .ok()
+        .filter(|&n| n.checked_add(8).is_some_and(|end| end <= rest.len()))
+        .ok_or(ContainerError::BadLength)?;
     let key = &rest[..key_len];
     let pay_len = u64::from_le_bytes(rest[key_len..key_len + 8].try_into().expect("8 bytes"));
     let payload = &rest[key_len + 8..];
@@ -649,6 +651,23 @@ mod tests {
         assert_eq!(report.removed, 0);
         assert_eq!(report.examined, 1);
         assert!(report.bytes_before > 0);
+    }
+
+    #[test]
+    fn huge_key_lengths_reject_without_panicking() {
+        let s = temp_store("keylen", 0);
+        s.save(Stage::Check, b"k", b"artifact").unwrap();
+        let good = fs::read(s.entry_path(Stage::Check, b"k")).unwrap();
+        let rest_len = good.len() - 23;
+        for key_len in [u64::MAX - 3, usize::MAX as u64 - 7, rest_len as u64 - 7] {
+            let mut bytes = good.clone();
+            bytes[15..23].copy_from_slice(&key_len.to_le_bytes());
+            assert_eq!(
+                parse_container(&bytes, None, None),
+                Err(ContainerError::BadLength),
+                "key_len {key_len}"
+            );
+        }
     }
 
     #[test]

@@ -123,14 +123,6 @@ fn tcomp_sets(comp: &TComp) -> (FvSet<VarName>, FvSet<TyVar>) {
     (fv, ftv)
 }
 
-// Stable content hashes of interned nodes, keyed by `Arc` identity and
-// validated by upgrading the stored weak handle. Shared artifacts (the
-// batch engine hands the same `Arc`-interned term to many workers) hash
-// once per thread instead of once per job.
-thread_local! {
-    static HASH_MEMO: RefCell<HashMap<usize, (Weak<INode>, u64)>> = RefCell::new(HashMap::new());
-}
-
 /// The node forms of an interned F expression, mirroring [`FExpr`].
 #[derive(Clone, Debug)]
 pub enum IKind {
@@ -266,41 +258,6 @@ impl IExpr {
             IKind::Tuple(es) => es.iter().all(IExpr::is_value),
             _ => false,
         }
-    }
-
-    /// The stable content address of the expression (see
-    /// [`crate::hash`]): equal to [`crate::hash::hash_fexpr`] of the
-    /// plain tree — the same digest the driver's `ArtifactCache`
-    /// reports as `term_key` — memoized per shared node, so an
-    /// interned artifact shared across many jobs hashes once per
-    /// thread instead of re-rendering per use. This is the hook for
-    /// interned pipeline stages and persistent cache tiers; the
-    /// in-process batch cache keys on full content and uses the digest
-    /// for accounting.
-    pub fn stable_hash(&self) -> u64 {
-        let key = Arc::as_ptr(&self.0) as usize;
-        HASH_MEMO.with(|memo| {
-            let mut memo = memo.borrow_mut();
-            if let Some((weak, h)) = memo.get(&key) {
-                if let Some(live) = weak.upgrade() {
-                    if Arc::ptr_eq(&live, &self.0) {
-                        return *h;
-                    }
-                }
-            }
-            let h = crate::hash::hash_fexpr(&self.to_fexpr());
-            if memo.len() >= 4096 {
-                memo.retain(|_, (w, _)| w.upgrade().is_some());
-                // All live: retaining freed nothing, and doing the
-                // O(n) scan again on every insert would make the memo
-                // quadratic. Drop it wholesale — it is only a cache.
-                if memo.len() >= 4096 {
-                    memo.clear();
-                }
-            }
-            memo.insert(key, (Arc::downgrade(&self.0), h));
-            h
-        })
     }
 
     /// Interns a plain F expression, computing the cached sets
@@ -798,20 +755,6 @@ mod tests {
         let map = BTreeMap::from([(VarName::new("x"), IExpr::from_fexpr(&fint_e(7)))]);
         let out = subst_ivars(&e, &map);
         assert!(Arc::ptr_eq(&e.0, &out.0));
-    }
-
-    #[test]
-    fn stable_hash_matches_plain_hash_and_memoizes() {
-        let e = app(
-            lam(vec![("x", fint())], fadd(var("x"), fint_e(1))),
-            vec![fint_e(41)],
-        );
-        let i = IExpr::from_fexpr(&e);
-        assert_eq!(i.stable_hash(), crate::hash::hash_fexpr(&e));
-        // Second call hits the memo and must agree.
-        assert_eq!(i.stable_hash(), crate::hash::hash_fexpr(&e));
-        // A structurally equal but separately interned term hashes equal.
-        assert_eq!(IExpr::from_fexpr(&e).stable_hash(), i.stable_hash());
     }
 
     #[test]
