@@ -210,42 +210,10 @@ fn boundary_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// `Subst::apply` over interned terms: thanks to the cached
-/// free-type-variable sets, applying a substitution to a *closed* term
-/// is O(1) — one disjointness probe and an `Arc` bump — regardless of
-/// term size. The three sizes here must bench flat.
-fn subst_apply(c: &mut Criterion) {
-    use funtal_syntax::intern::IExpr;
-    use funtal_syntax::subst::Subst;
-    use funtal_syntax::{Inst, TTy, TyVar};
-
-    let mut g = c.benchmark_group("subst_apply");
-    for size in [64usize, 512, 4096] {
-        // A deep, closed integer expression: (…((1+1)+1)…+1).
-        let mut e = fint_e(1);
-        for _ in 0..size {
-            e = fadd(e, fint_e(1));
-        }
-        let interned = IExpr::from_fexpr(&e);
-        assert!(interned.is_ty_closed());
-        let s = Subst::one(TyVar::new("z"), Inst::Ty(TTy::Int));
-        g.bench_with_input(BenchmarkId::new("closed", size), &size, |b, _| {
-            b.iter(|| s.apply(&interned))
-        });
-        // Contrast: the plain-tree substitution walks (and clones) the
-        // whole term even though nothing can change.
-        g.bench_with_input(BenchmarkId::new("plain_tree", size), &size, |b, _| {
-            b.iter(|| s.fexpr(&e))
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     typecheck_scaling,
     machine_throughput,
-    boundary_overhead,
-    subst_apply
+    boundary_overhead
 );
 criterion_main!(benches);

@@ -27,10 +27,9 @@
 //! `--speedup BASE:CUR:FACTOR` additionally asserts a cross-row
 //! speedup: the `CUR` row of `CURRENT` must be at least `FACTOR`×
 //! faster than the `BASE` row of `BASELINE` (after machine-speed
-//! calibration). This is how the bytecode VM's headline claim —
-//! `fib_steady/bytecode/24` ≥ 2.5× over the frozen compiled-cursor
-//! `fib_steady/compiled/24` row of the baseline — is pinned in CI
-//! rather than in prose.
+//! calibration). Passing one snapshot as both files compares two rows
+//! of the same run; CI pins the fast machine's lead over the Fig 8
+//! oracle (`strategy_ablation/{substitution,environment}/12`) that way.
 //!
 //! `--min-abs-us N` (default 10) is the absolute-time noise floor: a
 //! gated row whose baseline **and** current medians are both under N

@@ -688,16 +688,15 @@ fn reify_val(v: &FastVal) -> FExpr {
 
 fn reify_closure(c: &Closure) -> FExpr {
     let (params, zeta, phi_in, phi_out, body) = lam_parts(&c.lam);
-    let mut map: BTreeMap<VarName, FExpr> = BTreeMap::new();
-    for x in body.free_vars() {
-        if params.iter().any(|(p, _)| p == x) {
-            continue;
-        }
-        if let Some(v) = c.env.lookup(x) {
-            map.insert(x.clone(), reify_val(v));
-        }
+    let mut body_f = body.to_fexpr();
+    if !c.env.is_empty() {
+        let map: BTreeMap<VarName, FExpr> = funtal_syntax::free::fv_fexpr(&body_f)
+            .into_iter()
+            .filter(|x| !params.iter().any(|(p, _)| p == x))
+            .filter_map(|x| c.env.lookup(&x).map(reify_val).map(|v| (x, v)))
+            .collect();
+        body_f = subst_fvars(&body_f, &map);
     }
-    let body_f = subst_fvars(&body.to_fexpr(), &map);
     FExpr::Lam(Box::new(Lam {
         params: params.to_vec(),
         zeta: zeta.clone(),

@@ -119,7 +119,44 @@ fn figure_programs() -> Vec<(String, Component)> {
         "fig3_pure_T".to_string(),
         Component::T(funtal_tal::figures::fig3_call_to_call()),
     ));
+    out.push(("capturing_closure".to_string(), capturing_closure()));
+    out.push((
+        "capturing_closure_called_in_T".to_string(),
+        capturing_closure_called_in_t(),
+    ));
     out
+}
+
+/// `(lam[za](x: int). lam[zb](y: int). x + y)(1)`: the value is a
+/// closure whose body refers to its environment, so reifying it must
+/// substitute `x`.
+fn capturing_closure() -> Component {
+    let inner = lam_z(vec![("y", fint())], "zb", fadd(var("x"), var("y")));
+    Component::F(app(
+        lam_z(vec![("x", fint())], "za", inner),
+        vec![fint_e(1)],
+    ))
+}
+
+/// Figure 11's compiled `f` applied to a `g` that captures `k = 5`:
+/// `g` crosses into T at an arrow type, so the boundary reifies the
+/// closure into a glue block, and T calls it (`h(5) = 10`).
+fn capturing_closure_called_in_t() -> Component {
+    let FExpr::App {
+        func: compiled_f, ..
+    } = fig11_jit()
+    else {
+        unreachable!("Figure 11 is an application")
+    };
+    let g = lam_z(
+        vec![("h", arrow(vec![fint()], fint()))],
+        "zg",
+        app(var("h"), vec![var("k")]),
+    );
+    Component::F(app(
+        lam_z(vec![("k", fint())], "zk", app(*compiled_f, vec![g])),
+        vec![fint_e(5)],
+    ))
 }
 
 #[test]

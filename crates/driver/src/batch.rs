@@ -282,49 +282,54 @@ impl Job {
         Ok(Job { id, kind })
     }
 
-    /// Parses a JSON-lines job stream (blank lines and `#` comment
-    /// lines are skipped; ids default to the 1-based line number).
+    /// Parses one line of a JSON-lines job stream; `lineno` is 1-based
+    /// and names the fallback id. Blank lines and `#` comment lines
+    /// give `None`.
     ///
-    /// Never fails: a malformed line becomes a [`JobKind::Invalid`]
-    /// job that executes to its own per-line error result, so one
-    /// poison line mid-stream cannot abort the jobs after it. The
-    /// invalid job echoes the line's `id` field when one is readable,
-    /// and preserves the rejecting error's stage and message so the
-    /// result line renders the diagnostic verbatim.
-    pub fn parse_jsonl(text: &str) -> Vec<Job> {
-        let mut jobs = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let fallback = format!("job{}", lineno + 1);
-            let job = match Json::parse(line) {
-                Err(e) => Job {
-                    id: fallback,
-                    kind: JobKind::Invalid {
-                        stage: "driver",
-                        message: format!("jobs line {}: {e}", lineno + 1),
-                    },
-                },
-                Ok(v) => match Job::from_json(&v, &fallback) {
-                    Ok(job) => job,
-                    Err(e) => Job {
-                        id: match v.get("id") {
-                            Some(Json::Str(s)) => s.clone(),
-                            Some(Json::Int(n)) => n.to_string(),
-                            _ => fallback,
-                        },
-                        kind: JobKind::Invalid {
-                            stage: e.stage(),
-                            message: e.message(),
-                        },
-                    },
-                },
-            };
-            jobs.push(job);
+    /// Never fails otherwise: a malformed line becomes a
+    /// [`JobKind::Invalid`] job that executes to its own per-line error
+    /// result, so one poison line mid-stream cannot abort the jobs after
+    /// it. The invalid job echoes the line's `id` field when one is
+    /// readable, and preserves the rejecting error's stage and message
+    /// so the result line renders the diagnostic verbatim. `batch` job
+    /// files and `serve`'s stdin both go through here.
+    pub fn parse_line(line: &str, lineno: usize) -> Option<Job> {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return None;
         }
-        jobs
+        let fallback = format!("job{lineno}");
+        Some(match Json::parse(line) {
+            Err(e) => Job {
+                id: fallback,
+                kind: JobKind::Invalid {
+                    stage: "driver",
+                    message: format!("jobs line {lineno}: {e}"),
+                },
+            },
+            Ok(v) => match Job::from_json(&v, &fallback) {
+                Ok(job) => job,
+                Err(e) => Job {
+                    id: match v.get("id") {
+                        Some(Json::Str(s)) => s.clone(),
+                        Some(Json::Int(n)) => n.to_string(),
+                        _ => fallback,
+                    },
+                    kind: JobKind::Invalid {
+                        stage: e.stage(),
+                        message: e.message(),
+                    },
+                },
+            },
+        })
+    }
+
+    /// Parses a whole JSON-lines job stream with [`Job::parse_line`].
+    pub fn parse_jsonl(text: &str) -> Vec<Job> {
+        text.lines()
+            .enumerate()
+            .filter_map(|(i, line)| Job::parse_line(line, i + 1))
+            .collect()
     }
 }
 

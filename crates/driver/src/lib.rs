@@ -53,7 +53,8 @@ use funtal_syntax::alpha::alpha_eq_fty;
 use funtal_syntax::build::{app, fint_e};
 use funtal_syntax::span::SpanTable;
 use funtal_syntax::{Component, FExpr, FTy};
-use funtal_tal::trace::{CountTracer, Tracer, VecTracer};
+use funtal_tal::error::RResult;
+use funtal_tal::trace::{CountTracer, VecTracer};
 use funtal_tal::{Profiler, RootLang};
 
 pub use batch::{Batch, BatchReport, Job, JobKind, JobOutcome, JobSuccess};
@@ -291,14 +292,7 @@ impl Pipeline {
     /// Type-checks and evaluates an FT expression with step counting.
     pub fn run(&self, e: &FExpr) -> Result<RunReport, FunTalError> {
         let ty = self.check(e)?;
-        let mut counts = CountTracer::new();
-        let outcome = run_fexpr(e, self.run_cfg(), &mut counts)?;
-        Ok(RunReport {
-            ty,
-            outcome,
-            counts,
-            fuel: self.fuel,
-        })
+        self.run_prechecked(e, ty)
     }
 
     /// Parse + typecheck + evaluate in one step.
@@ -315,14 +309,7 @@ impl Pipeline {
     /// The caller is responsible for `ty` actually being the type of
     /// `e` (the cache guarantees this: the key is the term itself).
     pub fn run_prechecked(&self, e: &FExpr, ty: FTy) -> Result<RunReport, FunTalError> {
-        let mut counts = CountTracer::new();
-        let outcome = run_fexpr(e, self.run_cfg(), &mut counts)?;
-        Ok(RunReport {
-            ty,
-            outcome,
-            counts,
-            fuel: self.fuel,
-        })
+        self.run_counted(ty, |cfg, counts| run_fexpr(e, cfg, counts))
     }
 
     /// Evaluates a pre-lowered bytecode program whose type is already
@@ -337,8 +324,19 @@ impl Pipeline {
         lowered: &LoweredProgram,
         ty: FTy,
     ) -> Result<RunReport, FunTalError> {
+        self.run_counted(ty, |cfg, counts| {
+            funtal::run_prelowered(lowered, cfg, counts)
+        })
+    }
+
+    /// Runs `run` under a step-counting tracer.
+    fn run_counted(
+        &self,
+        ty: FTy,
+        run: impl FnOnce(RunCfg, &mut CountTracer) -> RResult<FtOutcome>,
+    ) -> Result<RunReport, FunTalError> {
         let mut counts = CountTracer::new();
-        let outcome = funtal::run_prelowered(lowered, self.run_cfg(), &mut counts)?;
+        let outcome = run(self.run_cfg(), &mut counts)?;
         Ok(RunReport {
             ty,
             outcome,
@@ -363,21 +361,7 @@ impl Pipeline {
         ty: FTy,
         spans: Arc<SpanTable>,
     ) -> Result<ProfileReport, FunTalError> {
-        let mut profiler = Profiler::new(spans.clone(), RootLang::F);
-        let outcome = {
-            let _scope = SpanScope::install(spans);
-            run_fexpr(e, self.run_cfg(), &mut profiler)?
-        };
-        let counts = profiler.counts;
-        Ok(ProfileReport {
-            run: RunReport {
-                ty,
-                outcome,
-                counts,
-                fuel: self.fuel,
-            },
-            profiler,
-        })
+        self.profile_with(ty, spans, |cfg, profiler| run_fexpr(e, cfg, profiler))
     }
 
     /// Profiles a pre-lowered bytecode program — the fast machine's
@@ -391,10 +375,23 @@ impl Pipeline {
         ty: FTy,
         spans: Arc<SpanTable>,
     ) -> Result<ProfileReport, FunTalError> {
+        self.profile_with(ty, spans, |cfg, profiler| {
+            funtal::run_prelowered(lowered, cfg, profiler)
+        })
+    }
+
+    /// Runs `run` under a [`Profiler`] over `spans`, with the span
+    /// scope installed for the duration.
+    fn profile_with(
+        &self,
+        ty: FTy,
+        spans: Arc<SpanTable>,
+        run: impl FnOnce(RunCfg, &mut Profiler) -> RResult<FtOutcome>,
+    ) -> Result<ProfileReport, FunTalError> {
         let mut profiler = Profiler::new(spans.clone(), RootLang::F);
         let outcome = {
             let _scope = SpanScope::install(spans);
-            funtal::run_prelowered(lowered, self.run_cfg(), &mut profiler)?
+            run(self.run_cfg(), &mut profiler)?
         };
         let counts = profiler.counts;
         Ok(ProfileReport {
@@ -496,18 +493,6 @@ impl Pipeline {
         );
         funtal::normalize(&mut diags);
         Ok(diags)
-    }
-
-    /// Like [`run`](Pipeline::run), with a caller-supplied tracer
-    /// observing every machine event.
-    pub fn run_with_tracer(
-        &self,
-        e: &FExpr,
-        tracer: &mut dyn Tracer,
-    ) -> Result<(FTy, FtOutcome), FunTalError> {
-        let ty = self.check(e)?;
-        let outcome = run_fexpr(e, self.run_cfg(), tracer)?;
-        Ok((ty, outcome))
     }
 
     // --- stage 6: trace / equiv reporting ---------------------------------

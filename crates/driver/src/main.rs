@@ -620,35 +620,11 @@ fn cmd_serve(o: &Opts) -> Result<(), FunTalError> {
             break; // EOF: client hung up.
         }
         lineno += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        let Some(job) = Job::parse_line(&line, lineno) else {
             continue;
-        }
-        served += 1;
-        // Fallback ids use the 1-based input line number, exactly as
-        // `Job::parse_jsonl` does for batch job files.
-        let fallback = format!("job{lineno}");
-        let parsed = funtal_driver::json::Json::parse(trimmed)
-            .map_err(|e| FunTalError::driver(format!("bad job line: {e}")));
-        // Even when the job is invalid, echo the client's own id if
-        // one was given — clients correlate replies by id.
-        let reply_id = parsed
-            .as_ref()
-            .ok()
-            .and_then(|v| match v.get("id") {
-                Some(funtal_driver::json::Json::Str(s)) => Some(s.clone()),
-                Some(funtal_driver::json::Json::Int(n)) => Some(n.to_string()),
-                _ => None,
-            })
-            .unwrap_or_else(|| fallback.clone());
-        let outcome = match parsed.and_then(|v| Job::from_json(&v, &fallback)) {
-            Ok(job) => engine.run_job(&job),
-            Err(e) => funtal_driver::JobOutcome {
-                id: reply_id,
-                cmd: "serve",
-                result: Err(e),
-            },
         };
+        served += 1;
+        let outcome = engine.run_job(&job);
         if outcome.result.is_err() {
             failed += 1;
         }

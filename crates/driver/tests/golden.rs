@@ -223,6 +223,14 @@ const CASES: &[Case] = &[
         stdin: Some(include_str!("golden/jobs.jsonl")),
         pre_clean: None,
     },
+    // serve over the poison corpus: its result lines must match
+    // `batch_jobs_poison`'s (see `serve_and_batch_render_poison_alike`).
+    Case {
+        name: "serve_poison",
+        args: &["serve"],
+        stdin: Some(include_str!("golden/jobs_poison.jsonl")),
+        pre_clean: None,
+    },
     // The persistent tier, as a cross-process sequence over one shared
     // store directory. Cold: every typecheck computes and writes its
     // verdict through (the summary's "store" block shows only misses).
@@ -410,4 +418,22 @@ fn all_examples_are_covered() {
         uncovered.is_empty(),
         "examples without golden coverage: {uncovered:?}"
     );
+}
+
+/// `serve` and `batch` share one per-line job parser, so a malformed
+/// line renders as the same `"cmd":"invalid"` result in both (the two
+/// snapshots differ only in where the summary goes).
+#[test]
+fn serve_and_batch_render_poison_alike() {
+    let results = |name: &str| -> Vec<String> {
+        std::fs::read_to_string(golden_dir().join(format!("{name}.golden")))
+            .expect("reading golden")
+            .lines()
+            .filter(|l| l.starts_with("{\"id\""))
+            .map(str::to_string)
+            .collect()
+    };
+    let batch = results("batch_jobs_poison");
+    assert_eq!(batch.len(), 5);
+    assert_eq!(results("serve_poison"), batch);
 }

@@ -372,13 +372,6 @@ pub fn ftv_seq(seq: &InstrSeq) -> BTreeSet<TyVar> {
     out
 }
 
-/// Free type variables of a heap value.
-pub fn ftv_heap_val(h: &HeapVal) -> BTreeSet<TyVar> {
-    let mut out = BTreeSet::new();
-    go_heap_val(h, &mut Scope::default(), &mut out);
-    out
-}
-
 /// Free type variables of a component.
 pub fn ftv_component(c: &Component) -> BTreeSet<TyVar> {
     match c {
@@ -459,14 +452,6 @@ pub fn fv_fexpr(e: &FExpr) -> BTreeSet<VarName> {
 pub fn fv_tcomp(c: &TComp) -> BTreeSet<VarName> {
     let mut out = BTreeSet::new();
     go_fv_tcomp(c, &mut Vec::new(), &mut out);
-    out
-}
-
-/// Free F term variables of an instruction sequence (inside `import`
-/// bodies).
-pub fn fv_seq(seq: &InstrSeq) -> BTreeSet<VarName> {
-    let mut out = BTreeSet::new();
-    go_fv_seq(seq, &mut Vec::new(), &mut out);
     out
 }
 

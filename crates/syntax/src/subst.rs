@@ -51,11 +51,6 @@ impl Subst {
         self.map.is_empty()
     }
 
-    /// The substituted variables.
-    pub fn domain(&self) -> impl Iterator<Item = &TyVar> {
-        self.map.keys()
-    }
-
     fn lookup(&self, v: &TyVar) -> Option<&Inst> {
         self.map.get(v)
     }

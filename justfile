@@ -29,11 +29,12 @@ bench-snapshot:
 # Regression gate: re-measure the smoke benches and fail if any
 # interpreted_vs_compiled / tail_call_ablation / fib_steady/bytecode/24
 # / single-threaded batch_throughput median regressed >25% versus the
-# committed BENCH_pr10.json, if the pre-lowered fib_steady/bytecode/24
-# row is less than 2.5x faster than the snapshot's frozen
-# compiled-cursor row, or if the persistent store's cross-process warm
-# start drops below 2x over cold (see PERFORMANCE.md). Rows whose
-# medians are under the 10us noise floor are recorded but never fail.
+# committed BENCH_pr10.json, or if the persistent store's cross-process
+# warm start drops below 2x over cold. A second call compares the fresh
+# snapshot with itself: the fast machine must stay >= 22.1x faster than
+# the Fig 8 oracle on strategy_ablation/*/12 within the same run (see
+# PERFORMANCE.md). Rows whose medians are under the 10us noise floor
+# are recorded but never fail.
 # The 600ms measure budget matters: the slowest gated rows run ~15-45ms
 # per iteration, and a median over only a handful of iterations can be
 # poisoned by one background-CPU burst on a small runner.
@@ -46,8 +47,11 @@ bench-check:
     cargo run -q -p funtal-bench --bin bench_check -- \
         {{justfile_directory()}}/BENCH_pr10.json /tmp/funtal_bench_now.jsonl \
         --threshold 1.25 --min-abs-us 10 \
-        --speedup fib_steady/compiled/24:fib_steady/bytecode/24:2.5 \
         --speedup store_warm_start/cold/24:store_warm_start/warm/24:2.0
+    cargo run -q -p funtal-bench --bin bench_check -- \
+        /tmp/funtal_bench_now.jsonl /tmp/funtal_bench_now.jsonl \
+        --threshold 1.25 --min-abs-us 10 \
+        --speedup strategy_ablation/substitution/12:strategy_ablation/environment/12:22.1
 
 # Refresh the CLI golden snapshots after an intentional output change
 # (review the diff like any other code change).
