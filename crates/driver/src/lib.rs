@@ -419,6 +419,11 @@ impl Pipeline {
     /// `<def>` or `<def>_<hint><n>`, so blocks attribute to the
     /// longest definition-name prefix. The boundary wrapper is
     /// generated code and keeps a synthetic root span.
+    ///
+    /// The call is typed exactly as in
+    /// [`run_compiled`](Pipeline::run_compiled): from the wrapper's
+    /// annotation when it matches the bundle's recorded type, by the
+    /// full FT check otherwise.
     pub fn profile_compiled(
         &self,
         compiled: &CompiledMiniF,
@@ -426,11 +431,7 @@ impl Pipeline {
         args: &[i64],
         def_spans: &[(String, funtal_syntax::span::Span)],
     ) -> Result<ProfileReport, FunTalError> {
-        let f = compiled
-            .wrapped_fexpr(name)
-            .ok_or_else(|| FunTalError::driver(format!("no definition named `{name}`")))?;
-        let call = app(f.clone(), args.iter().map(|n| fint_e(*n)).collect());
-        let ty = self.check(&call)?;
+        let (call, ty) = self.typed_call(compiled, name, args)?;
         let table = minif_span_table(compiled, def_spans);
         self.profile_prechecked(&call, ty, Arc::new(table))
     }
@@ -563,16 +564,63 @@ impl Pipeline {
 
     /// Applies a compiled MiniF definition to integer arguments and
     /// runs it (the compiled analogue of [`Program::eval`]).
+    ///
+    /// A warm call is not re-checked. `compiled` already records the
+    /// type of every wrapped definition, checked by
+    /// [`compile_minif`](Pipeline::compile_minif) or loaded as a store
+    /// verdict for the same source. When the wrapper is a boundary
+    /// `FT[(int, …, int) -> τ] e` whose annotation is alpha-equal to
+    /// that recorded type and the arity matches, the call has type τ
+    /// by the boundary and application rules, and it runs through
+    /// [`run_prechecked`](Pipeline::run_prechecked). Any other call
+    /// (a wrong arity, a stack-modifying arrow, a recorded type that
+    /// disagrees with the annotation) takes the full check of
+    /// [`run`](Pipeline::run), so its errors keep their text and stage.
     pub fn run_compiled(
         &self,
         compiled: &CompiledMiniF,
         name: &str,
         args: &[i64],
     ) -> Result<RunReport, FunTalError> {
-        let f = compiled
-            .wrapped_fexpr(name)
+        let (call, ty) = self.typed_call(compiled, name, args)?;
+        self.run_prechecked(&call, ty)
+    }
+
+    /// The call `name(args…)` of a compiled definition and its type,
+    /// as [`run_compiled`](Pipeline::run_compiled) describes.
+    fn typed_call(
+        &self,
+        compiled: &CompiledMiniF,
+        name: &str,
+        args: &[i64],
+    ) -> Result<(FExpr, FTy), FunTalError> {
+        let (_, f, recorded) = compiled
+            .wrapped
+            .iter()
+            .find(|(n, _, _)| n == name)
             .ok_or_else(|| FunTalError::driver(format!("no definition named `{name}`")))?;
         let call = app(f.clone(), args.iter().map(|n| fint_e(*n)).collect());
-        self.run(&call)
+        let ty = match f {
+            FExpr::Boundary {
+                ty:
+                    ty @ FTy::Arrow {
+                        params,
+                        phi_in,
+                        phi_out,
+                        ret,
+                    },
+                sigma_out: None,
+                ..
+            } if phi_in.is_empty()
+                && phi_out.is_empty()
+                && params.len() == args.len()
+                && params.iter().all(|p| *p == FTy::Int)
+                && alpha_eq_fty(ty, recorded) =>
+            {
+                (**ret).clone()
+            }
+            _ => self.check(&call)?,
+        };
+        Ok((call, ty))
     }
 }

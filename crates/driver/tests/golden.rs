@@ -191,6 +191,12 @@ const CASES: &[Case] = &[
             "2",
         ],
     ),
+    // compile+call jobs: arity and unknown-definition errors, extreme
+    // integer arguments, and warm repeats of the same calls.
+    case(
+        "batch_jobs_calls",
+        &["batch", "crates/driver/tests/golden/jobs_calls.jsonl"],
+    ),
     // batch with per-job `tier` fields, one worker so
     // the lower-stage cache counters in the summary are deterministic
     // (the repeated program must report a lower-cache hit).

@@ -3,6 +3,7 @@
 //! F types `τ` (Figs 1, 5 and 6 of the paper).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::ids::{Label, Reg, TyVar};
 
@@ -392,13 +393,19 @@ impl Inst {
 }
 
 /// A heap typing `Ψ`: maps labels to `ν ψ` (mutability plus heap type).
+///
+/// Ψ is an input of every T judgment that never changes inside a
+/// component, so the map sits behind an [`Arc`]: cloning a typing (the
+/// checker does so once per instruction) is a refcount bump, and
+/// [`insert`](HeapTyping::insert)/[`extend`](HeapTyping::extend) copy
+/// the map only when it is shared.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct HeapTyping(pub BTreeMap<Label, (Mutability, HeapTy)>);
+pub struct HeapTyping(Arc<BTreeMap<Label, (Mutability, HeapTy)>>);
 
 impl HeapTyping {
     /// The empty heap typing.
     pub fn new() -> Self {
-        HeapTyping(BTreeMap::new())
+        HeapTyping::default()
     }
 
     /// Looks up a label.
@@ -408,13 +415,18 @@ impl HeapTyping {
 
     /// Inserts a binding, returning any previous entry.
     pub fn insert(&mut self, l: Label, m: Mutability, ty: HeapTy) -> Option<(Mutability, HeapTy)> {
-        self.0.insert(l, (m, ty))
+        Arc::make_mut(&mut self.0).insert(l, (m, ty))
     }
 
     /// Merges `other` into `self` (right-biased).
     pub fn extend(&mut self, other: &HeapTyping) {
-        for (l, v) in &other.0 {
-            self.0.insert(l.clone(), v.clone());
+        if self.0.is_empty() {
+            self.0 = other.0.clone();
+        } else if !other.0.is_empty() {
+            let map = Arc::make_mut(&mut self.0);
+            for (l, v) in other.iter() {
+                map.insert(l.clone(), v.clone());
+            }
         }
     }
 

@@ -9,22 +9,27 @@ test:
     cargo test -q
 
 # Run the benchmark suite; `just bench-snapshot` refreshes the
-# committed snapshot (BENCH_pr10.json is the current gate; BENCH_pr6,
-# BENCH_pr3, BENCH_pr2, and the PR-1 BENCH_baseline.json are kept for
-# the historical trajectory).
+# committed snapshot (BENCH_pr20.json gates the checker-scaling rows
+# and BENCH_pr10.json every other gated row; BENCH_pr6, BENCH_pr3,
+# BENCH_pr2, and BENCH_baseline.json are kept for the historical
+# trajectory).
 bench:
     cargo bench -p funtal-bench
 
-# The snapshot combines two bench binaries via the shim's append mode
-# (one JSON row per line; bench_check parses both layouts).
+# The snapshot combines three bench binaries via the shim's append
+# mode (one JSON row per line; bench_check parses both layouts), at
+# the bench-check budget.
 bench-snapshot:
-    rm -f {{justfile_directory()}}/BENCH_pr10.json
-    BENCH_WARMUP_MS=50 BENCH_MEASURE_MS=400 BENCH_APPEND=1 \
-        BENCH_OUTPUT={{justfile_directory()}}/BENCH_pr10.json \
+    rm -f {{justfile_directory()}}/BENCH_pr20.json
+    BENCH_WARMUP_MS=50 BENCH_MEASURE_MS=600 BENCH_APPEND=1 \
+        BENCH_OUTPUT={{justfile_directory()}}/BENCH_pr20.json \
         cargo bench -p funtal-bench --bench compile
-    BENCH_WARMUP_MS=50 BENCH_MEASURE_MS=400 BENCH_APPEND=1 \
-        BENCH_OUTPUT={{justfile_directory()}}/BENCH_pr10.json \
+    BENCH_WARMUP_MS=50 BENCH_MEASURE_MS=600 BENCH_APPEND=1 \
+        BENCH_OUTPUT={{justfile_directory()}}/BENCH_pr20.json \
         cargo bench -p funtal-bench --bench batch
+    BENCH_WARMUP_MS=50 BENCH_MEASURE_MS=600 BENCH_APPEND=1 \
+        BENCH_OUTPUT={{justfile_directory()}}/BENCH_pr20.json \
+        cargo bench -p funtal-bench --bench scaling
 
 # Regression gate: re-measure the smoke benches and fail if any
 # interpreted_vs_compiled / tail_call_ablation / fib_steady/bytecode/24
@@ -33,7 +38,9 @@ bench-snapshot:
 # warm start drops below 2x over cold. A second call compares the fresh
 # snapshot with itself: the fast machine must stay >= 22.1x faster than
 # the Fig 8 oracle on strategy_ablation/*/12 within the same run (see
-# PERFORMANCE.md). Rows whose medians are under the 10us noise floor
+# PERFORMANCE.md). Another call gates the FT checker's
+# typecheck_scaling/* rows (>25% median regression) against
+# BENCH_pr20.json. Rows whose medians are under the 10us noise floor
 # are recorded but never fail.
 # The 600ms measure budget matters: the slowest gated rows run ~15-45ms
 # per iteration, and a median over only a handful of iterations can be
@@ -44,10 +51,15 @@ bench-check:
         cargo bench -p funtal-bench --bench compile
     BENCH_WARMUP_MS=50 BENCH_MEASURE_MS=600 BENCH_APPEND=1 BENCH_OUTPUT=/tmp/funtal_bench_now.jsonl \
         cargo bench -p funtal-bench --bench batch
+    BENCH_WARMUP_MS=50 BENCH_MEASURE_MS=600 BENCH_APPEND=1 BENCH_OUTPUT=/tmp/funtal_bench_now.jsonl \
+        cargo bench -p funtal-bench --bench scaling
     cargo run -q -p funtal-bench --bin bench_check -- \
         {{justfile_directory()}}/BENCH_pr10.json /tmp/funtal_bench_now.jsonl \
         --threshold 1.25 --min-abs-us 10 \
         --speedup store_warm_start/cold/24:store_warm_start/warm/24:2.0
+    cargo run -q -p funtal-bench --bin bench_check -- \
+        {{justfile_directory()}}/BENCH_pr20.json /tmp/funtal_bench_now.jsonl \
+        --threshold 1.25 --min-abs-us 10 --prefix typecheck_scaling/
     cargo run -q -p funtal-bench --bin bench_check -- \
         /tmp/funtal_bench_now.jsonl /tmp/funtal_bench_now.jsonl \
         --threshold 1.25 --min-abs-us 10 \
