@@ -167,7 +167,8 @@ fn interpreted_vs_compiled(c: &mut Criterion) {
 }
 
 /// Steady-state workloads over the default machine: fib up to 24
-/// (interpreted, compiled through `run_fexpr`, and pre-lowered),
+/// (interpreted, compiled through `run_fexpr`, and pre-lowered, bare
+/// and counted),
 /// the evaluation-strategy ablation, deep tuple marshalling across the
 /// boundary, and a boundary-crossing ping-pong loop.
 fn steady_state(c: &mut Criterion) {
@@ -201,6 +202,16 @@ fn steady_state(c: &mut Criterion) {
             b.iter(|| {
                 funtal::run_prelowered(&lowered, RunCfg::with_fuel(100_000_000), &mut NullTracer)
                     .unwrap()
+            })
+        });
+        // The same run counted, as every engine job is: the counts
+        // come from the untraced loop, so this row must stay within
+        // CI's same-run pin of `bytecode` (see the justfile).
+        g.bench_with_input(BenchmarkId::new("counted", n), &n, |b, _| {
+            b.iter(|| {
+                let mut ct = CountTracer::new();
+                funtal::run_prelowered(&lowered, RunCfg::with_fuel(100_000_000), &mut ct).unwrap();
+                ct
             })
         });
     }
@@ -244,7 +255,7 @@ fn steady_state(c: &mut Criterion) {
     // times in a row — the §6 multi-language crossing cost.
     let mut g = c.benchmark_group("pingpong");
     for k in [64usize, 256] {
-        let prog = pingpong_program(k);
+        let prog = funtal_bench::crossings(k);
         g.bench_with_input(BenchmarkId::new("crossings", k), &k, |b, _| {
             b.iter(|| run_fexpr(&prog, RunCfg::with_fuel(10_000_000), &mut NullTracer).unwrap())
         });
@@ -276,45 +287,10 @@ fn nested_tuple_program(depth: usize) -> funtal_syntax::FExpr {
     )
 }
 
-/// `k` crossings of a boundary-wrapped T identity function.
-fn pingpong_program(k: usize) -> funtal_syntax::FExpr {
-    let ident = boundary(
-        arrow(vec![fint()], fint()),
-        tcomp(
-            seq(
-                vec![protect(vec![], "zp"), mv(r1(), loc("id"))],
-                halt(
-                    funtal::fty_to_tty(&arrow(vec![fint()], fint())),
-                    zvar("zp"),
-                    r1(),
-                ),
-            ),
-            vec![(
-                "id",
-                code_block(
-                    vec![d_stk("z"), d_ret("e")],
-                    chi([(
-                        ra(),
-                        code_ty(vec![], chi([(r1(), int())]), zvar("z"), q_var("e")),
-                    )]),
-                    stack(vec![int()], zvar("z")),
-                    q_reg(ra()),
-                    seq(vec![sld(r1(), 0), sfree(1)], ret(ra(), r1())),
-                ),
-            )],
-        ),
-    );
-    let mut e = fint_e(1);
-    for _ in 0..k {
-        e = app(ident.clone(), vec![e]);
-    }
-    e
-}
-
 /// The static bytecode verifier's cost, measured against the lowering
-/// that produces its input. Verification happens once per lowered
-/// artifact (at `prelower` under debug assertions, on cache load, at
-/// JIT promotion, or under `--verify-bytecode`) — never inside the
+/// that produces its input. Verification happens at most once per
+/// lowered artifact (at `prelower` under debug assertions, at JIT
+/// promotion, or under `--verify-bytecode`) — never inside the
 /// dispatch loop — so this one-time cost is the entire overhead the
 /// analysis layer adds to the bytecode VM. The gated
 /// `fib_steady/bytecode` rows above prove the dispatch loop itself is

@@ -157,46 +157,10 @@ fn machine_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// `k` boundary crossings around a trivial computation: F calls a
-/// boundary-wrapped identity `k` times.
-fn crossings(k: usize) -> FExpr {
-    let ident = boundary(
-        arrow(vec![fint()], fint()),
-        tcomp(
-            seq(
-                vec![protect(vec![], "zp"), mv(r1(), loc("id"))],
-                halt(
-                    funtal::fty_to_tty(&arrow(vec![fint()], fint())),
-                    zvar("zp"),
-                    r1(),
-                ),
-            ),
-            vec![(
-                "id",
-                code_block(
-                    vec![d_stk("z"), d_ret("e")],
-                    chi([(
-                        ra(),
-                        code_ty(vec![], chi([(r1(), int())]), zvar("z"), q_var("e")),
-                    )]),
-                    stack(vec![int()], zvar("z")),
-                    q_reg(ra()),
-                    seq(vec![sld(r1(), 0), sfree(1)], ret(ra(), r1())),
-                ),
-            )],
-        ),
-    );
-    let mut e = fint_e(1);
-    for _ in 0..k {
-        e = app(ident.clone(), vec![e]);
-    }
-    e
-}
-
 fn boundary_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("boundary_overhead");
     for k in [1usize, 4, 16, 64] {
-        let prog = crossings(k);
+        let prog = funtal_bench::crossings(k);
         let mut ct = CountTracer::new();
         run_fexpr(&prog, RunCfg::with_fuel(10_000_000), &mut ct).unwrap();
         println!(

@@ -86,12 +86,6 @@ impl Jit {
         }
     }
 
-    /// Forces a definition into compiled mode (the JIT "replacement"
-    /// move).
-    pub fn force_compile(&mut self, name: &str) {
-        self.hot.insert(name.to_string());
-    }
-
     /// Materializes the F expression for `name` under the current
     /// configuration: compiled definitions become boundary wrappers,
     /// interpreted ones become F lambdas with their callees'

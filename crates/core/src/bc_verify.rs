@@ -2,9 +2,9 @@
 //!
 //! The lowerer ([`crate::machine_bc`]) is trusted by the dispatch loop
 //! to produce streams it can execute blindly — static jump offsets
-//! land on block starts, fused superinstructions charge exactly the
-//! fuel of the steps they fuse, and the register file is only read
-//! where some write must have happened first. This module discharges
+//! land on block starts, a fused head stands for exactly the ops behind
+//! it, and the register file is only read where some write must have
+//! happened first. This module discharges
 //! that trust statically, instruction by instruction:
 //!
 //! - **region structure**: block offsets are strictly increasing and
@@ -13,10 +13,13 @@
 //! - **static targets**: every [`BcTarget::Static`] points at the
 //!   recorded offset of a *code* ordinal and its discharged
 //!   instantiation-arity check matches the block table;
-//! - **cost table**: every opcode's [`BcOp::fuel_cost`] equals the
-//!   length of its independently enumerated expansion, so the fuel
-//!   the dispatch loop charges is exactly what the unfused sequence
-//!   would have charged (the profiler's certification hinges on this);
+//! - **fused heads**: each head's [`BcOp::fuel_cost`] equals the sum
+//!   of its followers' costs, and re-fusing the followers yields
+//!   exactly that head, so its net route charges, counts and does what
+//!   stepping through them would (the profiler's certification and the
+//!   untraced step counts hinge on this). Every other check reads only
+//!   the followers: a head has no register effects, adds no CFG edge,
+//!   and is never a terminator;
 //! - **definite initialization**: a forward must-analysis over the
 //!   region graph (via [`funtal_analysis`]) proves no register is
 //!   read before every path to the read has written it. Fig 7 types
@@ -37,7 +40,7 @@ use std::fmt;
 use funtal_analysis::{solve, Analysis, BitSet, Cfg, Direction};
 use funtal_syntax::{Label, Reg, SmallVal, WordVal};
 
-use crate::machine_bc::{BcModule, BcOp, BcTarget, LoweredProgram, NOT_CODE};
+use crate::machine_bc::{fuse, BcModule, BcOp, BcTarget, LoweredProgram, NOT_CODE};
 use crate::machine_fast::{peel_count, ridx, FastOp, TWord};
 
 /// Size of the dense register file (`r1..r7`, `ra`).
@@ -132,15 +135,31 @@ pub enum BcVerifyError {
         /// The register read.
         reg: Reg,
     },
-    /// An opcode's charged fuel differs from the length of its
-    /// expansion into single-step instructions.
+    /// A fused head's cost differs from the total cost of the ops it
+    /// stands for: its net route would charge other fuel than stepping
+    /// through them.
     BadFusedCost {
-        /// The op's offset.
+        /// The head's offset.
         at: u32,
         /// What [`BcOp::fuel_cost`] charges.
         charged: u64,
-        /// The expansion's step count.
-        expansion: u64,
+        /// What its followers charge together.
+        followers: u64,
+    },
+    /// The ops behind a fused head do not re-fuse to exactly that head:
+    /// its net route would do something other than they do.
+    BadFusedHead {
+        /// The head's offset.
+        at: u32,
+    },
+    /// A fused head stands for more ops than its region has left.
+    TruncatedHead {
+        /// The head's offset.
+        at: u32,
+        /// How many ops it stands for.
+        followers: usize,
+        /// How many ops follow it in its region.
+        left: usize,
     },
 }
 
@@ -198,10 +217,21 @@ impl fmt::Display for BcVerifyError {
             BcVerifyError::BadFusedCost {
                 at,
                 charged,
-                expansion,
+                followers,
             } => write!(
                 f,
-                "op at {at} charges {charged} fuel but expands to {expansion} steps"
+                "fused head at {at} charges {charged} fuel but its followers charge {followers}"
+            ),
+            BcVerifyError::BadFusedHead { at } => {
+                write!(f, "fused head at {at} is not what its followers re-fuse to")
+            }
+            BcVerifyError::TruncatedHead {
+                at,
+                followers,
+                left,
+            } => write!(
+                f,
+                "fused head at {at} stands for {followers} ops but its region has {left} left"
             ),
         }
     }
@@ -275,34 +305,28 @@ impl ModuleRegions {
 fn is_terminator(op: &BcOp) -> bool {
     matches!(
         op,
-        BcOp::Jmp(_)
-            | BcOp::Call { .. }
-            | BcOp::Ret { .. }
-            | BcOp::Halt { .. }
-            | BcOp::PushJmp { .. }
-            | BcOp::PopRet { .. }
+        BcOp::Jmp(_) | BcOp::Call { .. } | BcOp::Ret { .. } | BcOp::Halt { .. }
     )
 }
 
-/// The constituent single-step instructions an opcode stands for —
-/// enumerated independently of [`BcOp::fuel_cost`] (mirroring
-/// `fuse_segment`'s patterns), so the cost-table check compares two
-/// derivations of the same number. `Import` and `Halt` expand to
-/// nothing *here*: the import round-trip is charged by the CEK
-/// machine on the F value's return, and `halt` ticks inside the
-/// shared `halt()` path.
-pub(crate) fn expansion(op: &BcOp) -> &'static [&'static str] {
-    match op {
-        BcOp::Import { .. } | BcOp::Halt { .. } => &[],
-        BcOp::Push { .. } => &["salloc", "sst"],
-        BcOp::PushJmp { .. } => &["salloc", "sst", "jmp"],
-        BcOp::SldPush { .. } => &["sld", "salloc", "sst"],
-        BcOp::PopArith { .. } => &["sld", "sfree", "arith"],
-        BcOp::PopArithPush { .. } => &["sld", "sfree", "arith", "salloc", "sst"],
-        BcOp::SldSfree { .. } => &["sld", "sfree"],
-        BcOp::PopRet { .. } => &["sld", "sfree", "ret"],
-        _ => &["step"],
+/// Checks the fused head at `at` against the ops behind it in its
+/// region (`rest`, at least as many as it stands for): their costs must
+/// sum to its cost, and re-fusing them must yield this very head.
+fn check_head(at: u32, head: &BcOp, rest: &[BcOp]) -> Result<(), BcVerifyError> {
+    let charged = head.fuel_cost();
+    let k = charged as usize;
+    let followers = rest[..k].iter().map(BcOp::fuel_cost).sum();
+    if followers != charged {
+        return Err(BcVerifyError::BadFusedCost {
+            at,
+            charged,
+            followers,
+        });
     }
+    if fuse(rest) != Some((head.clone(), k)) {
+        return Err(BcVerifyError::BadFusedHead { at });
+    }
+    Ok(())
 }
 
 fn scan_word(w: &WordVal, label_ord: &HashMap<&Label, u32>, out: &mut HashSet<u32>) {
@@ -378,10 +402,6 @@ fn escaping_ordinals(m: &BcModule) -> HashSet<u32> {
             | BcOp::Call {
                 t: BcTarget::Dyn(t),
                 ..
-            }
-            | BcOp::PushJmp {
-                t: BcTarget::Dyn(t),
-                ..
             } => scan_fastop(t, &label_ord, &mut out),
             _ => {}
         }
@@ -390,7 +410,7 @@ fn escaping_ordinals(m: &BcModule) -> HashSet<u32> {
 }
 
 /// Validates the block table and region structure, checks every
-/// operand (static targets, label ordinals, fused costs), and builds
+/// operand (static targets, label ordinals) and fused head, and builds
 /// the static CFG.
 pub(crate) fn module_regions(m: &BcModule) -> Result<ModuleRegions, BcVerifyError> {
     if m.ops.is_empty() {
@@ -429,6 +449,7 @@ pub(crate) fn module_regions(m: &BcModule) -> Result<ModuleRegions, BcVerifyErro
     // Region scan: terminator placement, operand checks, CFG edges.
     let n = starts.len();
     let mut edges: Vec<(usize, usize)> = Vec::new();
+    let mut heads: Vec<(usize, usize)> = Vec::new();
     for r in 0..n {
         let start = starts[r] as usize;
         let end = starts
@@ -438,6 +459,17 @@ pub(crate) fn module_regions(m: &BcModule) -> Result<ModuleRegions, BcVerifyErro
         for (off, op) in m.ops[start..end].iter().enumerate() {
             let at = (start + off) as u32;
             let last = start + off == end - 1;
+            if op.is_head() {
+                let (followers, left) = (op.fuel_cost() as usize, end - (start + off) - 1);
+                if left < followers {
+                    return Err(BcVerifyError::TruncatedHead {
+                        at,
+                        followers,
+                        left,
+                    });
+                }
+                heads.push((start + off, end));
+            }
             if last && !is_terminator(op) {
                 return Err(BcVerifyError::MissingTerminator {
                     region_start: start as u32,
@@ -446,17 +478,8 @@ pub(crate) fn module_regions(m: &BcModule) -> Result<ModuleRegions, BcVerifyErro
             if !last && is_terminator(op) {
                 return Err(BcVerifyError::MidRegionTerminator { at });
             }
-            let charged = op.fuel_cost();
-            let steps = expansion(op).len() as u64;
-            if charged != steps {
-                return Err(BcVerifyError::BadFusedCost {
-                    at,
-                    charged,
-                    expansion: steps,
-                });
-            }
             let target = match op {
-                BcOp::Jmp(t) | BcOp::Bnz { t, .. } | BcOp::PushJmp { t, .. } => Some((t, 0)),
+                BcOp::Jmp(t) | BcOp::Bnz { t, .. } => Some((t, 0)),
                 BcOp::Call { t, .. } => Some((t, 2)),
                 _ => None,
             };
@@ -495,6 +518,11 @@ pub(crate) fn module_regions(m: &BcModule) -> Result<ModuleRegions, BcVerifyErro
         }
     }
 
+    // Heads last, once the followers they stand for have passed.
+    for (at, end) in heads {
+        check_head(at as u32, &m.ops[at], &m.ops[at + 1..end])?;
+    }
+
     let escaping = escaping_ordinals(m);
     let enterable: Vec<bool> = region_ord
         .iter()
@@ -521,9 +549,8 @@ pub(crate) enum Eff {
 }
 
 /// The register reads and writes of one opcode, in the order the
-/// dispatch loop (or the fused op's expansion) performs them — order
-/// matters for superinstructions whose popped register may alias an
-/// operand (`PopArith` writes `pr` before reading `rs`/`rt`).
+/// dispatch loop performs them. A fused head has none of its own: its
+/// followers carry them.
 pub(crate) fn effects(op: &BcOp, out: &mut Vec<Eff>) {
     use Eff::{R, W};
     let target = |t: &BcTarget, out: &mut Vec<Eff>| {
@@ -571,17 +598,8 @@ pub(crate) fn effects(op: &BcOp, out: &mut Vec<Eff>) {
         // in the lint layer, not by definite initialization).
         BcOp::Ret { target: t, .. } => out.push(R(*t)),
         BcOp::Halt { val } => out.push(R(*val)),
-        BcOp::Push { rs } => out.push(R(*rs)),
-        BcOp::PushJmp { rs, t } => {
-            out.push(R(*rs));
-            target(t, out);
-        }
-        BcOp::SldPush { rd, .. } => out.push(W(*rd)),
-        BcOp::PopArith { pr, rd, rs, rt, .. } | BcOp::PopArithPush { pr, rd, rs, rt, .. } => {
-            out.extend([W(*pr), R(*rs), R(*rt), W(*rd)])
-        }
-        BcOp::SldSfree { rd, .. } => out.push(W(*rd)),
-        BcOp::PopRet { ra, .. } => out.push(W(*ra)),
+        // Fused heads: no effects of their own.
+        op => debug_assert!(op.is_head(), "{op:?}"),
     }
 }
 
@@ -691,28 +709,6 @@ pub(crate) fn verify_module(m: &BcModule) -> Result<(), BcVerifyError> {
     check_init(m, &regions)
 }
 
-/// Corrupts the first lowered module so [`verify_lowered`] rejects it
-/// (an out-of-bounds block offset), returning `false` when the program
-/// has no modules to corrupt. Test support for verify-on-load
-/// consumers — the driver's artifact cache proves a poisoned cache
-/// entry degrades to re-lowering — not part of the public API.
-#[doc(hidden)]
-pub fn corrupt_for_tests(lp: &mut LoweredProgram) -> bool {
-    let Some((_, module)) = lp.modules.first_mut() else {
-        return false;
-    };
-    let m: &BcModule = module;
-    let mut blocks = m.blocks.clone();
-    blocks.push((u32::MAX, 0));
-    *module = std::sync::Arc::new(BcModule {
-        ops: m.ops.clone(),
-        blocks,
-        entry_span: m.entry_span,
-        spans: m.spans.clone(),
-    });
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,57 +752,56 @@ mod tests {
         }
     }
 
+    /// Every fusable pattern re-fuses to one head that stands for all
+    /// of it: its cost is the pattern's length and the pattern's total
+    /// cost, so the net route charges what stepping through it does.
     #[test]
     fn cost_table_matches_expansions() {
         use funtal_syntax::ArithOp;
-        let r = Reg::R1;
-        let fused = [
-            (BcOp::Push { rs: r }, 2),
-            (BcOp::SldPush { rd: r, idx: 0 }, 3),
-            (
-                BcOp::PopArith {
-                    op: ArithOp::Add,
-                    pr: r,
-                    rd: r,
-                    rs: r,
-                    rt: r,
-                },
-                3,
-            ),
-            (
-                BcOp::PopArithPush {
-                    op: ArithOp::Add,
-                    pr: r,
-                    rd: r,
-                    rs: r,
-                    rt: r,
-                },
-                5,
-            ),
-            (
-                BcOp::SldSfree {
-                    rd: r,
-                    idx: 0,
-                    n: 1,
-                },
-                2,
-            ),
-            (
-                BcOp::PopRet {
-                    ra: r,
-                    n: 1,
-                    val: r,
-                },
-                3,
-            ),
+        let (r, ra) = (Reg::R1, Reg::Ra);
+        let arith = BcOp::ArithRR {
+            op: ArithOp::Add,
+            rd: r,
+            rs: r,
+            rt: Reg::R2,
+        };
+        let push = [BcOp::Salloc(1), BcOp::Sst { idx: 0, rs: r }];
+        let pop = [BcOp::Sld { rd: r, idx: 0 }, BcOp::Sfree(1), arith];
+        let patterns: [&[BcOp]; 7] = [
+            &push,
+            &[
+                BcOp::Salloc(1),
+                BcOp::Sst { idx: 0, rs: r },
+                BcOp::Jmp(BcTarget::Dyn(FastOp::Reg(Reg::R3))),
+            ],
+            &[
+                BcOp::Sld { rd: r, idx: 2 },
+                BcOp::Salloc(1),
+                BcOp::Sst { idx: 0, rs: r },
+            ],
+            &pop,
+            &[pop.as_slice(), push.as_slice()].concat(),
+            &[BcOp::Sld { rd: r, idx: 1 }, BcOp::Sfree(2)],
+            &[
+                BcOp::Sld { rd: ra, idx: 0 },
+                BcOp::Sfree(2),
+                BcOp::Ret { target: ra, val: r },
+            ],
         ];
-        for (op, steps) in &fused {
-            assert_eq!(op.fuel_cost(), *steps, "{op:?}");
-            assert_eq!(expansion(op).len() as u64, *steps, "{op:?}");
+        let mut kinds = HashSet::new();
+        for p in patterns {
+            let (head, k) = fuse(p).unwrap_or_else(|| panic!("{p:?} does not fuse"));
+            assert!(head.is_head(), "{head:?}");
+            assert_eq!(k, p.len(), "{head:?}");
+            assert_eq!(head.fuel_cost(), k as u64, "{head:?}");
+            assert_eq!(check_head(0, &head, p), Ok(()));
+            kinds.insert(std::mem::discriminant(&head));
         }
-        // Plain ops tick once; suspension points charge nothing at
-        // dispatch.
+        assert_eq!(kinds.len(), patterns.len(), "one pattern per head");
+        // Plain ops tick once and never fuse alone; suspension points
+        // charge nothing at dispatch.
         assert_eq!(BcOp::Protect.fuel_cost(), 1);
+        assert_eq!(fuse(&[BcOp::Protect, BcOp::Salloc(1)]), None);
         assert_eq!(BcOp::Halt { val: r }.fuel_cost(), 0);
     }
 
@@ -844,10 +839,6 @@ mod tests {
                             t: BcTarget::Static { .. },
                             ..
                         }
-                        | BcOp::PushJmp {
-                            t: BcTarget::Static { .. },
-                            ..
-                        }
                 )
             })
             .map(|(i, _)| i)
@@ -863,25 +854,77 @@ mod tests {
         }
     }
 
+    /// Positions of fused heads that `keep` selects.
+    fn head_sites(m: &BcModule, keep: impl Fn(&BcOp) -> bool) -> Vec<usize> {
+        (0..m.ops.len())
+            .filter(|&i| m.ops[i].is_head() && keep(&m.ops[i]))
+            .collect()
+    }
+
+    fn head_reg_mut(op: &mut BcOp) -> &mut Reg {
+        match op {
+            BcOp::Push { rs } | BcOp::PushJmp { rs, .. } => rs,
+            BcOp::SldPush { rd, .. } | BcOp::SldSfree { rd, .. } => rd,
+            BcOp::PopArith { pr, .. } | BcOp::PopArithPush { pr, .. } => pr,
+            BcOp::PopRet { ra, .. } => ra,
+            _ => panic!("not a head"),
+        }
+    }
+
+    /// Deletes op `at` and shifts every block offset and static target
+    /// behind it, so the rest of the module stays consistent.
+    fn remove_op(m: &mut BcModule, at: usize) {
+        m.ops.remove(at);
+        let shift = |off: &mut u32| {
+            if *off as usize > at {
+                *off -= 1;
+            }
+        };
+        m.blocks.iter_mut().for_each(|(off, _)| shift(off));
+        for op in &mut m.ops {
+            if let BcOp::Jmp(t)
+            | BcOp::Bnz { t, .. }
+            | BcOp::Call { t, .. }
+            | BcOp::PushJmp { t, .. } = op
+            {
+                if let BcTarget::Static { off, .. } = t {
+                    shift(off);
+                }
+            }
+        }
+    }
+
     /// Every seeded mutation of a valid module must be rejected, with
     /// the error class matching the mutation.
     #[test]
     fn seeded_mutations_are_rejected() {
+        use funtal_compile::codegen::{compile_program, CodegenOpts};
+        // Compiled code carries every head, call and return epilogues
+        // (`PushJmp`, `PopRet`) included.
+        let fib = compile_program(
+            &funtal_compile::lang::fib_program(),
+            CodegenOpts {
+                tail_call_opt: false,
+            },
+        )
+        .wrap("fib");
         let corpus: Vec<BcModule> = [
             figures::fig17_fact_t(),
             figures::fig16_f2(),
             figures::fig11_jit(),
             figures::push7(),
+            fib,
         ]
         .iter()
         .flat_map(modules_of)
         .collect();
         let mut mutations = 0;
-        for seed in 0..64u64 {
+        let mut head_mutations = [0; 3];
+        for seed in 0..96u64 {
             let mut rng = Rng(seed);
             let base = &corpus[rng.below(corpus.len())];
             let mut m = clone_module(base);
-            match rng.below(6) {
+            match rng.below(9) {
                 // Nudge a static jump offset off its block start.
                 0 => {
                     let sites = static_sites(&m);
@@ -977,6 +1020,61 @@ mod tests {
                         verify_module(&m)
                     );
                 }
+                // Give a head a register its followers do not use.
+                6 => {
+                    let sites = head_sites(&m, |_| true);
+                    if sites.is_empty() {
+                        continue;
+                    }
+                    let reg = head_reg_mut(&mut m.ops[sites[rng.below(sites.len())]]);
+                    *reg = if *reg == Reg::R7 { Reg::R6 } else { Reg::R7 };
+                    assert!(
+                        matches!(verify_module(&m), Err(BcVerifyError::BadFusedHead { .. })),
+                        "seed {seed}: {:?}",
+                        verify_module(&m)
+                    );
+                    head_mutations[0] += 1;
+                }
+                // Swap a head's first follower for an op that charges
+                // nothing at dispatch.
+                7 => {
+                    let sites = head_sites(&m, |_| true);
+                    if sites.is_empty() {
+                        continue;
+                    }
+                    m.ops[sites[rng.below(sites.len())] + 1] = BcOp::Import {
+                        rd: Reg::R1,
+                        ty: std::sync::Arc::new(funtal_syntax::FTy::Int),
+                        body: funtal_syntax::intern::IExpr::from_fexpr(
+                            &funtal_syntax::build::fint_e(0),
+                        ),
+                    };
+                    assert!(
+                        matches!(verify_module(&m), Err(BcVerifyError::BadFusedCost { .. })),
+                        "seed {seed}: {:?}",
+                        verify_module(&m)
+                    );
+                    head_mutations[1] += 1;
+                }
+                // Remove the last follower of a head that ends its
+                // region (its jump or return).
+                8 => {
+                    let sites = head_sites(&m, |op| {
+                        matches!(op, BcOp::PushJmp { .. } | BcOp::PopRet { .. })
+                    });
+                    if sites.is_empty() {
+                        continue;
+                    }
+                    let at = sites[rng.below(sites.len())];
+                    let last = at + m.ops[at].fuel_cost() as usize;
+                    remove_op(&mut m, last);
+                    assert!(
+                        matches!(verify_module(&m), Err(BcVerifyError::TruncatedHead { .. })),
+                        "seed {seed}: {:?}",
+                        verify_module(&m)
+                    );
+                    head_mutations[2] += 1;
+                }
                 // Dangle an `mv`'s label ordinal.
                 _ => {
                     let sites: Vec<usize> = m
@@ -1006,6 +1104,10 @@ mod tests {
             mutations += 1;
         }
         assert!(mutations >= 40, "only {mutations} mutations exercised");
+        assert!(
+            head_mutations.iter().all(|&n| n > 0),
+            "head mutations exercised: {head_mutations:?}"
+        );
     }
 
     /// Reading a register the entry never wrote is flagged by the

@@ -399,12 +399,12 @@ fn live_blocks(m: &BcModule, regions: &ModuleRegions) -> LiveBlocks {
                 // Fall through into the next block of the same region.
                 edges.push((b, b + 1));
             }
-            BcOp::Jmp(t) | BcOp::PushJmp { t, .. } | BcOp::Call { t, .. } => {
+            BcOp::Jmp(t) | BcOp::Call { t, .. } => {
                 if !static_edge(t, &mut edges) {
                     boundary[b] = Some(BitSet::full(REG_FILE));
                 }
             }
-            BcOp::Ret { .. } | BcOp::PopRet { .. } => {
+            BcOp::Ret { .. } => {
                 boundary[b] = Some(BitSet::full(REG_FILE));
             }
             // `halt` reads its value register (an ordinary effect) and

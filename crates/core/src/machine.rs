@@ -117,16 +117,6 @@ pub enum FtOutcome {
     OutOfFuel,
 }
 
-impl FtOutcome {
-    /// The F value, if this outcome is one.
-    pub fn as_value(&self) -> Option<&FExpr> {
-        match self {
-            FtOutcome::Value(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
 enum FStepOut {
     Value,
     Next(FExpr),

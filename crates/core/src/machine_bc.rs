@@ -16,7 +16,11 @@
 //!   assignment, with the arity check discharged once during lowering;
 //! - cross-fragment entries go through a per-heap-cell inline cache
 //!   ([`BcCell`]): after the first entry, re-entering a block costs a
-//!   pointer compare and a bounds-checked offset load.
+//!   pointer compare and a bounds-checked offset load;
+//! - the codegen's hot stack idioms get a fused *head* in front of
+//!   them (`fuse`): an untraced run with fuel for the whole idiom
+//!   applies it in one dispatch, anything else steps through the
+//!   unchanged ops behind it.
 //!
 //! Fuel, events, fresh labels, and error behavior mirror the Fig 8
 //! substitution oracle op for op, so the oracle and the fast machine
@@ -39,7 +43,7 @@ use funtal_syntax::{
 };
 use funtal_tal::error::{RResult, RuntimeError};
 use funtal_tal::machine::Memory;
-use funtal_tal::trace::{Event, Tracer};
+use funtal_tal::trace::{CountTracer, Event, Tracer};
 
 use crate::bc_verify::module_regions;
 use crate::machine::{FtOutcome, RunCfg};
@@ -53,7 +57,7 @@ use crate::machine_fast::{
 // ---------------------------------------------------------------------
 
 /// A control-transfer operand of the linear IR.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) enum BcTarget {
     /// A fragment-local constant target, resolved at lower time: `off`
     /// is the absolute instruction-stream offset of the block body,
@@ -70,7 +74,7 @@ pub(crate) enum BcTarget {
 /// One decoded instruction of the linear IR. Hot operand shapes are
 /// specialized so the dispatch loop is a single match with no nested
 /// operand interpretation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) enum BcOp {
     /// `rd := rs op rt`.
     ArithRR {
@@ -183,11 +187,12 @@ pub(crate) enum BcOp {
     Halt {
         val: Reg,
     },
-    // Superinstructions: the codegen's hot stack idioms, fused by
-    // `fuse_segment` into one dispatch each. Every constituent step
-    // still ticks fuel and emits its own trace event, so step counts,
-    // event streams, and out-of-fuel boundaries are exactly those of
-    // the unfused sequence.
+    // Fused heads: the codegen's hot stack idioms. `fuse_segment`
+    // keeps the plain ops it fuses (the head's *followers*) and puts
+    // the head in front of them. The dispatch loop either applies the
+    // followers' net effect at the head and skips them, or steps over
+    // the head into the followers; every analysis reads only the
+    // followers.
     /// `salloc 1; sst 0, rs` (2 steps) — push a register.
     Push {
         rs: Reg,
@@ -226,12 +231,11 @@ pub(crate) enum BcOp {
         idx: usize,
         n: usize,
     },
-    /// `sld ra, 0; sfree n; ret ra, val` (3 steps) — the full return
+    /// `sld ra, 0; sfree n; ret ra, _` (3 steps) — the full return
     /// epilogue: pop the return address and jump through it.
     PopRet {
         ra: Reg,
         n: usize,
-        val: Reg,
     },
 }
 
@@ -253,14 +257,14 @@ impl BcOp {
     pub(crate) const POP_RET_COST: u64 = 3;
 
     /// Fuel this opcode charges when dispatched — the shared cost
-    /// table. Plain ops tick once; superinstructions charge exactly
-    /// the fuel of the constituent steps they fuse (the dispatch loop
-    /// reads the same constants, and `bc_verify` cross-checks each
-    /// fused cost against an independently enumerated expansion).
-    /// `Import` charges nothing at the suspension itself — the two
-    /// ticks of the import round-trip (translate, then `mv rd`) are
-    /// charged by the CEK machine when the F value returns. `Halt`
-    /// charges nothing at dispatch; `halt()` ticks once.
+    /// table. Plain ops tick once. A fused head charges, on its net
+    /// route, the fuel of its followers; every follower is a one-tick
+    /// plain op, so the cost is also how many followers it has
+    /// (`bc_verify` checks both against re-fusion). `Import` charges
+    /// nothing at the suspension itself — the two ticks of the import
+    /// round-trip (translate, then `mv rd`) are charged by the CEK
+    /// machine when the F value returns. `Halt` charges nothing at
+    /// dispatch; `halt()` ticks once.
     pub(crate) const fn fuel_cost(&self) -> u64 {
         match self {
             BcOp::Import { .. } | BcOp::Halt { .. } => 0,
@@ -273,6 +277,21 @@ impl BcOp {
             BcOp::PopRet { .. } => Self::POP_RET_COST,
             _ => 1,
         }
+    }
+
+    /// True for a fused head: an op standing for the
+    /// [`fuel_cost`](BcOp::fuel_cost) plain ops behind it.
+    pub(crate) const fn is_head(&self) -> bool {
+        matches!(
+            self,
+            BcOp::Push { .. }
+                | BcOp::PushJmp { .. }
+                | BcOp::SldPush { .. }
+                | BcOp::PopArith { .. }
+                | BcOp::PopArithPush { .. }
+                | BcOp::SldSfree { .. }
+                | BcOp::PopRet { .. }
+        )
     }
 }
 
@@ -464,75 +483,62 @@ fn lower_seq(
     ops.push(term);
 }
 
-/// Peephole pass over one straight-line segment (`ops[from..]`). Safe
-/// because no control transfer ever lands inside a segment — jumps,
-/// calls, and returns always target block starts, and fusion runs
-/// before offsets are recorded. Longest pattern wins.
+/// The fused head for the longest hot idiom at the start of `ops`, and
+/// how many ops it spans (its followers). Longest pattern wins.
+pub(crate) fn fuse(ops: &[BcOp]) -> Option<(BcOp, usize)> {
+    Some(match ops {
+        [BcOp::Sld { rd: pr, idx: 0 }, BcOp::Sfree(1), BcOp::ArithRR { op, rd, rs, rt }, BcOp::Salloc(1), BcOp::Sst { idx: 0, rs: rs2 }, ..]
+            if rs2 == rd =>
+        {
+            let (op, pr, rd, rs, rt) = (*op, *pr, *rd, *rs, *rt);
+            (BcOp::PopArithPush { op, pr, rd, rs, rt }, 5)
+        }
+        [BcOp::Sld { rd: pr, idx: 0 }, BcOp::Sfree(1), BcOp::ArithRR { op, rd, rs, rt }, ..] => {
+            let (op, pr, rd, rs, rt) = (*op, *pr, *rd, *rs, *rt);
+            (BcOp::PopArith { op, pr, rd, rs, rt }, 3)
+        }
+        [BcOp::Sld { rd: ra, idx: 0 }, BcOp::Sfree(n), BcOp::Ret { target, .. }, ..]
+            if target == ra && *n >= 1 =>
+        {
+            (BcOp::PopRet { ra: *ra, n: *n }, 3)
+        }
+        [BcOp::Sld { rd, idx }, BcOp::Salloc(1), BcOp::Sst { idx: 0, rs }, ..] if rs == rd => {
+            (BcOp::SldPush { rd: *rd, idx: *idx }, 3)
+        }
+        [BcOp::Salloc(1), BcOp::Sst { idx: 0, rs }, BcOp::Jmp(t), ..] => (
+            BcOp::PushJmp {
+                rs: *rs,
+                t: t.clone(),
+            },
+            3,
+        ),
+        [BcOp::Sld { rd, idx }, BcOp::Sfree(n), ..] => {
+            let (rd, idx, n) = (*rd, *idx, *n);
+            (BcOp::SldSfree { rd, idx, n }, 2)
+        }
+        [BcOp::Salloc(1), BcOp::Sst { idx: 0, rs }, ..] => (BcOp::Push { rs: *rs }, 2),
+        _ => return None,
+    })
+}
+
+/// Peephole pass over one straight-line segment (`ops[from..]`): puts
+/// the head of every fused idiom in front of the ops it fuses, which
+/// stay in place. Safe because no control transfer ever lands inside a
+/// segment — jumps, calls, and returns always target block starts,
+/// and fusion runs before offsets are recorded.
 fn fuse_segment(ops: &mut Vec<BcOp>, from: usize) {
     let seg = ops.split_off(from);
     let mut i = 0;
     while i < seg.len() {
-        match &seg[i..] {
-            [BcOp::Sld { rd: pr, idx: 0 }, BcOp::Sfree(1), BcOp::ArithRR { op, rd, rs, rt }, BcOp::Salloc(1), BcOp::Sst { idx: 0, rs: rs2 }, ..]
-                if rs2 == rd =>
-            {
-                ops.push(BcOp::PopArithPush {
-                    op: *op,
-                    pr: *pr,
-                    rd: *rd,
-                    rs: *rs,
-                    rt: *rt,
-                });
-                i += 5;
+        let k = match fuse(&seg[i..]) {
+            Some((head, k)) => {
+                ops.push(head);
+                k
             }
-            [BcOp::Sld { rd: pr, idx: 0 }, BcOp::Sfree(1), BcOp::ArithRR { op, rd, rs, rt }, ..] => {
-                ops.push(BcOp::PopArith {
-                    op: *op,
-                    pr: *pr,
-                    rd: *rd,
-                    rs: *rs,
-                    rt: *rt,
-                });
-                i += 3;
-            }
-            [BcOp::Sld { rd: ra, idx: 0 }, BcOp::Sfree(n), BcOp::Ret { target, val }, ..]
-                if target == ra && *n >= 1 =>
-            {
-                ops.push(BcOp::PopRet {
-                    ra: *ra,
-                    n: *n,
-                    val: *val,
-                });
-                i += 3;
-            }
-            [BcOp::Sld { rd, idx }, BcOp::Salloc(1), BcOp::Sst { idx: 0, rs }, ..] if rs == rd => {
-                ops.push(BcOp::SldPush { rd: *rd, idx: *idx });
-                i += 3;
-            }
-            [BcOp::Salloc(1), BcOp::Sst { idx: 0, rs }, BcOp::Jmp(t), ..] => {
-                ops.push(BcOp::PushJmp {
-                    rs: *rs,
-                    t: t.clone(),
-                });
-                i += 3;
-            }
-            [BcOp::Sld { rd, idx }, BcOp::Sfree(n), ..] => {
-                ops.push(BcOp::SldSfree {
-                    rd: *rd,
-                    idx: *idx,
-                    n: *n,
-                });
-                i += 2;
-            }
-            [BcOp::Salloc(1), BcOp::Sst { idx: 0, rs }, ..] => {
-                ops.push(BcOp::Push { rs: *rs });
-                i += 2;
-            }
-            rest => {
-                ops.push(rest[0].clone());
-                i += 1;
-            }
-        }
+            None => 1,
+        };
+        ops.extend_from_slice(&seg[i..i + k]);
+        i += k;
     }
 }
 
@@ -831,9 +837,9 @@ impl Machine<'_> {
     }
 
     /// The dispatch loop entry: monomorphizes on the trace flag so the
-    /// untraced instantiation — the perf-critical one — carries no
-    /// tracer code at all (every `if TRACED` block folds away, and the
-    /// superinstruction arms reduce to their net-effect routes).
+    /// untraced instantiation — the one every counted or uncounted run
+    /// takes — carries no tracer code at all (every `if TRACED` block
+    /// folds away, and fused heads take their net-effect routes).
     pub(crate) fn step_bc(&mut self, t: BcCtrl) -> RResult<Step> {
         if self.trace {
             self.step_bc_loop::<true>(t)
@@ -847,18 +853,56 @@ impl Machine<'_> {
     /// to the outer CEK loop for intra-T transfers.
     fn step_bc_loop<const TRACED: bool>(&mut self, t: BcCtrl) -> RResult<Step> {
         let BcCtrl { mut inst, mut pc } = t;
-        // Fuel lives in a local for the duration of the loop (a
-        // register instead of a load+store per op). It is synced back
-        // on every `Ok` exit; error exits are terminal, so the
-        // machine's fuel is never observed after them.
+        // Fuel and the instruction count live in locals for the
+        // duration of the loop (registers instead of a load+store per
+        // op). They are synced back on every `Ok` exit; error exits are
+        // terminal, so the machine's fuel and counts are never observed
+        // after them.
         let mut fuel = self.fuel;
+        let mut instrs = 0u64;
+        macro_rules! sync {
+            () => {
+                self.fuel = fuel;
+                self.counts.instrs += instrs;
+            };
+        }
         macro_rules! tickl {
             () => {
                 if fuel == 0 {
-                    self.fuel = 0;
+                    sync!();
                     return Ok(Step::Done(FtOutcome::OutOfFuel));
                 }
                 fuel -= 1;
+            };
+        }
+        // One machine step that is a plain instruction.
+        macro_rules! instr {
+            () => {
+                tickl!();
+                if TRACED {
+                    self.tracer.event(&Event::Instr);
+                } else {
+                    instrs += 1;
+                }
+            };
+        }
+        // A control transfer: its event when traced, else its count.
+        macro_rules! transfer {
+            ($ev:expr) => {
+                if TRACED {
+                    self.tracer.event(&$ev);
+                } else {
+                    self.counts.transfers += 1;
+                }
+            };
+        }
+        // A fused head's net route: the fuel and counts of its `$cost`
+        // one-tick followers, `$transfers` of which transfer control.
+        macro_rules! charge {
+            ($cost:expr, $transfers:expr) => {
+                fuel -= $cost;
+                instrs += $cost - $transfers;
+                self.counts.transfers += $transfers;
             };
         }
         'instance: loop {
@@ -867,90 +911,60 @@ impl Machine<'_> {
             loop {
                 match &ops[pc as usize] {
                     BcOp::ArithRR { op, rd, rs, rt } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let a = self.mem.int_reg(*rs)?;
                         let b = self.mem.int_reg(*rt)?;
                         self.mem.set_reg(*rd, TWord::Int(op.apply(a, b)));
                         pc += 1;
                     }
                     BcOp::ArithRI { op, rd, rs, imm } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let a = self.mem.int_reg(*rs)?;
                         self.mem.set_reg(*rd, TWord::Int(op.apply(a, *imm)));
                         pc += 1;
                     }
                     BcOp::ArithDyn { op, rd, rs, src } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let a = self.mem.int_reg(*rs)?;
                         let b = self.mem.as_int(&self.eval_op(src)?)?;
                         self.mem.set_reg(*rd, TWord::Int(op.apply(a, b)));
                         pc += 1;
                     }
                     BcOp::MvInt { rd, imm } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         self.mem.set_reg(*rd, TWord::Int(*imm));
                         pc += 1;
                     }
                     BcOp::MvUnit { rd } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         self.mem.set_reg(*rd, TWord::Unit);
                         pc += 1;
                     }
                     BcOp::MvReg { rd, rs } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let w = self.mem.reg(*rs)?.clone();
                         self.mem.set_reg(*rd, w);
                         pc += 1;
                     }
                     BcOp::MvLbl { rd, ord } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let idx = inst.labels[*ord as usize];
                         self.mem.set_reg(*rd, TWord::Loc(idx));
                         pc += 1;
                     }
                     BcOp::MvWord { rd, w } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         self.mem.set_reg(*rd, w.clone());
                         pc += 1;
                     }
                     BcOp::MvDyn { rd, src } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let w = self.eval_op(src)?;
                         self.mem.set_reg(*rd, w);
                         pc += 1;
                     }
                     BcOp::Ld { rd, rs, idx } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let i = self.mem.loc_of(self.mem.reg(*rs)?)?;
                         let FastHeapVal::Tuple { fields, .. } = &self.mem.heap[i as usize] else {
                             return Err(RuntimeError::NotTuple(format!(
@@ -966,10 +980,7 @@ impl Machine<'_> {
                         pc += 1;
                     }
                     BcOp::St { rd, idx, rs } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let i = self.mem.loc_of(self.mem.reg(*rd)?)?;
                         let w = self.mem.reg(*rs)?.clone();
                         let name = self.mem.names[i as usize].clone();
@@ -988,10 +999,7 @@ impl Machine<'_> {
                         pc += 1;
                     }
                     BcOp::Ralloc { rd, n } | BcOp::Balloc { rd, n } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let fields = self.mem.stack_pop_n(*n)?;
                         let mutability = if matches!(&ops[pc as usize], BcOp::Ralloc { .. }) {
                             Mutability::Ref
@@ -1005,45 +1013,30 @@ impl Machine<'_> {
                         pc += 1;
                     }
                     BcOp::Salloc(n) => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let len = self.mem.stack.len();
                         self.mem.stack.resize(len + *n, TWord::Unit);
                         pc += 1;
                     }
                     BcOp::Sfree(n) => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         self.mem.stack_drop_n(*n)?;
                         pc += 1;
                     }
                     BcOp::Sld { rd, idx } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let w = self.mem.stack_get(*idx)?.clone();
                         self.mem.set_reg(*rd, w);
                         pc += 1;
                     }
                     BcOp::Sst { idx, rs } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let w = self.mem.reg(*rs)?.clone();
                         self.mem.stack_set(*idx, w)?;
                         pc += 1;
                     }
                     BcOp::Unpack { rd, src } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let w = self.eval_op(src)?;
                         let TWord::Big(b) = &w else {
                             return Err(RuntimeError::NotPack(self.mem.reify_word(&w).to_string()));
@@ -1056,10 +1049,7 @@ impl Machine<'_> {
                         pc += 1;
                     }
                     BcOp::Unfold { rd, src } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         let w = self.eval_op(src)?;
                         let TWord::Big(b) = &w else {
                             return Err(RuntimeError::NotFold(self.mem.reify_word(&w).to_string()));
@@ -1076,10 +1066,7 @@ impl Machine<'_> {
                         // as a plain instruction so every tick has
                         // exactly one charging event (the profiler's
                         // invariant).
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         pc += 1;
                     }
                     BcOp::Import { rd, ty, body } => {
@@ -1091,21 +1078,16 @@ impl Machine<'_> {
                                 pc: pc + 1,
                             },
                         });
-                        self.fuel = fuel;
+                        sync!();
                         return Ok(Step::Continue(Ctrl::Eval(body.clone(), inst.env.clone())));
                     }
                     BcOp::Bnz { r, t } => {
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                        instr!();
                         if self.mem.int_reg(*r)? != 0 {
                             let (next, off, idx) = self.take_target(&inst, t, 0, None)?;
-                            if TRACED {
-                                self.tracer.event(&Event::BnzTaken {
-                                    to: self.mem.names[idx as usize].clone(),
-                                });
-                            }
+                            transfer!(Event::BnzTaken {
+                                to: self.mem.names[idx as usize].clone(),
+                            });
                             pc = off;
                             if let Some(n) = next {
                                 inst = n;
@@ -1118,11 +1100,9 @@ impl Machine<'_> {
                     BcOp::Jmp(t) => {
                         tickl!();
                         let (next, off, idx) = self.take_target(&inst, t, 0, None)?;
-                        if TRACED {
-                            self.tracer.event(&Event::Jmp {
-                                to: self.mem.names[idx as usize].clone(),
-                            });
-                        }
+                        transfer!(Event::Jmp {
+                            to: self.mem.names[idx as usize].clone(),
+                        });
                         pc = off;
                         if let Some(n) = next {
                             inst = n;
@@ -1132,11 +1112,9 @@ impl Machine<'_> {
                     BcOp::Call { t, sigma, q } => {
                         tickl!();
                         let (next, off, idx) = self.take_target(&inst, t, 2, Some((sigma, q)))?;
-                        if TRACED {
-                            self.tracer.event(&Event::Call {
-                                to: self.mem.names[idx as usize].clone(),
-                            });
-                        }
+                        transfer!(Event::Call {
+                            to: self.mem.names[idx as usize].clone(),
+                        });
                         pc = off;
                         if let Some(n) = next {
                             inst = n;
@@ -1147,12 +1125,10 @@ impl Machine<'_> {
                         tickl!();
                         let w = self.mem.reg(*target)?.clone();
                         let (next, off, idx) = self.enter_bc(&inst, &w, 0, None)?;
-                        if TRACED {
-                            self.tracer.event(&Event::Ret {
-                                to: self.mem.names[idx as usize].clone(),
-                                val: *val,
-                            });
-                        }
+                        transfer!(Event::Ret {
+                            to: self.mem.names[idx as usize].clone(),
+                            val: *val,
+                        });
                         pc = off;
                         if let Some(n) = next {
                             inst = n;
@@ -1160,254 +1136,107 @@ impl Machine<'_> {
                         }
                     }
                     BcOp::Halt { val } => {
-                        self.fuel = fuel;
+                        sync!();
                         return self.halt(*val);
                     }
-                    // Superinstructions. Each arm has two routes with
-                    // identical observable behaviour:
-                    //  - the *net-effect* route, taken when no event can
-                    //    be emitted (`!trace`) and no step can exhaust
-                    //    fuel (`fuel >= k` for a k-step op): one batched
-                    //    fuel debit, effects applied in constituent
-                    //    order, errors propagated exactly as the
-                    //    expansion would raise them (errors are
-                    //    terminal, so post-error memory and fuel are
-                    //    unobservable);
-                    //  - the *faithful* route otherwise: every
-                    //    constituent step ticks, traces, and takes
-                    //    effect in the original order, so fuel
-                    //    exhaustion and event streams land on exactly
-                    //    the same machine state as the unfused sequence.
-                    BcOp::Push { rs } => {
-                        if !TRACED && fuel >= BcOp::PUSH_COST {
-                            fuel -= BcOp::PUSH_COST;
-                            let w = self.mem.reg(*rs)?.clone();
-                            self.mem.stack.push(w);
-                        } else {
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            self.mem.stack.push(TWord::Unit);
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            let w = self.mem.reg(*rs)?.clone();
-                            *self.mem.stack.last_mut().expect("just pushed") = w;
-                        }
-                        pc += 1;
-                    }
-                    BcOp::PushJmp { rs, t } => {
-                        if let (false, false, BcTarget::Static { off, .. }) =
-                            (TRACED, self.guard, t)
-                        {
-                            if fuel >= BcOp::PUSH_JMP_COST {
-                                fuel -= BcOp::PUSH_JMP_COST;
-                                let w = self.mem.reg(*rs)?.clone();
-                                self.mem.stack.push(w);
-                                pc = *off;
-                                continue;
-                            }
-                        }
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
-                        self.mem.stack.push(TWord::Unit);
-                        tickl!();
-                        if TRACED {
-                            self.tracer.event(&Event::Instr);
-                        }
+                    // Fused heads. When no event can be emitted and the
+                    // fuel covers every follower, a head applies its
+                    // followers' net effect in one dispatch — one fuel
+                    // debit, their static counts, effects in follower
+                    // order, errors raised exactly as the followers
+                    // would raise them (errors are terminal, so
+                    // post-error memory and fuel are unobservable) —
+                    // and skips them. Otherwise the last arm steps over
+                    // the head, and the followers' own arms tick, trace
+                    // and run out of fuel exactly as unfused code does.
+                    BcOp::Push { rs } if !TRACED && fuel >= BcOp::PUSH_COST => {
+                        charge!(BcOp::PUSH_COST, 0);
                         let w = self.mem.reg(*rs)?.clone();
-                        *self.mem.stack.last_mut().expect("just pushed") = w;
-                        tickl!();
-                        let (next, off, idx) = self.take_target(&inst, t, 0, None)?;
-                        if TRACED {
-                            self.tracer.event(&Event::Jmp {
-                                to: self.mem.names[idx as usize].clone(),
-                            });
-                        }
-                        pc = off;
-                        if let Some(n) = next {
-                            inst = n;
-                            continue 'instance;
-                        }
+                        self.mem.stack.push(w);
+                        pc += 1 + BcOp::PUSH_COST as u32;
                     }
-                    BcOp::SldPush { rd, idx } => {
-                        if !TRACED && fuel >= BcOp::SLD_PUSH_COST {
-                            fuel -= BcOp::SLD_PUSH_COST;
-                            let w = self.mem.stack_get(*idx)?.clone();
-                            self.mem.set_reg(*rd, w.clone());
-                            self.mem.stack.push(w);
-                        } else {
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            let w = self.mem.stack_get(*idx)?.clone();
-                            self.mem.set_reg(*rd, w.clone());
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            self.mem.stack.push(TWord::Unit);
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            *self.mem.stack.last_mut().expect("just pushed") = w;
-                        }
-                        pc += 1;
+                    BcOp::PushJmp {
+                        rs,
+                        t: BcTarget::Static { off, .. },
+                    } if !TRACED && !self.guard && fuel >= BcOp::PUSH_JMP_COST => {
+                        charge!(BcOp::PUSH_JMP_COST, 1);
+                        let w = self.mem.reg(*rs)?.clone();
+                        self.mem.stack.push(w);
+                        pc = *off;
                     }
-                    BcOp::PopArith { op, pr, rd, rs, rt } => {
-                        if !TRACED && fuel >= BcOp::POP_ARITH_COST {
-                            fuel -= BcOp::POP_ARITH_COST;
-                            if self.mem.stack.is_empty() {
-                                self.mem.stack_get(0)?;
-                            }
-                            let w = self.mem.stack.pop().expect("checked non-empty");
-                            self.mem.set_reg(*pr, w);
-                            let a = self.mem.int_reg(*rs)?;
-                            let b = self.mem.int_reg(*rt)?;
-                            self.mem.set_reg(*rd, TWord::Int(op.apply(a, b)));
-                        } else {
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            let w = self.mem.stack_get(0)?.clone();
-                            self.mem.set_reg(*pr, w);
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            self.mem.stack.pop().expect("sld 0 checked depth");
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            let a = self.mem.int_reg(*rs)?;
-                            let b = self.mem.int_reg(*rt)?;
-                            self.mem.set_reg(*rd, TWord::Int(op.apply(a, b)));
-                        }
-                        pc += 1;
+                    BcOp::SldPush { rd, idx } if !TRACED && fuel >= BcOp::SLD_PUSH_COST => {
+                        charge!(BcOp::SLD_PUSH_COST, 0);
+                        let w = self.mem.stack_get(*idx)?.clone();
+                        self.mem.set_reg(*rd, w.clone());
+                        self.mem.stack.push(w);
+                        pc += 1 + BcOp::SLD_PUSH_COST as u32;
                     }
-                    BcOp::PopArithPush { op, pr, rd, rs, rt } => {
-                        if !TRACED && fuel >= BcOp::POP_ARITH_PUSH_COST {
-                            fuel -= BcOp::POP_ARITH_PUSH_COST;
-                            if self.mem.stack.is_empty() {
-                                self.mem.stack_get(0)?;
-                            }
-                            let w = self.mem.stack.pop().expect("checked non-empty");
-                            self.mem.set_reg(*pr, w);
-                            let a = self.mem.int_reg(*rs)?;
-                            let b = self.mem.int_reg(*rt)?;
-                            let r = TWord::Int(op.apply(a, b));
-                            self.mem.set_reg(*rd, r.clone());
-                            self.mem.stack.push(r);
-                        } else {
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            let w = self.mem.stack_get(0)?.clone();
-                            self.mem.set_reg(*pr, w);
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            self.mem.stack.pop().expect("sld 0 checked depth");
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            let a = self.mem.int_reg(*rs)?;
-                            let b = self.mem.int_reg(*rt)?;
-                            let r = TWord::Int(op.apply(a, b));
-                            self.mem.set_reg(*rd, r.clone());
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            self.mem.stack.push(TWord::Unit);
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            *self.mem.stack.last_mut().expect("just pushed") = r;
+                    BcOp::PopArith { op, pr, rd, rs, rt }
+                        if !TRACED && fuel >= BcOp::POP_ARITH_COST =>
+                    {
+                        charge!(BcOp::POP_ARITH_COST, 0);
+                        if self.mem.stack.is_empty() {
+                            self.mem.stack_get(0)?;
                         }
-                        pc += 1;
+                        let w = self.mem.stack.pop().expect("checked non-empty");
+                        self.mem.set_reg(*pr, w);
+                        let a = self.mem.int_reg(*rs)?;
+                        let b = self.mem.int_reg(*rt)?;
+                        self.mem.set_reg(*rd, TWord::Int(op.apply(a, b)));
+                        pc += 1 + BcOp::POP_ARITH_COST as u32;
                     }
-                    BcOp::SldSfree { rd, idx, n } => {
-                        if !TRACED && fuel >= BcOp::SLD_SFREE_COST {
-                            fuel -= BcOp::SLD_SFREE_COST;
-                            let w = self.mem.stack_get(*idx)?.clone();
-                            self.mem.set_reg(*rd, w);
-                            self.mem.stack_drop_n(*n)?;
-                        } else {
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            let w = self.mem.stack_get(*idx)?.clone();
-                            self.mem.set_reg(*rd, w);
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
+                    BcOp::PopArithPush { op, pr, rd, rs, rt }
+                        if !TRACED && fuel >= BcOp::POP_ARITH_PUSH_COST =>
+                    {
+                        charge!(BcOp::POP_ARITH_PUSH_COST, 0);
+                        if self.mem.stack.is_empty() {
+                            self.mem.stack_get(0)?;
+                        }
+                        let w = self.mem.stack.pop().expect("checked non-empty");
+                        self.mem.set_reg(*pr, w);
+                        let a = self.mem.int_reg(*rs)?;
+                        let b = self.mem.int_reg(*rt)?;
+                        let r = TWord::Int(op.apply(a, b));
+                        self.mem.set_reg(*rd, r.clone());
+                        self.mem.stack.push(r);
+                        pc += 1 + BcOp::POP_ARITH_PUSH_COST as u32;
+                    }
+                    BcOp::SldSfree { rd, idx, n } if !TRACED && fuel >= BcOp::SLD_SFREE_COST => {
+                        charge!(BcOp::SLD_SFREE_COST, 0);
+                        let w = self.mem.stack_get(*idx)?.clone();
+                        self.mem.set_reg(*rd, w);
+                        self.mem.stack_drop_n(*n)?;
+                        pc += 1 + BcOp::SLD_SFREE_COST as u32;
+                    }
+                    BcOp::PopRet { ra, n } if !TRACED && fuel >= BcOp::POP_RET_COST => {
+                        charge!(BcOp::POP_RET_COST, 1);
+                        let len = self.mem.stack.len();
+                        if len == 0 {
+                            self.mem.stack_get(0)?;
+                        }
+                        if len < *n {
                             self.mem.stack_drop_n(*n)?;
                         }
-                        pc += 1;
-                    }
-                    BcOp::PopRet { ra, n, val } => {
-                        let (next, off, _idx) = if !TRACED && fuel >= BcOp::POP_RET_COST {
-                            fuel -= BcOp::POP_RET_COST;
-                            let len = self.mem.stack.len();
-                            if len == 0 {
-                                self.mem.stack_get(0)?;
-                            }
-                            if len < *n {
-                                self.mem.stack_drop_n(*n)?;
-                            }
-                            // Move the return address out of the stack
-                            // (no refcount traffic), resolve it, then
-                            // park it in `ra` — the register state the
-                            // expansion's `sld` leaves behind.
-                            let w = self.mem.stack.pop().expect("checked non-empty");
-                            self.mem.stack.truncate(len - *n);
-                            let tr = self.enter_bc(&inst, &w, 0, None)?;
-                            self.mem.set_reg(*ra, w);
-                            tr
-                        } else {
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            let w = self.mem.stack_get(0)?.clone();
-                            self.mem.set_reg(*ra, w);
-                            tickl!();
-                            if TRACED {
-                                self.tracer.event(&Event::Instr);
-                            }
-                            self.mem.stack_drop_n(*n)?;
-                            tickl!();
-                            let w = self.mem.reg(*ra)?.clone();
-                            let tr = self.enter_bc(&inst, &w, 0, None)?;
-                            if TRACED {
-                                self.tracer.event(&Event::Ret {
-                                    to: self.mem.names[tr.2 as usize].clone(),
-                                    val: *val,
-                                });
-                            }
-                            tr
-                        };
+                        // Move the return address out of the stack (no
+                        // refcount traffic), resolve it, then park it in
+                        // `ra` — the register state the `sld` leaves.
+                        let w = self.mem.stack.pop().expect("checked non-empty");
+                        self.mem.stack.truncate(len - *n);
+                        let (next, off, _) = self.enter_bc(&inst, &w, 0, None)?;
+                        self.mem.set_reg(*ra, w);
                         pc = off;
                         if let Some(nx) = next {
                             inst = nx;
                             continue 'instance;
                         }
                     }
+                    BcOp::Push { .. }
+                    | BcOp::PushJmp { .. }
+                    | BcOp::SldPush { .. }
+                    | BcOp::PopArith { .. }
+                    | BcOp::PopArithPush { .. }
+                    | BcOp::SldSfree { .. }
+                    | BcOp::PopRet { .. } => pc += 1,
                 }
             }
         }
@@ -1572,6 +1401,7 @@ pub fn run_bc(
         guard: cfg.guard,
         trace: tracer.enabled(),
         tracer,
+        counts: CountTracer::new(),
         bc: BcState::default(),
     };
     let ctrl = match comp {
@@ -1736,6 +1566,7 @@ pub(crate) fn prelowered_machine<'t>(
         guard: cfg.guard,
         trace: tracer.enabled(),
         tracer,
+        counts: CountTracer::new(),
         bc: BcState::seeded(&lp.modules),
     }
 }

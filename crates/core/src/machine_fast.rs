@@ -38,7 +38,7 @@ use funtal_syntax::{
 };
 use funtal_tal::error::{RResult, RuntimeError};
 use funtal_tal::machine::Memory;
-use funtal_tal::trace::{Event, Tracer};
+use funtal_tal::trace::{CountTracer, Event, Tracer};
 
 use crate::machine::FtOutcome;
 use crate::machine_bc::{BcCtrl, BcState};
@@ -52,7 +52,7 @@ use crate::translate::{check_wrappable, end_block, fty_to_tty, lambda_glue_block
 /// locations as indices into the flat heap, and everything else (packs,
 /// folds, instantiated words) behind a shared, interned [`WordVal`] so
 /// moves never deep-clone.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TWord {
     /// `()`.
     Unit,
@@ -461,7 +461,7 @@ pub(crate) struct MergeOutcome {
 /// [`SmallVal`]: registers and literal words are immediate (literal
 /// conversion shares one interned word per instruction), and only the
 /// rare pack/fold/inst shapes stay symbolic.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) enum FastOp {
     Reg(Reg),
     Word(TWord),
@@ -901,6 +901,10 @@ pub(crate) struct Machine<'t> {
     /// construction (label clones) when nobody is listening.
     pub(crate) trace: bool,
     pub(crate) tracer: &'t mut dyn Tracer,
+    /// The step counts of an untraced run, bumped where a traced run
+    /// emits the counted events and handed to the tracer
+    /// ([`Tracer::add_counts`]) when the run ends.
+    pub(crate) counts: CountTracer,
     /// The bytecode VM's per-run state (its module table).
     pub(crate) bc: BcState,
 }
@@ -911,6 +915,17 @@ macro_rules! tick {
             return Ok(Step::Done(FtOutcome::OutOfFuel));
         }
         $self.fuel -= 1;
+    };
+}
+
+/// Emits `$ev` to an enabled tracer, or else counts it in `$class`.
+macro_rules! note {
+    ($self:ident, $class:ident, $ev:expr) => {
+        if $self.trace {
+            $self.tracer.event(&$ev);
+        } else {
+            $self.counts.$class += 1;
+        }
     };
 }
 
@@ -938,7 +953,10 @@ impl Machine<'_> {
             };
             match step {
                 Step::Continue(next) => ctrl = next,
-                Step::Done(out) => return Ok(out),
+                Step::Done(out) => {
+                    self.tracer.add_counts(&self.counts);
+                    return Ok(out);
+                }
             }
         }
     }
@@ -1012,10 +1030,7 @@ impl Machine<'_> {
                     MergeOutcome::default()
                 } else {
                     tick!(self);
-                    if self.trace {
-                        self.tracer
-                            .event(&Event::BoundaryEnter { ty: (**ty).clone() });
-                    }
+                    note!(self, crossings, Event::BoundaryEnter { ty: (**ty).clone() });
                     self.mem.merge_fragment(comp, &env)
                 };
                 let t = self.boundary_ctrl(comp, &env, merge)?;
@@ -1045,9 +1060,7 @@ impl Machine<'_> {
                     )));
                 };
                 tick!(self);
-                if self.trace {
-                    self.tracer.event(&Event::FStep);
-                }
+                note!(self, f_steps, Event::FStep);
                 Ctrl::Ret(FastVal::Int(op.apply(*a, *b)))
             }
             Frame::If0 {
@@ -1062,9 +1075,7 @@ impl Machine<'_> {
                     )));
                 };
                 tick!(self);
-                if self.trace {
-                    self.tracer.event(&Event::FStep);
-                }
+                note!(self, f_steps, Event::FStep);
                 Ctrl::Eval(if n == 0 { then_branch } else { else_branch }, env)
             }
             Frame::AppFunc { args, env } => {
@@ -1111,9 +1122,7 @@ impl Machine<'_> {
                     )));
                 };
                 tick!(self);
-                if self.trace {
-                    self.tracer.event(&Event::FStep);
-                }
+                note!(self, f_steps, Event::FStep);
                 Ctrl::Ret((**body).clone())
             }
             Frame::TupleF { mut done, es, env } => {
@@ -1141,9 +1150,7 @@ impl Machine<'_> {
                     return Err(RuntimeError::Stuck(format!("pi[{idx}] out of range")));
                 }
                 tick!(self);
-                if self.trace {
-                    self.tracer.event(&Event::FStep);
-                }
+                note!(self, f_steps, Event::FStep);
                 Ctrl::Ret(vs[idx - 1].clone())
             }
             Frame::BoundaryT { .. } => {
@@ -1154,13 +1161,9 @@ impl Machine<'_> {
                 // ImportExit), then the rewritten `mv` itself.
                 tick!(self);
                 let w = f_to_t_fast(&mut self.mem, &v, &ty)?;
-                if self.trace {
-                    self.tracer.event(&Event::ImportExit { rd });
-                }
+                note!(self, crossings, Event::ImportExit { rd });
                 tick!(self);
-                if self.trace {
-                    self.tracer.event(&Event::Instr);
-                }
+                note!(self, instrs, Event::Instr);
                 self.mem.set_reg(rd, w);
                 Ctrl::T(saved)
             }
@@ -1184,9 +1187,7 @@ impl Machine<'_> {
             )));
         }
         tick!(self);
-        if self.trace {
-            self.tracer.event(&Event::FBeta);
-        }
+        note!(self, f_steps, Event::FBeta);
         let env = c.env.extend(params.clone(), args);
         Ok(Step::Continue(Ctrl::Eval(body.clone(), env)))
     }
@@ -1202,10 +1203,7 @@ impl Machine<'_> {
                 };
                 let w = self.mem.reg(val)?.clone();
                 let v = t_to_f_fast(&mut self.mem, &w, &ty)?;
-                if self.trace {
-                    self.tracer
-                        .event(&Event::BoundaryExit { ty: (*ty).clone() });
-                }
+                note!(self, crossings, Event::BoundaryExit { ty: (*ty).clone() });
                 Ok(Step::Continue(Ctrl::Ret(v)))
             }
             None => {

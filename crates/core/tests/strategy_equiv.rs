@@ -26,7 +26,7 @@ use funtal_syntax::build::*;
 use funtal_syntax::span::SpanTable;
 use funtal_syntax::{Component, FExpr, FTy};
 use funtal_tal::machine::Memory;
-use funtal_tal::trace::{NullTracer, VecTracer};
+use funtal_tal::trace::{CountTracer, Event, NullTracer, Tracer, VecTracer};
 use funtal_tal::{Profiler, RootLang};
 use proptest::prelude::*;
 
@@ -43,6 +43,13 @@ fn run_with(
     let cfg = RunCfg::with_fuel(fuel).with_strategy(strategy);
     let out = run(&mut mem, comp, cfg, &mut tracer).map_err(|e| e.to_string());
     (out, tracer.events)
+}
+
+/// The step counts a `CountTracer` folds from an event stream.
+fn fold_counts(events: &[Event]) -> CountTracer {
+    let mut c = CountTracer::new();
+    events.iter().for_each(|e| c.event(e));
+    c
 }
 
 /// Asserts the fast machine agrees with the oracle on outcome and
@@ -450,13 +457,16 @@ fn profiles_are_certified_across_tiers() {
     }
 }
 
-/// Satellite of the profiler work: sweep **every** fuel bound from 0
-/// to the minimal sufficient fuel on compiled programs (whose lowered
-/// form contains fused superinstructions), with tracing both on (the
-/// bytecode VM's faithful per-constituent route) and off (the fused
-/// net-effect route). Outcomes and event streams must agree at every
+/// Sweep **every** fuel bound from 0 to the minimal sufficient fuel on
+/// compiled programs (whose lowered form carries fused heads), with
+/// tracing both on (the VM steps through every head's followers) and
+/// off (heads take their net-effect routes while the fuel covers
+/// them). Outcomes, event streams and step counts must agree at every
 /// bound — in particular at `minimal - 1`, the exhaustion boundary a
-/// fused multi-step charge could mis-handle.
+/// fused multi-step charge could mis-handle. The untraced run counts
+/// through a `CountTracer`, which leaves the VM untraced: its counts
+/// must equal those folded from the traced run's and the oracle's
+/// events, runs that end `OutOfFuel` included.
 #[test]
 fn fuel_exhaustion_at_every_bound_agrees_across_tiers() {
     for (pname, p, fname, args) in [
@@ -484,16 +494,27 @@ fn fuel_exhaustion_at_every_bound_agrees_across_tiers() {
                     sub_events, events,
                     "{pname} tco={tco} fuel={fuel}: events differ"
                 );
+                let mut counts = CountTracer::new();
                 let untraced = run(
                     &mut Memory::new(),
                     &comp,
                     RunCfg::with_fuel(fuel).with_strategy(FAST),
-                    &mut NullTracer,
+                    &mut counts,
                 )
                 .map_err(|e| e.to_string());
                 assert_eq!(
                     sub, untraced,
                     "{pname} tco={tco} fuel={fuel}: untraced outcome differs"
+                );
+                assert_eq!(
+                    counts,
+                    fold_counts(&events),
+                    "{pname} tco={tco} fuel={fuel}: untraced counts differ from traced"
+                );
+                assert_eq!(
+                    counts,
+                    fold_counts(&sub_events),
+                    "{pname} tco={tco} fuel={fuel}: untraced counts differ from the oracle's"
                 );
             }
         }

@@ -20,7 +20,9 @@
 //! means two differently-formatted sources of the same program share
 //! one typecheck. Evaluation is never cached — it is the work a job
 //! asks for — so a warm cache turns `run` into hash + eval, which is
-//! what the hit counters in the batch report prove.
+//! what the hit counters in the batch report prove. A memory hit is
+//! served as is: every in-process entry was computed by this process,
+//! so only disk loads (below) are re-verified.
 //!
 //! All maps are `Mutex<HashMap>` behind one [`ArtifactCache`] that
 //! workers share via `Arc`. Lookups hold a lock only for the map
@@ -83,7 +85,6 @@ use crate::wire;
 pub struct StageCounters {
     hits: AtomicU64,
     misses: AtomicU64,
-    rejects: AtomicU64,
 }
 
 impl StageCounters {
@@ -95,16 +96,12 @@ impl StageCounters {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn reject(&self) {
-        self.rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> StageStats {
         StageStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            rejects: self.rejects.load(Ordering::Relaxed),
+            rejects: 0,
         }
     }
 }
@@ -116,10 +113,10 @@ pub struct StageStats {
     pub hits: u64,
     /// Lookups that had to compute the artifact.
     pub misses: u64,
-    /// Cached artifacts that failed verify-on-load and were discarded
-    /// (each reject also counts as a miss: the stage recomputed).
-    /// Only the `lower` stage verifies today, so it stays `0`
-    /// elsewhere.
+    /// Always `0`: the in-process maps serve only artifacts this
+    /// process computed, so nothing is re-verified on a hit (the disk
+    /// tier counts its own rejects in [`StoreStats`]). Kept so the
+    /// batch summary's `"rejects":0` and its readers stay stable.
     pub rejects: u64,
 }
 
@@ -362,15 +359,11 @@ impl ArtifactCache {
     /// register allocation and fusion entirely. Lowering is cheaper to
     /// redo than to load, so this stage never touches the disk tier.
     ///
-    /// Every load out of the cache is re-checked by the bytecode
-    /// verifier (`funtal::verify_lowered`). An artifact that no longer
-    /// verifies is discarded and recomputed — the reject bumps the
-    /// stage's `rejects` counter *and* counts as a miss, so a bad
-    /// entry degrades to re-lowering instead of handing the dispatch
-    /// loop garbage, and `hits + misses == lookups` stays the
-    /// cross-thread invariant. Verification is linear in the module
-    /// and runs only here and at lower time, never inside the dispatch
-    /// loop (see PERFORMANCE.md).
+    /// A hit is served as is: every entry is a lowering this process
+    /// made, so there is nothing to re-verify. The bytecode verifier
+    /// (`funtal::verify_lowered`) guards lowering itself instead — in
+    /// debug builds, under `--verify-bytecode`, and at JIT promotion
+    /// (see PERFORMANCE.md).
     pub fn lower_keyed(
         &self,
         check_key: &str,
@@ -383,11 +376,8 @@ impl ArtifactCache {
             .expect("cache poisoned")
             .get(check_key)
         {
-            if funtal::verify_lowered(found).is_ok() {
-                self.lower.counters.hit();
-                return found.clone();
-            }
-            self.lower.counters.reject();
+            self.lower.counters.hit();
+            return found.clone();
         }
         self.lower.counters.miss();
         let value = Arc::new(compute());
@@ -514,39 +504,5 @@ mod tests {
         let got_b = cache.parse("src-b", || Err("expected a hit".to_string()));
         assert_eq!(got_a.unwrap().expr, a);
         assert_eq!(got_b.unwrap().expr, b);
-    }
-
-    #[test]
-    fn corrupted_lower_artifacts_are_rejected_and_recomputed() {
-        let cache = ArtifactCache::new();
-        let e = funtal_parser::parse_fexpr("FT[int](mv r1, 6; mul r1, r1, 7; halt int, * {r1})")
-            .unwrap();
-        let key = e.to_string();
-        cache.lower_keyed(&key, || funtal::prelower(&e)); // cold: miss
-        cache.lower_keyed(&key, || funtal::prelower(&e)); // warm: verified hit
-
-        // Poison the cached artifact with a module the verifier
-        // rejects (an out-of-bounds block offset).
-        let mut corrupted = funtal::prelower(&e);
-        assert!(funtal::bc_verify::corrupt_for_tests(&mut corrupted));
-        assert!(funtal::verify_lowered(&corrupted).is_err());
-        cache
-            .lower
-            .map
-            .lock()
-            .unwrap()
-            .insert(key.clone(), Arc::new(corrupted));
-        // The next load rejects the poisoned entry and degrades to
-        // re-lowering: the caller still gets a verified artifact.
-        let reloaded = cache.lower_keyed(&key, || funtal::prelower(&e));
-        assert!(funtal::verify_lowered(&reloaded).is_ok());
-        let s = cache.stats().lower;
-        assert_eq!((s.hits, s.misses, s.rejects), (1, 2, 1));
-        // A reject counts as a miss: lookups stays hits + misses.
-        assert_eq!(s.lookups(), 3);
-        // The recomputed artifact replaced the poisoned one.
-        let again = cache.lower_keyed(&key, || panic!("expected a verified hit"));
-        assert!(funtal::verify_lowered(&again).is_ok());
-        assert_eq!(cache.stats().lower.rejects, 1);
     }
 }

@@ -62,14 +62,6 @@ impl Json {
         }
     }
 
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Parses one JSON value from the whole input (trailing whitespace
     /// allowed, anything else is an error).
     pub fn parse(src: &str) -> Result<Json, String> {

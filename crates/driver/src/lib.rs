@@ -329,7 +329,8 @@ impl Pipeline {
         })
     }
 
-    /// Runs `run` under a step-counting tracer.
+    /// Runs `run` under a [`CountTracer`], which leaves the fast
+    /// machine on its untraced loop (it counts its own steps).
     fn run_counted(
         &self,
         ty: FTy,
@@ -366,9 +367,9 @@ impl Pipeline {
 
     /// Profiles a pre-lowered bytecode program — the fast machine's
     /// analogue of [`profile_prechecked`](Pipeline::profile_prechecked).
-    /// An enabled tracer makes the bytecode VM take its faithful
-    /// per-instruction route through fused superinstructions, so every
-    /// constituent's tick is attributed to its own span.
+    /// An enabled tracer makes the bytecode VM step through the ops
+    /// behind every fused head, so each one's tick is attributed to its
+    /// own span.
     pub fn profile_prelowered(
         &self,
         lowered: &LoweredProgram,

@@ -11,6 +11,10 @@
 //!
 //! - **Oracle vs fast machine** through [`Pipeline::trace`]: identical
 //!   outcomes, identical event streams, identical step/fuel accounting.
+//! - **Untraced vs traced counts**: [`Pipeline::run`]'s step counts
+//!   come from the fast machine's untraced loop, and must equal the
+//!   counts folded from both traced runs at every sampled fuel bound,
+//!   bounds the run exhausts included.
 //! - **Batch vs sequential**: the batch engine consumes each program's
 //!   canonical *rendering* as a source job, runs it through the
 //!   lowered-artifact cache, and must reproduce the in-memory
@@ -101,6 +105,46 @@ fn assert_differential_clean(p: &GenProgram) {
     );
 }
 
+/// Fuel bounds for the count sweep: early exhaustion points, then
+/// enough fuel to finish.
+const COUNT_BOUNDS: [u64; 12] = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, FUEL];
+
+/// The counts of an engine run (a `CountTracer`, which leaves the fast
+/// machine on its untraced loop) equal the counts folded from a traced
+/// fast run and from the oracle at `fuel`, whatever the outcome.
+fn assert_counts_agree(p: &GenProgram, fuel: u64) {
+    let at = |s| Pipeline::new().with_fuel(fuel).with_strategy(s);
+    let fail = |what: &str, e: funtal_driver::FunTalError| -> ! {
+        panic!("{}: {what} failed: {e}\n{}", p.describe, p.expr)
+    };
+    let counted = at(EvalStrategy::Environment)
+        .run(&p.expr)
+        .unwrap_or_else(|e| fail("counted run", e));
+    let traced = at(EvalStrategy::Environment)
+        .trace(&p.expr)
+        .unwrap_or_else(|e| fail("traced run", e));
+    let oracle = at(EvalStrategy::Substitution)
+        .trace(&p.expr)
+        .unwrap_or_else(|e| fail("oracle run", e));
+    assert_eq!(
+        counted.outcome, oracle.outcome,
+        "{} fuel={fuel}",
+        p.describe
+    );
+    assert_eq!(
+        counted.counts,
+        traced.counts(),
+        "{} fuel={fuel}: untraced counts differ from traced",
+        p.describe
+    );
+    assert_eq!(
+        counted.counts,
+        oracle.counts(),
+        "{} fuel={fuel}: untraced counts differ from the oracle's",
+        p.describe
+    );
+}
+
 /// A cheap sanity floor: every generated program the corpus relies on
 /// converges to a value (never halts in T at the top level, never runs
 /// out of the generous test fuel).
@@ -131,6 +175,9 @@ fn committed_corpus_is_differential_clean() {
             let p = gen_program(&mut rng, 2);
             assert_converges(&p);
             assert_differential_clean(&p);
+            for fuel in COUNT_BOUNDS {
+                assert_counts_agree(&p, fuel);
+            }
         }
     }
 }
@@ -145,5 +192,8 @@ proptest! {
         let mut rng = SplitMix::new(seed as u64);
         let p = gen_program(&mut rng, 2);
         assert_differential_clean(&p);
+        for fuel in COUNT_BOUNDS {
+            assert_counts_agree(&p, fuel);
+        }
     }
 }

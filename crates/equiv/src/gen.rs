@@ -117,11 +117,6 @@ fn fold_min_at(ty: &FTy, lvl: u32) -> FExpr {
     }
 }
 
-/// The least-effort inhabitant of a type (total, no recursion).
-pub fn min_value(ty: &FTy) -> FExpr {
-    min_value_at(ty, 0)
-}
-
 /// `lvl` indexes the stack-tail binder of each lambda so nested
 /// lambdas never shadow (`zm0` contains `zm1` contains ...).
 fn min_value_at(ty: &FTy, lvl: u32) -> FExpr {

@@ -29,7 +29,6 @@ pub mod logrel;
 use std::fmt;
 
 use funtal::machine::{run_fexpr_threaded, FtOutcome, RunCfg};
-use funtal_syntax::alpha::alpha_eq_fexpr;
 use funtal_syntax::{FExpr, FTy};
 use funtal_tal::trace::NullTracer;
 
@@ -216,10 +215,4 @@ pub fn equivalent(e1: &FExpr, e2: &FExpr, ty: &FTy, cfg: &EquivCfg) -> Verdict {
 /// point; this alias emphasizes the `≈ctx` reading.
 pub fn ctx_equiv(e1: &FExpr, e2: &FExpr, ty: &FTy, cfg: &EquivCfg) -> Verdict {
     equivalent(e1, e2, ty, cfg)
-}
-
-/// Structural alpha-equivalence shortcut (used by tests to confirm two
-/// syntactically equal programs are trivially related).
-pub fn syntactically_equal(a: &FExpr, b: &FExpr) -> bool {
-    alpha_eq_fexpr(a, b)
 }

@@ -5,8 +5,7 @@
 
 use crate::ids::{TyVar, VarName};
 use crate::term::{
-    CodeBlock, Component, FExpr, HeapFrag, HeapVal, Instr, InstrSeq, SmallVal, TComp, Terminator,
-    WordVal,
+    CodeBlock, FExpr, HeapFrag, HeapVal, Instr, InstrSeq, SmallVal, TComp, Terminator, WordVal,
 };
 use crate::ty::{CodeTy, FTy, HeapTy, Inst, RegFileTy, RetMarker, StackTail, StackTy, TTy};
 
@@ -581,15 +580,6 @@ alpha_fn!(
     /// Alpha-equivalence of word values.
     alpha_eq_word, WordVal, eq_word
 );
-
-/// Alpha-equivalence of components.
-pub fn alpha_eq_component(a: &Component, b: &Component) -> bool {
-    match (a, b) {
-        (Component::F(x), Component::F(y)) => alpha_eq_fexpr(x, y),
-        (Component::T(x), Component::T(y)) => alpha_eq_tcomp(x, y),
-        _ => false,
-    }
-}
 
 #[cfg(test)]
 mod tests {

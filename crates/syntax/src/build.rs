@@ -20,7 +20,7 @@ use crate::term::{
     ArithOp, CodeBlock, FExpr, HeapFrag, HeapVal, Instr, InstrSeq, Lam, SmallVal, TComp,
     Terminator, WordVal,
 };
-use crate::ty::{FTy, Inst, Mutability, RegFileTy, RetMarker, StackTail, StackTy, TTy, TyVarDecl};
+use crate::ty::{FTy, Inst, Mutability, RegFileTy, RetMarker, StackTy, TTy, TyVarDecl};
 
 // --- registers ---------------------------------------------------------
 
@@ -156,11 +156,6 @@ pub fn q_var(name: &str) -> RetMarker {
 /// `end{ty; sigma}`.
 pub fn q_end(ty: TTy, sigma: StackTy) -> RetMarker {
     RetMarker::end(ty, sigma)
-}
-
-/// `out`.
-pub fn q_out() -> RetMarker {
-    RetMarker::Out
 }
 
 // --- instantiations ------------------------------------------------------
@@ -558,15 +553,6 @@ pub fn boundary_out(ty: FTy, sigma_out: StackTy, comp: TComp) -> FExpr {
         ty,
         sigma_out: Some(sigma_out),
         comp: Box::new(comp),
-    }
-}
-
-/// Re-exported for building stacks whose tail is a variable with a
-/// pre-existing `TyVar`.
-pub fn stack_tail_var(v: TyVar) -> StackTy {
-    StackTy {
-        prefix: Vec::new(),
-        tail: StackTail::Var(v),
     }
 }
 

@@ -7,8 +7,7 @@ use std::collections::BTreeSet;
 
 use crate::ids::{TyVar, VarName};
 use crate::term::{
-    CodeBlock, Component, FExpr, HeapFrag, HeapVal, Instr, InstrSeq, SmallVal, TComp, Terminator,
-    WordVal,
+    CodeBlock, FExpr, HeapFrag, HeapVal, Instr, InstrSeq, SmallVal, TComp, Terminator, WordVal,
 };
 use crate::ty::{CodeTy, FTy, HeapTy, Inst, RegFileTy, RetMarker, StackTail, StackTy, TTy};
 
@@ -372,14 +371,6 @@ pub fn ftv_seq(seq: &InstrSeq) -> BTreeSet<TyVar> {
     out
 }
 
-/// Free type variables of a component.
-pub fn ftv_component(c: &Component) -> BTreeSet<TyVar> {
-    match c {
-        Component::F(e) => ftv_fexpr(e),
-        Component::T(t) => ftv_tcomp(t),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Free *term* variables of F expressions.
 // ---------------------------------------------------------------------
@@ -445,13 +436,6 @@ fn go_fv_seq(seq: &InstrSeq, scope: &mut Vec<VarName>, out: &mut BTreeSet<VarNam
 pub fn fv_fexpr(e: &FExpr) -> BTreeSet<VarName> {
     let mut out = BTreeSet::new();
     go_fv(e, &mut Vec::new(), &mut out);
-    out
-}
-
-/// Free F term variables of a T component.
-pub fn fv_tcomp(c: &TComp) -> BTreeSet<VarName> {
-    let mut out = BTreeSet::new();
-    go_fv_tcomp(c, &mut Vec::new(), &mut out);
     out
 }
 

@@ -17,7 +17,7 @@ use crate::term::{ArithOp, FExpr, Lam, TComp};
 use crate::ty::{FTy, StackTy, TTy};
 
 /// The node forms of an interned F expression, mirroring [`FExpr`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum IKind {
     /// A variable.
     Var(VarName),
@@ -94,7 +94,7 @@ pub enum IKind {
 }
 
 /// An interned F expression: a shared node. Cloning is an `Arc` bump.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IExpr(Arc<IKind>);
 
 // Interned artifacts are shared across batch workers via `Arc`.

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use crate::ids::Label;
 use crate::term::{
-    CodeBlock, FExpr, HeapFrag, HeapVal, Instr, InstrSeq, Lam, SmallVal, TComp, Terminator, WordVal,
+    CodeBlock, FExpr, HeapVal, Instr, InstrSeq, Lam, SmallVal, TComp, Terminator, WordVal,
 };
 
 type Renaming = BTreeMap<Label, Label>;
@@ -203,14 +203,6 @@ pub fn rename_fexpr(e: &FExpr, map: &Renaming) -> FExpr {
             comp: Box::new(rename_tcomp(comp, map)),
         },
     }
-}
-
-/// Renames labels in a heap fragment, including the binding labels
-/// themselves.
-pub fn rename_frag_bindings(h: &HeapFrag, map: &Renaming) -> HeapFrag {
-    h.iter()
-        .map(|(l, v)| (ren(map, l), rename_heap_val(v, map)))
-        .collect()
 }
 
 #[cfg(test)]

@@ -434,19 +434,9 @@ impl HeapFrag {
         HeapFrag(pairs.into_iter().map(|(l, v)| (l, Arc::new(v))).collect())
     }
 
-    /// Builds a fragment from already-shared `(label, value)` pairs.
-    pub fn from_shared(pairs: impl IntoIterator<Item = (Label, Arc<HeapVal>)>) -> Self {
-        HeapFrag(pairs.into_iter().collect())
-    }
-
     /// Looks up a label.
     pub fn get(&self, l: &Label) -> Option<&HeapVal> {
         self.0.get(l).map(|v| &**v)
-    }
-
-    /// Looks up a label, returning the shared handle.
-    pub fn get_shared(&self, l: &Label) -> Option<&Arc<HeapVal>> {
-        self.0.get(l)
     }
 
     /// True when the fragment has no bindings.
@@ -494,11 +484,6 @@ impl TComp {
             seq,
             heap: HeapFrag::new(),
         }
-    }
-
-    /// A component with local blocks.
-    pub fn with_heap(seq: InstrSeq, heap: HeapFrag) -> Self {
-        TComp { seq, heap }
     }
 }
 

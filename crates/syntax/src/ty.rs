@@ -232,11 +232,6 @@ impl StackTy {
         }
     }
 
-    /// `φ :: tail` with an explicit prefix.
-    pub fn with_prefix(prefix: Vec<TTy>, tail: StackTail) -> Self {
-        StackTy { prefix, tail }
-    }
-
     /// Pushes `ty` on top, returning the extended stack `τ :: σ`.
     pub fn cons(&self, ty: TTy) -> Self {
         let mut prefix = Vec::with_capacity(self.prefix.len() + 1);
@@ -485,14 +480,6 @@ impl FTy {
             phi_out: Vec::new(),
             ret: Box::new(ret),
         }
-    }
-
-    /// True for arrows whose stack prefixes are both empty.
-    pub fn is_plain_arrow(&self) -> bool {
-        matches!(
-            self,
-            FTy::Arrow { phi_in, phi_out, .. } if phi_in.is_empty() && phi_out.is_empty()
-        )
     }
 }
 

@@ -724,11 +724,6 @@ pub fn check_block_with(
     check_seq_with(ctx, &block.body, ext).map_err(|e| e.at(format!("block {label}")))
 }
 
-/// Checks a pure-T code block.
-pub fn check_block(psi: &HeapTyping, label: &Label, block: &CodeBlock) -> TResult<()> {
-    check_block_with(psi, label, block, &mut |_, _| None)
-}
-
 /// Checks a T component `Ψ;∆;χ;σ;q ⊢ (I,H) : τ;σ'` (Fig 2), with an
 /// extension hook, returning the result type and stack from
 /// `ret-type(q, χ, σ)`.

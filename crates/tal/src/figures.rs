@@ -5,7 +5,7 @@
 //! suite (`sec3_*` tests).
 
 use funtal_syntax::build::*;
-use funtal_syntax::{RegFileTy, RetMarker, StackTy, TComp, TTy, TyVarDecl};
+use funtal_syntax::{TComp, TTy};
 
 /// The continuation type `box ∀[].{r1: int; ζ} ε` that threads through
 /// Figure 3, parameterized by the names of `ζ` and `ε`.
@@ -98,26 +98,4 @@ pub fn fig3_call_to_call() -> TComp {
             ("l2ret", l2ret),
         ],
     )
-}
-
-/// The starting context for checking a whole program that halts with an
-/// `int` on an empty stack.
-pub fn whole_program_marker() -> RetMarker {
-    q_end(int(), nil())
-}
-
-/// The empty register file (whole programs start with no register
-/// assumptions).
-pub fn empty_chi() -> RegFileTy {
-    RegFileTy::new()
-}
-
-/// The empty stack type.
-pub fn empty_stack() -> StackTy {
-    nil()
-}
-
-/// Declarations `[ζ: stk, ε: ret]` used by most figure blocks.
-pub fn standard_delta(z: &str, e: &str) -> Vec<TyVarDecl> {
-    vec![d_stk(z), d_ret(e)]
 }

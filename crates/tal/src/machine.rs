@@ -13,8 +13,7 @@ use std::sync::Arc;
 use funtal_syntax::rename::{rename_heap_val, rename_seq};
 use funtal_syntax::subst::Subst;
 use funtal_syntax::{
-    HeapFrag, HeapVal, Inst, Instr, InstrSeq, Label, Mutability, Reg, SmallVal, TComp, Terminator,
-    WordVal,
+    HeapVal, Inst, Instr, InstrSeq, Label, Mutability, Reg, SmallVal, TComp, Terminator, WordVal,
 };
 
 use crate::error::{RResult, RuntimeError};
@@ -113,14 +112,6 @@ impl Memory {
         Self::default()
     }
 
-    /// A memory with an initial global heap.
-    pub fn with_heap(heap: impl IntoIterator<Item = (Label, HeapVal)>) -> Self {
-        Memory {
-            heap: heap.into_iter().map(|(l, v)| (l, Arc::new(v))).collect(),
-            ..Self::default()
-        }
-    }
-
     /// Reads a register.
     pub fn reg(&self, r: Reg) -> RResult<&WordVal> {
         self.regs.get(&r).ok_or(RuntimeError::UnboundReg(r))
@@ -136,13 +127,6 @@ impl Memory {
         self.heap
             .get(l)
             .map(|v| &**v)
-            .ok_or_else(|| RuntimeError::UnboundLabel(l.clone()))
-    }
-
-    /// Looks up a heap value, returning the shared handle.
-    pub fn heap_get_shared(&self, l: &Label) -> RResult<&Arc<HeapVal>> {
-        self.heap
-            .get(l)
             .ok_or_else(|| RuntimeError::UnboundLabel(l.clone()))
     }
 
@@ -590,12 +574,4 @@ pub fn run_component(
 pub fn run_program(comp: &TComp, fuel: u64, tracer: &mut dyn Tracer) -> RResult<Outcome> {
     let mut mem = Memory::new();
     run_component(&mut mem, comp, fuel, tracer)
-}
-
-/// Lifts a component-local heap fragment into a memory without
-/// freshening (for whole programs whose labels are meaningful).
-pub fn preload_heap(mem: &mut Memory, frag: &HeapFrag) {
-    for (l, hv) in frag.iter_shared() {
-        mem.heap.insert(l.clone(), hv.clone());
-    }
 }

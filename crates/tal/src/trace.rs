@@ -2,7 +2,9 @@
 //!
 //! The machines emit an [`Event`] at every control transfer, which is how
 //! the repository regenerates the paper's control-flow diagrams (Fig 4
-//! and Fig 12) and how benchmarks count machine steps.
+//! and Fig 12). Step counts ([`CountTracer`]) come from the same events
+//! on the Fig 8 oracle; the fast machine counts its own steps instead,
+//! so counting never forces its traced loop.
 
 use std::fmt;
 
@@ -95,6 +97,12 @@ pub trait Tracer {
     fn enabled(&self) -> bool {
         true
     }
+
+    /// Receives the step counts a machine kept itself because this
+    /// tracer is not [`enabled`](Tracer::enabled) (zeros when it is,
+    /// since the events carried them); called once on every `Ok` exit
+    /// of the fast machine. Ignored by default.
+    fn add_counts(&mut self, _counts: &CountTracer) {}
 }
 
 /// Ignores all events.
@@ -138,7 +146,13 @@ impl Tracer for VecTracer {
     }
 }
 
-/// Counts events by class; the cheap tracer used by benchmarks.
+/// Counts machine steps by class: the `"steps"` block of every run.
+///
+/// Machines that emit every event (the Fig 8 oracle, the T machine)
+/// feed it through [`Tracer::event`]. It is not
+/// [`enabled`](Tracer::enabled), so the fast machine runs its untraced
+/// loop, counts the same classes itself, and hands over the totals
+/// through [`Tracer::add_counts`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CountTracer {
     /// T instructions executed.
@@ -177,5 +191,56 @@ impl Tracer for CountTracer {
             | Event::ImportExit { .. } => self.crossings += 1,
             Event::Halt { .. } => {}
         }
+    }
+
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn add_counts(&mut self, c: &CountTracer) {
+        self.instrs += c.instrs;
+        self.transfers += c.transfers;
+        self.f_steps += c.f_steps;
+        self.crossings += c.crossings;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `CountTracer` must stay disabled: an enabled one would put every
+    /// engine job back on the fast machine's traced loop.
+    #[test]
+    fn count_tracer_is_not_a_tracing_tracer() {
+        let mut c = CountTracer::new();
+        assert!(!c.enabled());
+        // Machines that emit every event still count through it...
+        c.event(&Event::Instr);
+        c.event(&Event::BnzTaken {
+            to: Label::new("l"),
+        });
+        c.event(&Event::FBeta);
+        c.event(&Event::ImportEnter);
+        c.event(&Event::Halt { reg: Reg::R1 });
+        // ...and the fast machine's own totals add on top.
+        let own = CountTracer {
+            instrs: 4,
+            transfers: 3,
+            f_steps: 2,
+            crossings: 1,
+        };
+        c.add_counts(&own);
+        let want = CountTracer {
+            instrs: 5,
+            transfers: 4,
+            f_steps: 3,
+            crossings: 2,
+        };
+        assert_eq!(c, want);
+        // Every other tracer ignores handed-over counts.
+        let mut v = VecTracer::new();
+        v.add_counts(&own);
+        assert!(v.events.is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Typing of word values (`Ψ; ∆ ⊢ w : τ`) and small values
 //! (`Ψ; ∆; χ ⊢ u : τ`), plus register-file subtyping `∆ ⊢ χ ≤ χ'`.
 
-use funtal_syntax::alpha::{alpha_eq_code_ty, alpha_eq_tty};
+use funtal_syntax::alpha::alpha_eq_tty;
 use funtal_syntax::subst::Subst;
 use funtal_syntax::{CodeTy, HeapTy, HeapTyping, Inst, RegFileTy, SmallVal, TTy, WordVal};
 
@@ -142,11 +142,6 @@ pub fn chi_subtype(chi: &RegFileTy, upper: &RegFileTy) -> TResult<()> {
         }
     }
     Ok(())
-}
-
-/// Alpha-equality helper for code types exposed to the checker.
-pub fn code_ty_eq(a: &CodeTy, b: &CodeTy) -> bool {
-    alpha_eq_code_ty(a, b)
 }
 
 #[cfg(test)]

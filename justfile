@@ -37,8 +37,9 @@ bench-snapshot:
 # committed BENCH_pr10.json, or if the persistent store's cross-process
 # warm start drops below 2x over cold. A second call compares the fresh
 # snapshot with itself: the fast machine must stay >= 22.1x faster than
-# the Fig 8 oracle on strategy_ablation/*/12 within the same run (see
-# PERFORMANCE.md). Another call gates the FT checker's
+# the Fig 8 oracle on strategy_ablation/*/12 within the same run, and
+# counted fib_steady/counted/24 must stay within 1.15x of the bare
+# fib_steady/bytecode/24 (see PERFORMANCE.md). Another call gates the FT checker's
 # typecheck_scaling/* rows (>25% median regression) against
 # BENCH_pr20.json. Rows whose medians are under the 10us noise floor
 # are recorded but never fail.
@@ -63,7 +64,8 @@ bench-check:
     cargo run -q -p funtal-bench --bin bench_check -- \
         /tmp/funtal_bench_now.jsonl /tmp/funtal_bench_now.jsonl \
         --threshold 1.25 --min-abs-us 10 \
-        --speedup strategy_ablation/substitution/12:strategy_ablation/environment/12:22.1
+        --speedup strategy_ablation/substitution/12:strategy_ablation/environment/12:22.1 \
+        --speedup fib_steady/bytecode/24:fib_steady/counted/24:0.87
 
 # Refresh the CLI golden snapshots after an intentional output change
 # (review the diff like any other code change).
