@@ -51,11 +51,6 @@ impl BitSet {
         BitSet(self.0 & other.0)
     }
 
-    /// Whether every element of `self` is in `other`.
-    pub fn is_subset(self, other: BitSet) -> bool {
-        self.0 & !other.0 == 0
-    }
-
     /// Number of elements.
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
@@ -99,8 +94,6 @@ mod tests {
         b.insert(3);
         assert_eq!(a.union(b).iter().collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(a.intersect(b).iter().collect::<Vec<_>>(), vec![2]);
-        assert!(a.intersect(b).is_subset(a));
-        assert!(!a.is_subset(b));
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl Cfg {
         seen
     }
 
-    /// [`Cfg::reachable_from`] with no extra roots.
-    pub fn reachable(&self) -> Vec<bool> {
-        self.reachable_from(&[])
-    }
-
     /// Every back edge `(from, to)` — an edge into a block currently
     /// on the DFS stack — discovered from the entry and all extra
     /// roots. An empty result means every region reachable through
@@ -178,7 +173,7 @@ mod tests {
     fn straight_line_is_loop_free() {
         let g = Cfg::new(3, 0, [(0, 1), (1, 2)]);
         assert!(g.is_loop_free());
-        assert_eq!(g.reachable(), vec![true, true, true]);
+        assert_eq!(g.reachable_from(&[]), vec![true, true, true]);
         assert_eq!(g.rpo(), vec![0, 1, 2]);
     }
 
@@ -197,7 +192,7 @@ mod tests {
         let g = Cfg::new(3, 0, [(1, 2), (2, 1)]);
         assert!(g.is_loop_free());
         assert!(!g.is_loop_free_from(&[1]));
-        assert_eq!(g.reachable(), vec![true, false, false]);
+        assert_eq!(g.reachable_from(&[]), vec![true, false, false]);
         assert_eq!(g.reachable_from(&[1]), vec![true, true, true]);
     }
 

@@ -7,7 +7,7 @@
 //! instantiated many times (PAPERS.md: the "Fundamental Constructs"
 //! line — analyses over a small IR, reused):
 //!
-//! - [`cfg`] — control-flow graphs over numbered basic blocks:
+//! - [`cfg`](mod@cfg) — control-flow graphs over numbered basic blocks:
 //!   reachability, back-edge detection (loop-freeness), reverse
 //!   postorder;
 //! - [`dataflow`] — a direction-agnostic worklist solver over any

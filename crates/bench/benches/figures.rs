@@ -2,7 +2,7 @@
 //!
 //! Besides wall-clock times (Criterion), each group prints the machine
 //! step counts that constitute the paper-shape result (see
-//! EXPERIMENTS.md).
+//! DESIGN.md).
 
 #![forbid(unsafe_code)]
 

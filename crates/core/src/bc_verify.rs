@@ -378,10 +378,10 @@ fn escaping_ordinals(m: &BcModule) -> HashSet<u32> {
         return (0..m.blocks.len() as u32).collect();
     }
     let label_ord: HashMap<&Label, u32> = m
-        .spans
+        .labels
         .iter()
         .enumerate()
-        .map(|(i, (l, _))| (l, i as u32))
+        .map(|(i, l)| (l, i as u32))
         .collect();
     let mut out = HashSet::new();
     for op in &m.ops {
@@ -719,8 +719,7 @@ mod tests {
         BcModule {
             ops: m.ops.clone(),
             blocks: m.blocks.clone(),
-            entry_span: m.entry_span,
-            spans: m.spans.clone(),
+            labels: m.labels.clone(),
         }
     }
 

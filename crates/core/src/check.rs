@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 use funtal_fun::check::subst_fty_var;
 use funtal_syntax::alpha::{alpha_eq_fty, alpha_eq_stack, alpha_eq_tty};
 use funtal_syntax::{
-    Component, FExpr, FTy, HeapTyping, Instr, Kind, RegFileTy, RetMarker, StackTail, StackTy,
-    TComp, TTy, TyVarDecl, VarName,
+    Component, FExpr, FTy, HeapTyping, Instr, RegFileTy, RetMarker, StackTail, StackTy, TComp, TTy,
+    TyVarDecl, VarName,
 };
 use funtal_tal::check::{check_component_with, TCtx};
 use funtal_tal::error::{TResult, TypeError};
@@ -488,7 +488,3 @@ pub fn typecheck_component(comp: &Component, expected: Option<&FTy>) -> TResult<
 pub fn typecheck(e: &FExpr) -> TResult<FTy> {
     typecheck_component(&Component::F(e.clone()), None)
 }
-
-/// Re-exported kind marker to keep the public surface tidy.
-#[allow(dead_code)]
-type _Kind = Kind;

@@ -63,6 +63,5 @@ pub use cost::{infer_fuel, FuelBound};
 pub use funtal_analysis::diag::{normalize, Diagnostic, Severity};
 pub use lint::lint_program;
 pub use machine::{eval_to_value, run, run_fexpr, EvalStrategy, FtOutcome, RunCfg};
-pub use machine_bc::{prelower, prelower_spanned, run_prelowered, LoweredProgram};
-pub use machine_fast::SpanScope;
+pub use machine_bc::{prelower, run_prelowered, LoweredProgram};
 pub use translate::{f_to_t, fty_to_tty, t_to_f};

@@ -25,7 +25,7 @@
 //! regardless of rule order or worker count.
 
 use funtal_analysis::{normalize, solve, Analysis, BitSet, Cfg, Diagnostic, Direction, Severity};
-use funtal_syntax::span::Span;
+use funtal_syntax::span::{Span, SpanTable};
 use funtal_syntax::{
     FExpr, HeapVal, Instr, InstrSeq, Label, SmallVal, TComp, Terminator, VarName, WordVal,
 };
@@ -36,15 +36,21 @@ use crate::machine_bc::{BcModule, BcOp, BcTarget, LoweredProgram};
 use crate::machine_fast::ridx;
 
 /// Lints `expr` (as parsed from `file`) and its lowering `lp`,
-/// returning findings in canonical order. Spans come from the
-/// modules' lower-time span tables: lower with
-/// [`crate::prelower_spanned`] to get source positions, or accept
-/// synthetic spans from [`crate::prelower`].
-pub fn lint_program(file: &str, expr: &FExpr, lp: &LoweredProgram) -> Vec<Diagnostic> {
+/// returning findings in canonical order. Spans come from `spans`, the
+/// table recorded when `expr` was parsed: a module's entry sequence
+/// maps to `spans.root` and each block to its label's span. Lowering
+/// carries no spans, so an empty [`SpanTable::new`] makes every
+/// finding synthetic.
+pub fn lint_program(
+    file: &str,
+    expr: &FExpr,
+    lp: &LoweredProgram,
+    spans: &SpanTable,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     shadowed_binders(file, expr, &mut Vec::new(), &mut diags);
     for (comp, m) in &lp.modules {
-        lint_module(file, comp, m, &mut diags);
+        lint_module(file, spans, comp, m, &mut diags);
     }
     if let FuelBound::Exact(n) = infer_fuel(lp) {
         diags.push(Diagnostic::new(
@@ -139,7 +145,7 @@ fn shadowed_seq(file: &str, seq: &InstrSeq, scope: &mut Vec<VarName>, diags: &mu
 /// Flags heap labels of a component that no instruction operand, jump
 /// target, or other heap value ever mentions: the fragment is merged
 /// at every boundary crossing but nothing can reach it.
-fn unused_fragments(file: &str, comp: &TComp, m: &BcModule, diags: &mut Vec<Diagnostic>) {
+fn unused_fragments(file: &str, spans: &SpanTable, comp: &TComp, diags: &mut Vec<Diagnostic>) {
     let mut used: Vec<&Label> = Vec::new();
     seq_labels(&comp.seq, &mut used);
     for hv in comp.heap.0.values() {
@@ -156,7 +162,7 @@ fn unused_fragments(file: &str, comp: &TComp, m: &BcModule, diags: &mut Vec<Diag
         if !used.contains(&label) {
             diags.push(Diagnostic::new(
                 file,
-                span_of_label(m, label),
+                spans.resolve(label.as_str()),
                 "unused-heap-fragment",
                 Severity::Warning,
                 format!("heap fragment `{label}` is never referenced"),
@@ -217,30 +223,23 @@ fn word_labels<'a>(w: &'a WordVal, out: &mut Vec<&'a Label>) {
 
 /// The source span of fragment ordinal `ord` (the entry sequence for
 /// `None`).
-fn span_of_region(m: &BcModule, ord: Option<u32>) -> Span {
+fn span_of_region(spans: &SpanTable, m: &BcModule, ord: Option<u32>) -> Span {
     match ord {
-        None => m.entry_span,
-        Some(o) => m.spans[o as usize].1,
+        None => spans.root,
+        Some(o) => spans.resolve(m.labels[o as usize].as_str()),
     }
 }
 
 fn label_of_region(m: &BcModule, ord: Option<u32>) -> &str {
     match ord {
         None => "<entry>",
-        Some(o) => m.spans[o as usize].0.as_ref(),
+        Some(o) => m.labels[o as usize].as_ref(),
     }
-}
-
-fn span_of_label(m: &BcModule, label: &Label) -> Span {
-    m.spans
-        .iter()
-        .find(|(l, _)| l == label)
-        .map(|&(_, s)| s)
-        .unwrap_or(Span::SYNTH)
 }
 
 fn lint_module(
     file: &str,
+    spans: &SpanTable,
     comp: &std::sync::Arc<TComp>,
     m: &BcModule,
     diags: &mut Vec<Diagnostic>,
@@ -253,7 +252,7 @@ fn lint_module(
             // hand-built module could.
             diags.push(Diagnostic::new(
                 file,
-                m.entry_span,
+                spans.root,
                 "verifier",
                 Severity::Error,
                 format!("module rejected by the bytecode verifier: {e}"),
@@ -262,16 +261,17 @@ fn lint_module(
         }
     };
 
-    unused_fragments(file, comp, m, diags);
-    unreachable_blocks(file, m, &regions, diags);
-    dead_register_writes(file, m, &regions, diags);
-    constant_imports(file, m, &regions, diags);
+    unused_fragments(file, spans, comp, diags);
+    unreachable_blocks(file, spans, m, &regions, diags);
+    dead_register_writes(file, spans, m, &regions, diags);
+    constant_imports(file, spans, m, &regions, diags);
 }
 
 /// Regions with no path from the entry or any enterable block, over
 /// the verifier's region CFG.
 fn unreachable_blocks(
     file: &str,
+    spans: &SpanTable,
     m: &BcModule,
     regions: &ModuleRegions,
     diags: &mut Vec<Diagnostic>,
@@ -283,7 +283,7 @@ fn unreachable_blocks(
             let ord = regions.region_ord[r];
             diags.push(Diagnostic::new(
                 file,
-                span_of_region(m, ord),
+                span_of_region(spans, m, ord),
                 "unreachable-block",
                 Severity::Warning,
                 format!(
@@ -306,6 +306,7 @@ fn enterable_roots(regions: &ModuleRegions) -> Vec<usize> {
 /// marshals a statically constant value every time it executes.
 fn constant_imports(
     file: &str,
+    spans: &SpanTable,
     m: &BcModule,
     regions: &ModuleRegions,
     diags: &mut Vec<Diagnostic>,
@@ -324,7 +325,7 @@ fn constant_imports(
                     let ord = regions.region_ord[r];
                     diags.push(Diagnostic::new(
                         file,
-                        span_of_region(m, ord),
+                        span_of_region(spans, m, ord),
                         "constant-import",
                         Severity::Note,
                         format!(
@@ -492,6 +493,7 @@ fn pure_write(op: &BcOp) -> bool {
 
 fn dead_register_writes(
     file: &str,
+    spans: &SpanTable,
     m: &BcModule,
     regions: &ModuleRegions,
     diags: &mut Vec<Diagnostic>,
@@ -524,7 +526,7 @@ fn dead_register_writes(
                             let ord = regions.region_ord[*r];
                             diags.push(Diagnostic::new(
                                 file,
-                                span_of_region(m, ord),
+                                span_of_region(spans, m, ord),
                                 "dead-register-write",
                                 Severity::Warning,
                                 format!(
@@ -550,7 +552,7 @@ mod tests {
     use funtal_syntax::build::*;
 
     fn lint(e: &FExpr) -> Vec<Diagnostic> {
-        lint_program("test.ft", e, &prelower(e))
+        lint_program("test.ft", e, &prelower(e), &SpanTable::new())
     }
 
     fn rules(diags: &[Diagnostic], rule: &str) -> usize {
@@ -597,10 +599,9 @@ mod tests {
         assert_eq!(rules(&lint(&e), "dead-register-write"), 0);
     }
 
-    #[test]
-    fn unreachable_and_unused_fragment_are_reported() {
-        // `ldead` is a code block nothing jumps to and whose label
-        // never escapes.
+    /// A component whose block `ldead` nothing jumps to and whose
+    /// label never escapes.
+    fn dead_block_program() -> FExpr {
         let dead = code_block(
             vec![d_stk("z")],
             chi([(r1(), int())]),
@@ -608,16 +609,83 @@ mod tests {
             q_end(int(), zvar("z")),
             seq(vec![], halt(int(), zvar("z"), r1())),
         );
-        let e = boundary(
+        boundary(
             fint(),
             tcomp(
                 seq(vec![mv(r1(), int_v(1))], halt(int(), nil(), r1())),
                 vec![("ldead", dead)],
             ),
-        );
-        let diags = lint(&e);
+        )
+    }
+
+    /// A table as the parser would record it for [`dead_block_program`].
+    fn dead_block_spans() -> SpanTable {
+        let mut spans = SpanTable::new();
+        spans.root = Span::new(1, 1, 9, 2);
+        spans.record("ldead", Span::new(4, 3, 8, 30));
+        spans
+    }
+
+    #[test]
+    fn unreachable_and_unused_fragment_are_reported() {
+        let diags = lint(&dead_block_program());
         assert_eq!(rules(&diags, "unreachable-block"), 1);
         assert_eq!(rules(&diags, "unused-heap-fragment"), 1);
+    }
+
+    #[test]
+    fn findings_take_their_spans_from_the_table() {
+        let e = dead_block_program();
+        let lp = prelower(&e);
+        let spans_of = |table: &SpanTable| -> Vec<(String, Span)> {
+            lint_program("test.ft", &e, &lp, table)
+                .into_iter()
+                .filter(|d| d.rule == "unreachable-block" || d.rule == "unused-heap-fragment")
+                .map(|d| (d.rule, d.span))
+                .collect()
+        };
+        let recorded = Span::new(4, 3, 8, 30);
+        assert_eq!(
+            spans_of(&dead_block_spans()),
+            vec![
+                ("unreachable-block".to_string(), recorded),
+                ("unused-heap-fragment".to_string(), recorded),
+            ]
+        );
+        let synthetic = spans_of(&SpanTable::new());
+        assert_eq!(synthetic.len(), 2);
+        assert!(synthetic.iter().all(|(_, span)| span.is_synth()));
+    }
+
+    #[test]
+    fn rejected_module_is_reported_at_the_root_span() {
+        let e = dead_block_program();
+        let lp = prelower(&e);
+        // Point `ldead`'s block past the end of the op stream, as the
+        // verifier's offset mutations do.
+        let (comp, m) = &lp.modules[0];
+        let mut blocks = m.blocks.clone();
+        blocks[0].0 = m.ops.len() as u32;
+        let tampered = LoweredProgram {
+            iexpr: lp.iexpr.clone(),
+            modules: vec![(
+                comp.clone(),
+                std::sync::Arc::new(BcModule {
+                    ops: m.ops.clone(),
+                    blocks,
+                    labels: m.labels.clone(),
+                }),
+            )],
+        };
+        assert!(crate::verify_lowered(&tampered).is_err());
+        let spans = dead_block_spans();
+        let diags = lint_program("test.ft", &e, &tampered, &spans);
+        let verifier: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "verifier").collect();
+        assert_eq!(verifier.len(), 1, "{diags:?}");
+        assert_eq!(verifier[0].span, spans.root);
+        assert_eq!(verifier[0].severity, Severity::Error);
+        // A rejected module gets no IR-layer findings.
+        assert_eq!(rules(&diags, "unreachable-block"), 0);
     }
 
     #[test]

@@ -35,7 +35,6 @@ use std::rc::Rc;
 use std::sync::{Arc, Weak};
 
 use funtal_syntax::intern::{IExpr, IKind};
-use funtal_syntax::span::{Span, SpanTable};
 use funtal_syntax::subst::Subst;
 use funtal_syntax::{
     ArithOp, Component, FExpr, FTy, HeapFrag, HeapVal, Inst, Instr, InstrSeq, Label, Mutability,
@@ -48,8 +47,8 @@ use funtal_tal::trace::{CountTracer, Event, Tracer};
 use crate::bc_verify::module_regions;
 use crate::machine::{FtOutcome, RunCfg};
 use crate::machine_fast::{
-    ambient_root, ambient_span, lower_op, peel_count, Ctrl, Env, FastHeapVal, FastMem, FastOp,
-    Frame, Machine, MergeOutcome, SpanScope, Step, TWord,
+    lower_op, peel_count, Ctrl, Env, FastHeapVal, FastMem, FastOp, Frame, Machine, MergeOutcome,
+    Step, TWord,
 };
 
 // ---------------------------------------------------------------------
@@ -309,12 +308,8 @@ pub(crate) struct BcModule {
     /// Per-fragment-ordinal `(offset, instantiation arity)`; tuples get
     /// [`NOT_CODE`].
     pub(crate) blocks: Vec<(u32, usize)>,
-    /// Source region of the entry sequence (the ambient root span at
-    /// lower time; synthetic for generated entries).
-    pub(crate) entry_span: Span,
-    /// Per-fragment-ordinal label and source region, resolved through
-    /// the ambient [`SpanScope`] at lower time.
-    pub(crate) spans: Vec<(Label, Span)>,
+    /// Per-fragment-ordinal label.
+    pub(crate) labels: Vec<Label>,
 }
 
 /// A module bound to one merged fragment in one memory: the shared
@@ -579,16 +574,10 @@ fn lower_module(entry: &InstrSeq, frag: &[FragCell]) -> BcModule {
             }
         }
     }
-    let blocks = offsets.into_iter().zip(arities).collect();
-    let spans = frag
-        .iter()
-        .map(|(l, _)| (l.clone(), ambient_span(l.as_str())))
-        .collect();
     BcModule {
         ops,
-        blocks,
-        entry_span: ambient_root(),
-        spans,
+        blocks: offsets.into_iter().zip(arities).collect(),
+        labels: frag.iter().map(|(l, _)| l.clone()).collect(),
     }
 }
 
@@ -1442,24 +1431,6 @@ impl LoweredProgram {
     pub fn module_count(&self) -> usize {
         self.modules.len()
     }
-
-    /// Every lowered code block's label and the source region it maps
-    /// back to, module by module in lowering order. Each module is
-    /// preceded by its entry sequence as `("<entry>", root span)`.
-    /// Spans are synthetic unless the program was lowered via
-    /// [`prelower_spanned`] (or under an explicit [`SpanScope`]).
-    pub fn block_spans(&self) -> Vec<(String, Span)> {
-        let mut out = Vec::new();
-        for (_, module) in &self.modules {
-            out.push(("<entry>".to_owned(), module.entry_span));
-            for ((label, span), &(_, arity)) in module.spans.iter().zip(&module.blocks) {
-                if arity != NOT_CODE {
-                    out.push((label.to_string(), *span));
-                }
-            }
-        }
-        out
-    }
 }
 
 fn collect_modules(
@@ -1531,14 +1502,6 @@ pub fn prelower(e: &FExpr) -> LoweredProgram {
         panic!("prelower produced a module the verifier rejects: {e}");
     }
     lp
-}
-
-/// [`prelower`] under a span scope: every lowered block records the
-/// source region its label resolves to in `table`, retrievable through
-/// [`LoweredProgram::block_spans`].
-pub fn prelower_spanned(e: &FExpr, table: Arc<SpanTable>) -> LoweredProgram {
-    let _scope = SpanScope::install(table);
-    prelower(e)
 }
 
 /// Runs a pre-lowered program in a fresh memory on the fast machine,

@@ -28,9 +28,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 
+use funtal_fun::check::unroll_fty;
 use funtal_syntax::intern::{IExpr, IKind};
 use funtal_syntax::rename::{rename_heap_val, rename_seq};
-use funtal_syntax::span::{Span, SpanTable};
 use funtal_syntax::subst::subst_fvars;
 use funtal_syntax::{
     ArithOp, FExpr, FTy, HeapVal, Inst, InstrSeq, Label, Lam, Mutability, Reg, SmallVal, StackTail,
@@ -96,58 +96,6 @@ pub struct FastMem {
     pub(crate) regs: [Option<TWord>; 8],
     pub(crate) stack: Vec<TWord>,
     pub(crate) next_fresh: u64,
-}
-
-// ---------------------------------------------------------------------
-// Ambient span scope
-// ---------------------------------------------------------------------
-
-// The span table of the program currently being lowered, if any. An
-// ambient (thread-local) scope rather than a parameter because lowering
-// happens lazily at block entry, deep inside the step loop — threading
-// a table through every signature would touch the whole machine for a
-// purely diagnostic concern.
-thread_local! {
-    static AMBIENT_SPANS: RefCell<Option<Arc<SpanTable>>> = const { RefCell::new(None) };
-}
-
-/// Installs a [`SpanTable`] as the ambient source map for all lowering
-/// on this thread; the previous scope is restored on drop.
-///
-/// While a scope is installed, every module the bytecode lowerer emits
-/// records the source span of each block label, readable through
-/// [`crate::machine_bc::LoweredProgram::block_spans`].
-pub struct SpanScope {
-    prev: Option<Arc<SpanTable>>,
-}
-
-impl SpanScope {
-    /// Installs `table`, returning the guard that scopes it.
-    pub fn install(table: Arc<SpanTable>) -> SpanScope {
-        let prev = AMBIENT_SPANS.with(|c| c.borrow_mut().replace(table));
-        SpanScope { prev }
-    }
-}
-
-impl Drop for SpanScope {
-    fn drop(&mut self) {
-        AMBIENT_SPANS.with(|c| *c.borrow_mut() = self.prev.take());
-    }
-}
-
-/// The span of `label` under the ambient scope (synthetic outside one).
-pub(crate) fn ambient_span(label: &str) -> Span {
-    AMBIENT_SPANS.with(|c| {
-        c.borrow()
-            .as_ref()
-            .map(|t| t.resolve(label))
-            .unwrap_or(Span::SYNTH)
-    })
-}
-
-/// The root span of the ambient scope (synthetic outside one).
-pub(crate) fn ambient_root() -> Span {
-    AMBIENT_SPANS.with(|c| c.borrow().as_ref().map(|t| t.root).unwrap_or(Span::SYNTH))
 }
 
 pub(crate) fn ridx(r: Reg) -> usize {
@@ -642,11 +590,6 @@ pub(crate) enum Ctrl {
 // ---------------------------------------------------------------------
 // Value translation (Fig 10) over the fast memory
 // ---------------------------------------------------------------------
-
-fn unroll_fty(rec: &FTy) -> Option<FTy> {
-    let FTy::Rec(a, body) = rec else { return None };
-    Some(funtal_fun::check::subst_fty_var(body, a, rec))
-}
 
 type LamParts<'a> = (
     &'a Arc<[(VarName, FTy)]>,

@@ -45,6 +45,7 @@
 //! fetchᵢ  = FT[τᵢ](sld r1, n−i; halt τᵢ𝒯, τ̄𝒯::φi::zi {r1})
 //! ```
 
+use funtal_fun::check::unroll_fty;
 use funtal_syntax::build as b;
 use funtal_syntax::free::{ftv_fty, ftv_tty};
 use funtal_syntax::{
@@ -140,12 +141,6 @@ pub fn arrow_cont_ty(phi_out: &[TTy], ret: &FTy, z: &TyVar, e: &TyVar) -> TTy {
         },
         RetMarker::Var(e.clone()),
     )
-}
-
-/// Unrolls an F recursive type by one step: `τ[µα.τ/α]`.
-fn unroll_fty(rec: &FTy) -> Option<FTy> {
-    let FTy::Rec(a, body) = rec else { return None };
-    Some(funtal_fun::check::subst_fty_var(body, a, rec))
 }
 
 /// `ᵗℱ𝒯(v, M)`: translates an F value to a T word value at type `ty`,

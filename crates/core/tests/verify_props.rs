@@ -11,6 +11,7 @@
 
 use funtal::{lint_program, prelower, verify_lowered};
 use funtal_equiv::gen::{gen_program, SplitMix};
+use funtal_syntax::span::SpanTable;
 use proptest::prelude::*;
 
 /// Programs drawn per seed (matches the differential suite's reuse of
@@ -52,8 +53,9 @@ proptest! {
             "{}: {:?}", p.describe, verify_lowered(&lp)
         );
         // Lint must neither panic nor flap on generated programs.
-        let a = lint_program("gen.ft", &p.expr, &lp);
-        let b = lint_program("gen.ft", &p.expr, &lp);
+        let spans = SpanTable::new();
+        let a = lint_program("gen.ft", &p.expr, &lp, &spans);
+        let b = lint_program("gen.ft", &p.expr, &lp, &spans);
         prop_assert_eq!(a, b, "lint output is not deterministic");
     }
 }

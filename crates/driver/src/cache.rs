@@ -369,23 +369,9 @@ impl ArtifactCache {
         check_key: &str,
         compute: impl FnOnce() -> funtal::LoweredProgram,
     ) -> Arc<funtal::LoweredProgram> {
-        if let Some(found) = self
+        let Ok(value) = self
             .lower
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .get(check_key)
-        {
-            self.lower.counters.hit();
-            return found.clone();
-        }
-        self.lower.counters.miss();
-        let value = Arc::new(compute());
-        self.lower
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .insert(check_key.to_string(), value.clone());
+            .get_or_try_insert(check_key, || Ok::<_, std::convert::Infallible>(compute()));
         value
     }
 

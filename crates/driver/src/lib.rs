@@ -44,7 +44,7 @@ pub mod wire;
 use std::sync::Arc;
 
 use funtal::machine::{run, run_fexpr, EvalStrategy, FtOutcome, RunCfg};
-use funtal::{LoweredProgram, SpanScope};
+use funtal::LoweredProgram;
 use funtal_compile::codegen::{compile_program, CodegenOpts};
 use funtal_compile::lang::Program;
 use funtal_equiv::{equivalent, EquivCfg, Verdict};
@@ -353,9 +353,9 @@ impl Pipeline {
     /// The profile is a pure function of the program — the oracle and
     /// the fast machine emit byte-identical renderings (certified by
     /// the differential tests), so a profile taken on the fast machine
-    /// speaks for the paper-literal oracle too. The span scope is
-    /// installed for the duration so modules lowered during the run
-    /// also record their spans.
+    /// speaks for the paper-literal oracle too. Attribution reads only
+    /// `spans`, the table recorded at parse time; the machine and its
+    /// lowered bytecode carry no spans.
     pub fn profile_prechecked(
         &self,
         e: &FExpr,
@@ -381,19 +381,15 @@ impl Pipeline {
         })
     }
 
-    /// Runs `run` under a [`Profiler`] over `spans`, with the span
-    /// scope installed for the duration.
+    /// Runs `run` under a [`Profiler`] over `spans`.
     fn profile_with(
         &self,
         ty: FTy,
         spans: Arc<SpanTable>,
         run: impl FnOnce(RunCfg, &mut Profiler) -> RResult<FtOutcome>,
     ) -> Result<ProfileReport, FunTalError> {
-        let mut profiler = Profiler::new(spans.clone(), RootLang::F);
-        let outcome = {
-            let _scope = SpanScope::install(spans);
-            run(self.run_cfg(), &mut profiler)?
-        };
+        let mut profiler = Profiler::new(spans, RootLang::F);
+        let outcome = run(self.run_cfg(), &mut profiler)?;
         let counts = profiler.counts;
         Ok(ProfileReport {
             run: RunReport {
@@ -440,10 +436,11 @@ impl Pipeline {
     // --- stage 5½: static analysis ----------------------------------------
 
     /// Lints an FT source — what `funtal lint` runs on `.ft` files:
-    /// parse (with spans), typecheck, lower to bytecode under the span
-    /// table, then run every analysis rule over both the source term
-    /// and the lowered IR. Diagnostics come back in the deterministic
-    /// normal form (sorted by file/span/rule, deduplicated).
+    /// parse (with spans), typecheck, lower to bytecode, then run every
+    /// analysis rule over both the source term and the lowered IR,
+    /// resolving findings through the parse-time span table.
+    /// Diagnostics come back in the deterministic normal form (sorted
+    /// by file/span/rule, deduplicated).
     pub fn lint_source(
         &self,
         file: &str,
@@ -451,8 +448,8 @@ impl Pipeline {
     ) -> Result<Vec<funtal::Diagnostic>, FunTalError> {
         let (e, spans) = self.parse_spanned(src)?;
         self.check(&e)?;
-        let lowered = funtal::prelower_spanned(&e, Arc::new(spans));
-        Ok(funtal::lint_program(file, &e, &lowered))
+        let lowered = funtal::prelower(&e);
+        Ok(funtal::lint_program(file, &e, &lowered, &spans))
     }
 
     /// Lints a MiniF source — what `funtal lint` runs on `.mf` files:
@@ -468,7 +465,7 @@ impl Pipeline {
     ) -> Result<Vec<funtal::Diagnostic>, FunTalError> {
         let (program, def_spans) = minif::parse_minif_spanned(src)?;
         let bundle = self.compile_minif(&program)?;
-        let table = Arc::new(minif_span_table(&bundle, &def_spans));
+        let table = minif_span_table(&bundle, &def_spans);
         let mut diags = Vec::new();
         // Every wrapped definition embeds the *whole* compiled heap,
         // so from any one entry point the other definitions' blocks
@@ -478,8 +475,8 @@ impl Pipeline {
         let mut entry_dependent: std::collections::HashMap<funtal::Diagnostic, usize> =
             std::collections::HashMap::new();
         for (_, f, _) in &bundle.wrapped {
-            let lowered = funtal::prelower_spanned(f, table.clone());
-            for d in funtal::lint_program(file, f, &lowered) {
+            let lowered = funtal::prelower(f);
+            for d in funtal::lint_program(file, f, &lowered, &table) {
                 if d.rule == "unreachable-block" {
                     *entry_dependent.entry(d).or_insert(0) += 1;
                 } else {

@@ -431,6 +431,11 @@ fn lint_json(diags: &[funtal::Diagnostic], files: usize) -> funtal_driver::json:
 }
 
 fn cmd_lint(o: &Opts) -> Result<(), FunTalError> {
+    if o.format == "folded" {
+        return Err(FunTalError::driver(
+            "--format: `folded` is not a lint format (use `table` or `json`)",
+        ));
+    }
     if o.files.is_empty() {
         return Err(FunTalError::driver("`funtal lint` needs at least one file"));
     }

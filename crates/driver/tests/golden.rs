@@ -174,6 +174,10 @@ const CASES: &[Case] = &[
         "error_bad_tier",
         &["run", "examples/fact_t.ft", "--tier", "jit"],
     ),
+    case(
+        "error_lint_folded",
+        &["lint", "examples/fact_t.ft", "--format", "folded"],
+    ),
     // batch: the protocol corpus, cold and warm (one worker so the
     // cache counters in the summary are deterministic), plus direct
     // .ft/.mf file jobs on two workers (all-distinct keys, so the

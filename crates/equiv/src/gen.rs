@@ -4,6 +4,7 @@
 //! paper's `V⟦τ⟧` at function types; contexts approximate the contexts
 //! quantified over by `≈ctx` (Theorem 5.2).
 
+use funtal_fun::check::unroll_fty;
 use funtal_syntax::build::*;
 use funtal_syntax::{FExpr, FTy, TComp};
 
@@ -62,7 +63,7 @@ pub fn gen_value(ty: &FTy, rng: &mut SplitMix, depth: u32) -> FExpr {
                 // our tests use; deeper recursive structure is capped.
                 fold_min(ty)
             } else {
-                match unroll(ty) {
+                match unroll_fty(ty) {
                     Some(inner) => ffold(ty.clone(), gen_value(&inner, rng, depth - 1)),
                     None => fold_min(ty),
                 }
@@ -101,17 +102,12 @@ pub fn gen_value(ty: &FTy, rng: &mut SplitMix, depth: u32) -> FExpr {
     }
 }
 
-fn unroll(ty: &FTy) -> Option<FTy> {
-    let FTy::Rec(a, body) = ty else { return None };
-    Some(funtal_fun::check::subst_fty_var(body, a, ty))
-}
-
 fn fold_min(ty: &FTy) -> FExpr {
     fold_min_at(ty, 0)
 }
 
 fn fold_min_at(ty: &FTy, lvl: u32) -> FExpr {
-    match unroll(ty) {
+    match unroll_fty(ty) {
         Some(inner) => ffold(ty.clone(), min_value_at(&inner, lvl)),
         None => funit_e(),
     }
@@ -262,7 +258,7 @@ pub fn gen_context(ty: &FTy, rng: &mut SplitMix, depth: u32) -> GenCtx {
             }
         }
         FTy::Rec(_, _) => {
-            if let Some(inner) = unroll(ty) {
+            if let Some(inner) = unroll_fty(ty) {
                 if depth > 0 {
                     let ictx = gen_context(&inner, rng, depth - 1);
                     let describe = format!("unfold then {}", ictx.describe);

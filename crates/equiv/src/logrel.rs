@@ -12,6 +12,7 @@
 //! they produce related outputs* — with "all inputs in all future
 //! worlds" replaced by a deterministic sample.
 
+use funtal_fun::check::unroll_fty;
 use funtal_syntax::{FExpr, FTy};
 
 use crate::gen::{gen_value, SplitMix};
@@ -48,7 +49,7 @@ pub fn v_rel(
             }
             _ => false,
         },
-        FTy::Rec(a, body) => {
+        FTy::Rec(..) => {
             if depth == 0 {
                 // Below the index: everything is related, as in a
                 // step-indexed model at world 0.
@@ -56,7 +57,7 @@ pub fn v_rel(
             }
             match (v1, v2) {
                 (FExpr::Fold { body: b1, .. }, FExpr::Fold { body: b2, .. }) => {
-                    let unrolled = funtal_fun::check::subst_fty_var(body, a, ty);
+                    let unrolled = unroll_fty(ty).expect("a recursive type unrolls");
                     v_rel(b1, b2, &unrolled, cfg, rng, depth - 1)
                 }
                 _ => false,

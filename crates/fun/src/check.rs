@@ -277,6 +277,13 @@ pub fn subst_fty_var(body: &FTy, var: &funtal_syntax::TyVar, replacement: &FTy) 
     }
 }
 
+/// Unrolls an F recursive type by one step: `τ[µα.τ/α]`; `None` for
+/// any other type.
+pub fn unroll_fty(rec: &FTy) -> Option<FTy> {
+    let FTy::Rec(a, body) = rec else { return None };
+    Some(subst_fty_var(body, a, rec))
+}
+
 /// Checks a closed pure-F program against an expected type.
 pub fn check_closed(e: &FExpr, expected: &FTy) -> Result<(), FTypeError> {
     let t = type_of(&Env::new(), e)?;

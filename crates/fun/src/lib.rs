@@ -4,7 +4,7 @@
 //! tuples, integers and unit.
 //!
 //! This crate implements *pure* F: the type checker ([`check`]) and
-//! evaluator ([`eval`]) reject the multi-language forms (boundaries,
+//! evaluator ([`eval`](mod@eval)) reject the multi-language forms (boundaries,
 //! stack-modifying lambdas), which belong to the `funtal` crate. The
 //! standalone implementation exists so integration tests can
 //! cross-validate the FT semantics against a simpler reference on pure

@@ -364,13 +364,6 @@ ftv_fn!(
     ftv_fexpr, FExpr, go_fexpr_tys
 );
 
-/// Free type variables of an instruction sequence.
-pub fn ftv_seq(seq: &InstrSeq) -> BTreeSet<TyVar> {
-    let mut out = BTreeSet::new();
-    go_seq(&seq.instrs, &seq.term, &mut Scope::default(), &mut out);
-    out
-}
-
 // ---------------------------------------------------------------------
 // Free *term* variables of F expressions.
 // ---------------------------------------------------------------------
@@ -499,14 +492,14 @@ mod tests {
                 val: Reg::R1,
             },
         );
-        assert!(ftv_seq(&seq).is_empty());
+        assert!(ftv_tcomp(&TComp::bare(seq)).is_empty());
         // Without the unpack, `a` is free.
         let seq2 = InstrSeq::just(Terminator::Halt {
             ty: TTy::Var(TyVar::new("a")),
             sigma: StackTy::nil(),
             val: Reg::R1,
         });
-        assert!(ftv_seq(&seq2).contains(&TyVar::new("a")));
+        assert!(ftv_tcomp(&TComp::bare(seq2)).contains(&TyVar::new("a")));
     }
 
     #[test]

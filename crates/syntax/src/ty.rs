@@ -297,22 +297,6 @@ impl StackTy {
     pub fn is_bare_tail(&self) -> bool {
         self.prefix.is_empty()
     }
-
-    /// If the tail is abstract, replaces it with `replacement`
-    /// (i.e. computes `σ[replacement/ζ]` for this stack's own tail).
-    pub fn replace_tail(&self, replacement: &StackTy) -> StackTy {
-        match self.tail {
-            StackTail::Empty => self.clone(),
-            StackTail::Var(_) => {
-                let mut prefix = self.prefix.clone();
-                prefix.extend(replacement.prefix.iter().cloned());
-                StackTy {
-                    prefix,
-                    tail: replacement.tail.clone(),
-                }
-            }
-        }
-    }
 }
 
 /// Return markers `q` (Fig 1 and Fig 6).
@@ -500,17 +484,13 @@ mod tests {
     }
 
     #[test]
-    fn stack_split_and_replace_tail() {
+    fn stack_split_takes_the_top_slots() {
         let z = StackTy::var("z");
         let s = z.cons(TTy::Int).cons(TTy::Unit);
         let (front, rest) = s.split(1).unwrap();
         assert_eq!(front, vec![TTy::Unit]);
         assert_eq!(rest.prefix, vec![TTy::Int]);
         assert!(s.split(3).is_none());
-
-        let replaced = s.replace_tail(&StackTy::nil().cons(TTy::Int));
-        assert_eq!(replaced.visible_len(), 3);
-        assert_eq!(replaced.tail, StackTail::Empty);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use funtal_syntax::alpha::{alpha_eq_ret, alpha_eq_stack, alpha_eq_tty};
 use funtal_syntax::subst::Subst;
 use funtal_syntax::{
     CodeBlock, CodeTy, HeapTy, HeapTyping, HeapVal, Inst, Instr, InstrSeq, Kind, Label, Mutability,
-    Reg, RegFileTy, RetMarker, SmallVal, StackTail, StackTy, TComp, TTy, Terminator, TyVar,
+    Reg, RegFileTy, RetMarker, SmallVal, StackTail, StackTy, TComp, TTy, Terminator,
 };
 
 use crate::error::{TResult, TypeError};
@@ -774,7 +774,3 @@ pub fn check_program(comp: &TComp, result_ty: &TTy) -> TResult<()> {
     }
     Ok(())
 }
-
-/// The unused-variable-silencing re-export of the tyvar type (internal).
-#[allow(dead_code)]
-type _TyVar = TyVar;

@@ -1,11 +1,12 @@
 //! The T abstract machine: memories `M = (H, R, S)` and the small-step
 //! relation `⟨M | e⟩ ↦ ⟨M' | e'⟩` of §3.
 //!
-//! The machine is *type-passing*: jumping to a polymorphic block
-//! substitutes the concrete instantiations into the block body, so every
-//! intermediate configuration is a well-formed syntax tree. This is what
-//! lets the dynamic type-safety guard (E11 in DESIGN.md) compare runtime
-//! state against block preconditions.
+//! The machine is *type-erasing*: jumping to a polymorphic block checks
+//! the arity of the instantiations and then discards them, so the block
+//! runs its original body (see [`enter_block_opts`]). Only the dynamic
+//! type-safety guard (E11 in DESIGN.md) substitutes instantiations, into
+//! the target block's preconditions, to compare them against the
+//! runtime state.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -254,13 +255,9 @@ pub struct MachineOpts {
     pub guard: bool,
 }
 
-/// Fetches the block at `label`, fully instantiates its binders with
-/// `insts`, and returns the substituted body.
-pub fn enter_block(mem: &Memory, label: &Label, insts: &[Inst]) -> RResult<InstrSeq> {
-    enter_block_opts(mem, label, insts, MachineOpts::default())
-}
-
-/// [`enter_block`] with options (the dynamic type-safety guard).
+/// Fetches the block at `label`, checks that `insts` instantiates
+/// every one of its binders, and returns its body; `opts.guard` adds
+/// the dynamic type-safety guard.
 ///
 /// The machine is *type-erasing at runtime*: instantiations `ω̄` are
 /// arity-checked and then discarded rather than substituted into the

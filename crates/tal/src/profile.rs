@@ -22,7 +22,6 @@
 //! through a [`SpanTable`] recorded at parse time.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
 
 use funtal_syntax::span::{base_label, Span, SpanTable};
@@ -35,24 +34,6 @@ const MAIN: &str = "<main>";
 const IMPORT: &str = "<import>";
 /// Pseudo-frame for T code before its first labelled block.
 const BOUNDARY: &str = "<boundary>";
-
-/// An [`Event`] paired with the source span it was charged to.
-///
-/// This is the profiler's unit of attribution: the flat event stream
-/// the machines emit, lifted into span-carrying form.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AttributedEvent {
-    /// Source region the event's fuel tick was charged to.
-    pub span: Span,
-    /// The underlying machine event.
-    pub event: Event,
-}
-
-impl fmt::Display for AttributedEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.span, self.event)
-    }
-}
 
 /// Which language the profiled program starts in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,8 +96,6 @@ pub struct Profiler {
     pub import_enters: u64,
     /// `import` exits observed.
     pub import_exits: u64,
-    keep_events: bool,
-    events: Vec<AttributedEvent>,
 }
 
 impl Profiler {
@@ -137,29 +116,13 @@ impl Profiler {
             boundary_exits: 0,
             import_enters: 0,
             import_exits: 0,
-            keep_events: false,
-            events: Vec::new(),
         }
-    }
-
-    /// Same, but additionally records every charging event in
-    /// span-attributed form (see [`AttributedEvent`]).
-    pub fn with_events(table: Arc<SpanTable>, root: RootLang) -> Self {
-        let mut p = Self::new(table, root);
-        p.keep_events = true;
-        p
     }
 
     /// Total fuel ticks attributed. Equals the minimal sufficient fuel
     /// of the run (certified by the driver's differential tests).
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// The recorded span-attributed charging events, in order
-    /// (empty unless built via [`Profiler::with_events`]).
-    pub fn attributed_events(&self) -> &[AttributedEvent] {
-        &self.events
     }
 
     /// Resolves a frame name to a source span.
@@ -232,7 +195,7 @@ impl Profiler {
     }
 
     /// Charges one tick to the frame on top of the stack.
-    fn charge(&mut self, event: &Event) {
+    fn charge(&mut self) {
         let name = self
             .stack
             .last()
@@ -240,16 +203,9 @@ impl Profiler {
             .name()
             .to_owned();
         self.total += 1;
-        *self.buckets.entry(name.clone()).or_insert(0) += 1;
+        *self.buckets.entry(name).or_insert(0) += 1;
         let path: Vec<&str> = self.stack.iter().map(FrameKind::name).collect();
         *self.folded.entry(path.join(";")).or_insert(0) += 1;
-        if self.keep_events {
-            let span = self.span_of(&name);
-            self.events.push(AttributedEvent {
-                span,
-                event: event.clone(),
-            });
-        }
     }
 
     /// If F is on top, enter T (an empty-heap boundary emits no event,
@@ -286,11 +242,11 @@ impl Tracer for Profiler {
         match e {
             Event::Instr | Event::Halt { .. } => {
                 self.ensure_t();
-                self.charge(e);
+                self.charge();
             }
             Event::Jmp { to } | Event::Call { to } | Event::Ret { to, .. } => {
                 self.ensure_t();
-                self.charge(e);
+                self.charge();
                 let to = to.clone();
                 self.set_current(&to);
             }
@@ -303,7 +259,7 @@ impl Tracer for Profiler {
             }
             Event::FStep | Event::FBeta => {
                 self.ensure_f();
-                self.charge(e);
+                self.charge();
             }
             Event::BoundaryEnter { .. } => {
                 // The heap-merge step of a non-empty boundary: one tick,
@@ -311,11 +267,11 @@ impl Tracer for Profiler {
                 self.ensure_f();
                 self.stack.push(FrameKind::T { current: None });
                 self.boundary_enters += 1;
-                self.charge(e);
+                self.charge();
             }
             Event::BoundaryExit { .. } => {
                 if matches!(self.stack.last(), Some(FrameKind::T { .. })) {
-                    self.charge(e);
+                    self.charge();
                     self.stack.pop();
                     self.boundary_exits += 1;
                 } else {
@@ -324,14 +280,14 @@ impl Tracer for Profiler {
                     // transient — enter and exit within this one tick.
                     self.stack.push(FrameKind::T { current: None });
                     self.boundary_enters += 1;
-                    self.charge(e);
+                    self.charge();
                     self.stack.pop();
                     self.boundary_exits += 1;
                 }
             }
             Event::ImportExit { .. } => {
                 if matches!(self.stack.last(), Some(FrameKind::F { name }) if *name == IMPORT) {
-                    self.charge(e);
+                    self.charge();
                     self.stack.pop();
                     self.import_exits += 1;
                 } else {
@@ -339,7 +295,7 @@ impl Tracer for Profiler {
                     // zero F steps, so the frame is transient.
                     self.stack.push(FrameKind::F { name: IMPORT });
                     self.import_enters += 1;
-                    self.charge(e);
+                    self.charge();
                     self.stack.pop();
                     self.import_exits += 1;
                 }
@@ -419,18 +375,6 @@ mod tests {
         assert_eq!(p.import_enters, 1);
         assert_eq!(p.import_exits, 1);
         assert_eq!(p.total(), 2);
-    }
-
-    #[test]
-    fn attributed_events_carry_spans() {
-        let mut p = Profiler::with_events(table(), RootLang::F);
-        p.event(&Event::FStep);
-        p.event(&Event::BoundaryEnter { ty: FTy::Int });
-        let evs = p.attributed_events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].span, Span::new(1, 1, 3, 10));
-        assert_eq!(evs[0].event, Event::FStep);
-        assert_eq!(evs[0].to_string(), "1:1-3:10: fstep");
     }
 
     #[test]

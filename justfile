@@ -72,10 +72,12 @@ bench-check:
 golden:
     UPDATE_GOLDEN=1 cargo test -p funtal-driver --test golden
 
-# Formatting + clippy, exactly as CI enforces them.
+# Formatting + clippy + intra-doc links, exactly as CI enforces them.
 lint:
     cargo fmt --all --check
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps \
+        --workspace --exclude proptest --exclude criterion --document-private-items
 
 # The static-analysis gate, exactly as CI runs it: every committed
 # example must pass `funtal lint` clean at warning level. (The
