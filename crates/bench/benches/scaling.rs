@@ -1,6 +1,9 @@
 //! E13/E14: scaling and ablation benches.
 //!
 //! - `typecheck_scaling`: checker time vs program size (block chains);
+//! - `stage/check/<program>`: the FT check alone on Fig 11, on
+//!   `examples/fact_t.ft`, and on the boundary-wrapped definitions of
+//!   compiled `examples/fact.mf` (what `Pipeline::compile_minif` checks);
 //! - `machine_throughput`: instructions/second by instruction class;
 //! - `boundary_overhead`: cost of F↔T crossings vs staying in one
 //!   language (the §6 "Choices in Multi-Language Design" trade-off).
@@ -8,7 +11,10 @@
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use funtal::check::typecheck;
 use funtal::machine::{run_fexpr, RunCfg};
+use funtal_compile::codegen::{compile_program, CodegenOpts};
+use funtal_driver::{minif::parse_minif, Pipeline};
 use funtal_syntax::build::*;
 use funtal_syntax::{FExpr, HeapVal, TComp};
 use funtal_tal::trace::{CountTracer, NullTracer};
@@ -46,6 +52,31 @@ fn typecheck_scaling(c: &mut Criterion) {
         let prog = block_chain(n);
         g.bench_with_input(BenchmarkId::new("blocks", n), &n, |b, _| {
             b.iter(|| funtal_tal::check::check_program(&prog, &int()).unwrap())
+        });
+    }
+    g.finish();
+}
+
+fn stage_check(c: &mut Criterion) {
+    let mut g = c.benchmark_group("stage/check");
+    let fact_t = Pipeline::new()
+        .parse(include_str!("../../../examples/fact_t.ft"))
+        .unwrap();
+    let fact_mf = parse_minif(include_str!("../../../examples/fact.mf")).unwrap();
+    let compiled = compile_program(&fact_mf, CodegenOpts::default());
+    let wrapped: Vec<FExpr> = fact_mf.defs.keys().map(|d| compiled.wrap(d)).collect();
+    let programs = [
+        ("fig11", vec![funtal::figures::fig11_jit()]),
+        ("fact_t", vec![fact_t]),
+        ("fact_mf", wrapped),
+    ];
+    for (name, progs) in &programs {
+        g.bench_function(*name, |b| {
+            b.iter(|| {
+                for p in progs {
+                    typecheck(p).unwrap();
+                }
+            })
         });
     }
     g.finish();
@@ -177,6 +208,7 @@ fn boundary_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     typecheck_scaling,
+    stage_check,
     machine_throughput,
     boundary_overhead
 );

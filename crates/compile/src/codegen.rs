@@ -163,6 +163,8 @@ struct Builder<'d> {
     counter: usize,
     blocks: Vec<(Label, CodeBlock)>,
     current: Option<OpenBlock>,
+    /// [`cont_ty`], built once: every block of the definition shares it.
+    cont: TTy,
 }
 
 impl<'d> Builder<'d> {
@@ -176,6 +178,7 @@ impl<'d> Builder<'d> {
             counter: 0,
             blocks: Vec::new(),
             current: None,
+            cont: cont_ty(),
         }
     }
 
@@ -183,7 +186,7 @@ impl<'d> Builder<'d> {
     fn sigma_at(&self, k: usize) -> StackTy {
         let mut prefix = vec![b::int(); k];
         if self.nonleaf {
-            prefix.push(cont_ty());
+            prefix.push(self.cont.clone());
         }
         prefix.extend(std::iter::repeat_n(b::int(), self.n));
         StackTy {
@@ -206,7 +209,7 @@ impl<'d> Builder<'d> {
         if self.nonleaf {
             vec![]
         } else {
-            vec![(b::ra(), cont_ty())]
+            vec![(b::ra(), self.cont.clone())]
         }
     }
 
@@ -388,7 +391,7 @@ pub fn compile_def(def: &Def, opts: CodegenOpts) -> Vec<(Label, HeapVal)> {
         };
         let entry_block = CodeBlock {
             delta: vec![b::d_stk("z"), b::d_ret("e")],
-            chi: b::chi([(b::ra(), cont_ty())]),
+            chi: b::chi([(b::ra(), bld.cont.clone())]),
             sigma: StackTy {
                 prefix: vec![b::int(); n],
                 tail: StackTail::Var(TyVar::new("z")),

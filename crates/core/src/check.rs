@@ -15,7 +15,7 @@ use funtal_syntax::{
     Component, FExpr, FTy, HeapTyping, Instr, RegFileTy, RetMarker, StackTail, StackTy, TComp, TTy,
     TyVarDecl, VarName,
 };
-use funtal_tal::check::{check_component_with, TCtx};
+use funtal_tal::check::{check_component_with, check_instr, TCtx};
 use funtal_tal::error::{TResult, TypeError};
 use funtal_tal::wf::{wf_fty, wf_stack, Delta};
 
@@ -51,13 +51,6 @@ impl FtCtx {
             gamma: Gamma::new(),
             chi: RegFileTy::new(),
             sigma: StackTy::nil(),
-        }
-    }
-
-    fn with_sigma(&self, sigma: StackTy) -> Self {
-        FtCtx {
-            sigma,
-            ..self.clone()
         }
     }
 }
@@ -104,21 +97,43 @@ fn split_suffix(sigma: &StackTy, suffix: &StackTy) -> TResult<Vec<TTy>> {
 /// Infers the type and output stack of an F expression:
 /// `Ψ; ∆; Γ; χ; σ; out ⊢ e : τ; σ'`.
 pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
+    let env = Env {
+        psi: &ctx.psi,
+        delta: &ctx.delta,
+        gamma: &ctx.gamma,
+    };
+    type_at(env, ctx.sigma.clone(), e)
+}
+
+/// The parts of the F context that the Fig 7 rules pass down unchanged
+/// (`Ψ; ∆; Γ`), borrowed; only σ is threaded from subexpression to
+/// subexpression, so [`type_at`] takes it on its own. (χ is threaded
+/// unchanged too, but no F rule reads it: a boundary checks its
+/// component under the empty register file.)
+#[derive(Clone, Copy)]
+struct Env<'a> {
+    psi: &'a HeapTyping,
+    delta: &'a Delta,
+    gamma: &'a Gamma,
+}
+
+/// [`type_of_fexpr`] on an input stack `sigma`.
+fn type_at(env: Env<'_>, sigma: StackTy, e: &FExpr) -> TResult<(FTy, StackTy)> {
     match e {
         FExpr::Var(x) => {
-            let t = ctx
+            let t = env
                 .gamma
                 .get(x)
                 .cloned()
                 .ok_or_else(|| TypeError::UnboundVar(x.to_string()))?;
-            Ok((t, ctx.sigma.clone()))
+            Ok((t, sigma))
         }
-        FExpr::Unit => Ok((FTy::Unit, ctx.sigma.clone())),
-        FExpr::Int(_) => Ok((FTy::Int, ctx.sigma.clone())),
+        FExpr::Unit => Ok((FTy::Unit, sigma)),
+        FExpr::Int(_) => Ok((FTy::Int, sigma)),
         FExpr::Binop { lhs, rhs, .. } => {
-            let (tl, s1) = type_of_fexpr(ctx, lhs)?;
+            let (tl, s1) = type_at(env, sigma, lhs)?;
             expect_fty(&FTy::Int, &tl, "left operand")?;
-            let (tr, s2) = type_of_fexpr(&ctx.with_sigma(s1), rhs)?;
+            let (tr, s2) = type_at(env, s1, rhs)?;
             expect_fty(&FTy::Int, &tr, "right operand")?;
             Ok((FTy::Int, s2))
         }
@@ -127,11 +142,10 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
             then_branch,
             else_branch,
         } => {
-            let (tc, s0) = type_of_fexpr(ctx, cond)?;
+            let (tc, s0) = type_at(env, sigma, cond)?;
             expect_fty(&FTy::Int, &tc, "if0 condition")?;
-            let branch_ctx = ctx.with_sigma(s0);
-            let (t1, sa) = type_of_fexpr(&branch_ctx, then_branch)?;
-            let (t2, sb) = type_of_fexpr(&branch_ctx, else_branch)?;
+            let (t1, sa) = type_at(env, s0.clone(), then_branch)?;
+            let (t2, sb) = type_at(env, s0, else_branch)?;
             expect_fty(&t1, &t2, "if0 branches")?;
             if !alpha_eq_stack(&sa, &sb) {
                 return Err(TypeError::mismatch("if0 branch stacks", &sa, &sb));
@@ -139,17 +153,17 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
             Ok((t1, sa))
         }
         FExpr::Lam(lam) => {
-            if ctx.delta.lookup(&lam.zeta).is_some() {
+            if env.delta.lookup(&lam.zeta).is_some() {
                 return Err(TypeError::DuplicateTyVar(lam.zeta.clone()));
             }
-            let inner_delta = ctx.delta.extended(TyVarDecl::stack(lam.zeta.clone()));
+            let inner_delta = env.delta.extended(TyVarDecl::stack(lam.zeta.clone()));
             for (_, t) in &lam.params {
-                wf_fty(&ctx.delta, t)?;
+                wf_fty(env.delta, t)?;
             }
             for t in lam.phi_in.iter().chain(&lam.phi_out) {
                 funtal_tal::wf::wf_tty(&inner_delta, t)?;
             }
-            let mut gamma = ctx.gamma.clone();
+            let mut gamma = env.gamma.clone();
             for (x, t) in &lam.params {
                 gamma.insert(x.clone(), t.clone());
             }
@@ -157,14 +171,12 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
                 prefix: lam.phi_in.clone(),
                 tail: StackTail::Var(lam.zeta.clone()),
             };
-            let body_ctx = FtCtx {
-                psi: ctx.psi.clone(),
-                delta: inner_delta,
-                gamma,
-                chi: ctx.chi.clone(),
-                sigma: body_sigma,
+            let body_env = Env {
+                delta: &inner_delta,
+                gamma: &gamma,
+                ..env
             };
-            let (ret, out_sigma) = type_of_fexpr(&body_ctx, &lam.body)?;
+            let (ret, out_sigma) = type_at(body_env, body_sigma, &lam.body)?;
             let want_out = StackTy {
                 prefix: lam.phi_out.clone(),
                 tail: StackTail::Var(lam.zeta.clone()),
@@ -183,11 +195,11 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
                     phi_out: lam.phi_out.clone(),
                     ret: Box::new(ret),
                 },
-                ctx.sigma.clone(),
+                sigma,
             ))
         }
         FExpr::App { func, args } => {
-            let (tf, mut s) = type_of_fexpr(ctx, func)?;
+            let (tf, mut s) = type_at(env, sigma, func)?;
             let FTy::Arrow {
                 params,
                 phi_in,
@@ -205,7 +217,7 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
                 )));
             }
             for (p, a) in params.iter().zip(args) {
-                let (ta, s2) = type_of_fexpr(&ctx.with_sigma(s), a)?;
+                let (ta, s2) = type_at(env, s, a)?;
                 expect_fty(p, &ta, "argument")?;
                 s = s2;
             }
@@ -222,17 +234,17 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
             Ok(((**ret).clone(), rest.cons_prefix(phi_out)))
         }
         FExpr::Fold { ann, body } => {
-            wf_fty(&ctx.delta, ann)?;
+            wf_fty(env.delta, ann)?;
             let FTy::Rec(a, inner) = ann else {
                 return Err(TypeError::wrong_form("a recursive-type annotation", ann));
             };
             let unrolled = subst_fty_var(inner, a, ann);
-            let (tb, s) = type_of_fexpr(ctx, body)?;
+            let (tb, s) = type_at(env, sigma, body)?;
             expect_fty(&unrolled, &tb, "fold body")?;
             Ok((ann.clone(), s))
         }
         FExpr::Unfold(body) => {
-            let (t, s) = type_of_fexpr(ctx, body)?;
+            let (t, s) = type_at(env, sigma, body)?;
             let FTy::Rec(a, inner) = &t else {
                 return Err(TypeError::wrong_form("a value of recursive type", &t));
             };
@@ -240,16 +252,16 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
         }
         FExpr::Tuple(es) => {
             let mut tys = Vec::with_capacity(es.len());
-            let mut s = ctx.sigma.clone();
+            let mut s = sigma;
             for e in es {
-                let (t, s2) = type_of_fexpr(&ctx.with_sigma(s), e)?;
+                let (t, s2) = type_at(env, s, e)?;
                 tys.push(t);
                 s = s2;
             }
             Ok((FTy::Tuple(tys), s))
         }
         FExpr::Proj { idx, tuple } => {
-            let (t, s) = type_of_fexpr(ctx, tuple)?;
+            let (t, s) = type_at(env, sigma, tuple)?;
             let FTy::Tuple(ts) = &t else {
                 return Err(TypeError::wrong_form("a tuple", &t));
             };
@@ -266,28 +278,28 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
             sigma_out,
             comp,
         } => {
-            wf_fty(&ctx.delta, ty)?;
-            let sigma_prime = sigma_out.clone().unwrap_or_else(|| ctx.sigma.clone());
-            wf_stack(&ctx.delta, &sigma_prime)?;
+            wf_fty(env.delta, ty)?;
+            let sigma_prime = sigma_out.clone().unwrap_or_else(|| sigma.clone());
+            wf_stack(env.delta, &sigma_prime)?;
             let t_ty = fty_to_tty(ty);
             // Fig 7: the component is checked under an *empty* register
             // file (embedded assembly may assume nothing about
             // registers) at marker end{τ𝒯; σ'}.
             let tctx = TCtx::new(
-                ctx.psi.clone(),
-                ctx.delta.clone(),
+                env.psi.clone(),
+                env.delta.clone(),
                 RegFileTy::new(),
-                ctx.sigma.clone(),
+                sigma,
                 RetMarker::end(t_ty, sigma_prime.clone()),
             );
-            check_tcomp(&tctx, &ctx.gamma, comp)?;
+            check_tcomp(tctx, env.gamma, comp)?;
             Ok((ty.clone(), sigma_prime))
         }
     }
 }
 
 /// Checks the `protect φ, ζ` instruction (Fig 7).
-fn check_protect(tctx: &TCtx, phi: &[TTy], zeta: &funtal_syntax::TyVar) -> TResult<TCtx> {
+fn check_protect(mut tctx: TCtx, phi: &[TTy], zeta: &funtal_syntax::TyVar) -> TResult<TCtx> {
     if tctx.delta.lookup(zeta).is_some() {
         return Err(TypeError::DuplicateTyVar(zeta.clone()));
     }
@@ -309,45 +321,35 @@ fn check_protect(tctx: &TCtx, phi: &[TTy], zeta: &funtal_syntax::TyVar) -> TResu
     // Transform the marker: a stack marker may not be hidden; an end
     // marker whose stack ends in the protected tail is re-expressed in
     // terms of ζ.
-    let q = match &tctx.q {
-        RetMarker::Stack(i) => {
-            if *i >= phi.len() {
-                return Err(TypeError::ClobbersMarker(
-                    "protect would hide the marker slot",
-                ));
-            }
-            RetMarker::Stack(*i)
+    match &mut tctx.q {
+        RetMarker::Stack(i) if *i >= phi.len() => {
+            return Err(TypeError::ClobbersMarker(
+                "protect would hide the marker slot",
+            ));
         }
-        RetMarker::End { ty, sigma } => {
+        RetMarker::End { sigma, .. } => {
             let exposed = split_suffix(sigma, &rest).map_err(|_| TypeError::StackShape {
                 need: format!("an end-marker stack ending in the protected tail {rest}"),
                 found: sigma.clone(),
             })?;
-            RetMarker::End {
-                ty: ty.clone(),
-                sigma: StackTy {
-                    prefix: exposed,
-                    tail: StackTail::Var(zeta.clone()),
-                },
-            }
+            *sigma = StackTy {
+                prefix: exposed,
+                tail: StackTail::Var(zeta.clone()),
+            };
         }
-        other => other.clone(),
+        _ => {}
+    }
+    tctx.delta.push(TyVarDecl::stack(zeta.clone()));
+    tctx.sigma = StackTy {
+        prefix: front,
+        tail: StackTail::Var(zeta.clone()),
     };
-    Ok(TCtx {
-        psi: tctx.psi.clone(),
-        delta: tctx.delta.extended(TyVarDecl::stack(zeta.clone())),
-        chi: tctx.chi.clone(),
-        sigma: StackTy {
-            prefix: front,
-            tail: StackTail::Var(zeta.clone()),
-        },
-        q,
-    })
+    Ok(tctx)
 }
 
 /// Checks the `import rd, ζ = σ0, TF[τ](e)` instruction (Fig 7).
 fn check_import(
-    tctx: &TCtx,
+    mut tctx: TCtx,
     gamma: &Gamma,
     rd: funtal_syntax::Reg,
     zeta: &funtal_syntax::TyVar,
@@ -382,17 +384,16 @@ fn check_import(
         }
     }
     let inner_delta = tctx.delta.extended(TyVarDecl::stack(zeta.clone()));
-    let body_ctx = FtCtx {
-        psi: tctx.psi.clone(),
-        delta: inner_delta,
-        gamma: gamma.clone(),
-        chi: tctx.chi.clone(),
-        sigma: StackTy {
-            prefix: exposed.clone(),
-            tail: StackTail::Var(zeta.clone()),
-        },
+    let body_env = Env {
+        psi: &tctx.psi,
+        delta: &inner_delta,
+        gamma,
     };
-    let (tb, out_sigma) = type_of_fexpr(&body_ctx, body)?;
+    let body_sigma = StackTy {
+        prefix: exposed.clone(),
+        tail: StackTail::Var(zeta.clone()),
+    };
+    let (tb, out_sigma) = type_at(body_env, body_sigma, body)?;
     if !alpha_eq_fty(&tb, ty) {
         return Err(TypeError::mismatch("import body type", ty, &tb));
     }
@@ -406,39 +407,33 @@ fn check_import(
     let delta_len = out_prefix.len() as isize - exposed.len() as isize;
     // Fig 7: the result register file is exactly {rd : τ𝒯} — embedded F
     // evaluation may clobber every register.
-    let chi = RegFileTy::from_pairs([(rd, fty_to_tty(ty))]);
+    tctx.chi = RegFileTy::from_pairs([(rd, fty_to_tty(ty))]);
     // Splice the protected tail back under the body's output prefix:
     // σ' = φ' :: σ0.
     let mut prefix = out_prefix;
     prefix.extend(protected.prefix.iter().cloned());
-    let sigma = StackTy {
+    tctx.sigma = StackTy {
         prefix,
         tail: protected.tail.clone(),
     };
-    Ok(TCtx {
-        psi: tctx.psi.clone(),
-        delta: tctx.delta.clone(),
-        chi,
-        sigma,
-        q: tctx.q.shifted_by(delta_len),
-    })
+    tctx.q = tctx.q.shifted_by(delta_len);
+    Ok(tctx)
 }
 
 /// Checks a T component under the FT rules (Fig 2's component rule with
 /// Fig 7's `import`/`protect` extensions), returning `τ; σ'` from
 /// `ret-type`.
-pub fn check_tcomp(tctx: &TCtx, gamma: &Gamma, comp: &TComp) -> TResult<(TTy, StackTy)> {
-    let gamma = gamma.clone();
-    let mut hook = |c: &TCtx, instr: &Instr| match instr {
-        Instr::Protect { phi, zeta } => Some(check_protect(c, phi, zeta)),
+pub fn check_tcomp(tctx: TCtx, gamma: &Gamma, comp: &TComp) -> TResult<(TTy, StackTy)> {
+    let mut hook = |c: TCtx, instr: &Instr| match instr {
+        Instr::Protect { phi, zeta } => check_protect(c, phi, zeta),
         Instr::Import {
             rd,
             zeta,
             protected,
             ty,
             body,
-        } => Some(check_import(c, &gamma, *rd, zeta, protected, ty, body)),
-        _ => None,
+        } => check_import(c, gamma, *rd, zeta, protected, ty, body),
+        _ => check_instr(c, instr),
     };
     check_component_with(tctx, comp, &mut hook)
 }
@@ -451,19 +446,7 @@ pub fn check_tcomp(tctx: &TCtx, gamma: &Gamma, comp: &TComp) -> TResult<(TTy, St
 ///   `end{τ𝒯; •}` for the provided expected type.
 pub fn typecheck_component(comp: &Component, expected: Option<&FTy>) -> TResult<FTy> {
     match comp {
-        Component::F(e) => {
-            let (t, s) = type_of_fexpr(&FtCtx::top(), e)?;
-            if !alpha_eq_stack(&s, &StackTy::nil()) {
-                return Err(TypeError::StackShape {
-                    need: "a whole program leaving the stack empty".to_string(),
-                    found: s,
-                });
-            }
-            if let Some(want) = expected {
-                expect_fty(want, &t, "program type")?;
-            }
-            Ok(t)
-        }
+        Component::F(e) => typecheck_closed(e, expected),
         Component::T(c) => {
             let want = expected.ok_or_else(|| {
                 TypeError::Other(
@@ -478,7 +461,7 @@ pub fn typecheck_component(comp: &Component, expected: Option<&FTy>) -> TResult<
                 StackTy::nil(),
                 RetMarker::end(t_ty, StackTy::nil()),
             );
-            check_tcomp(&tctx, &Gamma::new(), c)?;
+            check_tcomp(tctx, &Gamma::new(), c)?;
             Ok(want.clone())
         }
     }
@@ -486,5 +469,20 @@ pub fn typecheck_component(comp: &Component, expected: Option<&FTy>) -> TResult<
 
 /// Convenience: type-check a closed F expression as a whole program.
 pub fn typecheck(e: &FExpr) -> TResult<FTy> {
-    typecheck_component(&Component::F(e.clone()), None)
+    typecheck_closed(e, None)
+}
+
+/// The `Component::F` case of [`typecheck_component`].
+fn typecheck_closed(e: &FExpr, expected: Option<&FTy>) -> TResult<FTy> {
+    let (t, s) = type_of_fexpr(&FtCtx::top(), e)?;
+    if !alpha_eq_stack(&s, &StackTy::nil()) {
+        return Err(TypeError::StackShape {
+            need: "a whole program leaving the stack empty".to_string(),
+            found: s,
+        });
+    }
+    if let Some(want) = expected {
+        expect_fty(want, &t, "program type")?;
+    }
+    Ok(t)
 }

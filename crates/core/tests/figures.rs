@@ -288,7 +288,7 @@ fn import_requires_marker_in_protected_tail() {
         ),
         vec![],
     );
-    let err = funtal::check::check_tcomp(&tctx, &funtal::Gamma::new(), &comp).unwrap_err();
+    let err = funtal::check::check_tcomp(tctx, &funtal::Gamma::new(), &comp).unwrap_err();
     assert!(
         matches!(err.root(), funtal_tal::TypeError::BadMarker { .. }),
         "{err}"

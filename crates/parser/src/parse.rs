@@ -5,6 +5,7 @@
 //! identity (property-tested in `tests/roundtrip.rs`).
 
 use std::fmt;
+use std::sync::Arc;
 
 use funtal_syntax::span::{Span, SpanTable};
 use funtal_syntax::{
@@ -226,7 +227,7 @@ impl Parser {
                 }
                 "box" => {
                     self.bump();
-                    Ok(TTy::Boxed(Box::new(self.heap_ty()?)))
+                    Ok(TTy::Boxed(Arc::new(self.heap_ty()?)))
                 }
                 _ => {
                     let v = self.ident("a type")?;

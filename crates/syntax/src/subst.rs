@@ -6,6 +6,7 @@
 //! boundary translations.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::free::{ftv_inst, fv_fexpr};
 use crate::ids::{fresh_tyvar, fresh_varname, TyVar, VarName};
@@ -13,7 +14,9 @@ use crate::term::{
     CodeBlock, Component, FExpr, HeapFrag, HeapVal, Instr, InstrSeq, Lam, SmallVal, TComp,
     Terminator, WordVal,
 };
-use crate::ty::{CodeTy, FTy, HeapTy, Inst, Kind, RegFileTy, RetMarker, StackTail, StackTy, TTy};
+use crate::ty::{
+    CodeTy, FTy, HeapTy, Inst, Kind, RegFileTy, RetMarker, StackTail, StackTy, TTy, TyVarDecl,
+};
 
 /// A finite substitution from type variables to instantiations.
 #[derive(Clone, Debug, Default)]
@@ -69,16 +72,20 @@ impl Subst {
     /// would capture a variable free in the substitution's range.
     ///
     /// Returns the substitution to apply to the body and the (possibly
-    /// renamed) binder.
-    fn under_binder(&self, v: &TyVar, kind: Kind) -> (Subst, TyVar) {
+    /// renamed) binder, or `None` when the binder is neither in the
+    /// domain nor free in the range: then `self` and `v` apply unchanged.
+    fn under_binder(&self, v: &TyVar, kind: Kind) -> Option<(Subst, TyVar)> {
+        if !self.map.contains_key(v) && !self.range_ftv().contains(v) {
+            return None;
+        }
         let mut inner = self.clone();
         inner.map.remove(v);
         if inner.map.is_empty() {
-            return (inner, v.clone());
+            return Some((inner, v.clone()));
         }
         let range = inner.range_ftv();
         if !range.contains(v) {
-            return (inner, v.clone());
+            return Some((inner, v.clone()));
         }
         let fresh = fresh_tyvar(v, |cand| {
             range.contains(cand) || inner.map.contains_key(cand)
@@ -89,7 +96,37 @@ impl Subst {
             Kind::Ret => Inst::Ret(RetMarker::Var(fresh.clone())),
         };
         inner.map.insert(v.clone(), rename);
-        (inner, fresh)
+        Some((inner, fresh))
+    }
+
+    /// Applies `f` under a binder of `v` (see
+    /// [`under_binder`](Subst::under_binder)), returning the binder to
+    /// use and `f`'s result.
+    fn under<R>(&self, v: &TyVar, kind: Kind, f: impl FnOnce(&Subst) -> R) -> (TyVar, R) {
+        match self.under_binder(v, kind) {
+            Some((inner, v2)) => (v2, f(&inner)),
+            None => (v.clone(), f(self)),
+        }
+    }
+
+    /// Descends under a `∀[∆]` prefix, binder by binder: returns the
+    /// (possibly renamed) binders and the substitution for the body,
+    /// `None` meaning `self` applies unchanged.
+    fn under_binders(&self, decls: &[TyVarDecl]) -> (Vec<TyVarDecl>, Option<Subst>) {
+        let mut inner: Option<Subst> = None;
+        let mut out = Vec::with_capacity(decls.len());
+        for d in decls {
+            let cur = inner.as_ref().unwrap_or(self);
+            let var = match cur.under_binder(&d.var, d.kind) {
+                Some((s2, v2)) => {
+                    inner = Some(s2);
+                    v2
+                }
+                None => d.var.clone(),
+            };
+            out.push(TyVarDecl { var, kind: d.kind });
+        }
+        (out, inner)
     }
 
     /// Applies the substitution to a T value type.
@@ -105,15 +142,15 @@ impl Subst {
             },
             TTy::Unit | TTy::Int => t.clone(),
             TTy::Exists(v, body) => {
-                let (s, v2) = self.under_binder(v, Kind::Ty);
-                TTy::Exists(v2, Box::new(s.tty(body)))
+                let (v2, body) = self.under(v, Kind::Ty, |s| s.tty(body));
+                TTy::Exists(v2, Box::new(body))
             }
             TTy::Rec(v, body) => {
-                let (s, v2) = self.under_binder(v, Kind::Ty);
-                TTy::Rec(v2, Box::new(s.tty(body)))
+                let (v2, body) = self.under(v, Kind::Ty, |s| s.tty(body));
+                TTy::Rec(v2, Box::new(body))
             }
             TTy::Ref(ts) => TTy::Ref(ts.iter().map(|t| self.tty(t)).collect()),
-            TTy::Boxed(h) => TTy::Boxed(Box::new(self.heap_ty(h))),
+            TTy::Boxed(h) => TTy::Boxed(Arc::new(self.heap_ty(h))),
         }
     }
 
@@ -128,16 +165,8 @@ impl Subst {
     /// Applies the substitution to a code type (respecting its `∀[∆]`
     /// binders).
     pub fn code_ty(&self, c: &CodeTy) -> CodeTy {
-        let mut s = self.clone();
-        let mut delta = Vec::with_capacity(c.delta.len());
-        for d in &c.delta {
-            let (s2, v2) = s.under_binder(&d.var, d.kind);
-            s = s2;
-            delta.push(crate::ty::TyVarDecl {
-                var: v2,
-                kind: d.kind,
-            });
-        }
+        let (delta, inner) = self.under_binders(&c.delta);
+        let s = inner.as_ref().unwrap_or(self);
         CodeTy {
             delta,
             chi: s.chi(&c.chi),
@@ -233,8 +262,8 @@ impl Subst {
                 ret: Box::new(self.fty(ret)),
             },
             FTy::Rec(v, body) => {
-                let (s, v2) = self.under_binder(v, Kind::Ty);
-                FTy::Rec(v2, Box::new(s.fty(body)))
+                let (v2, body) = self.under(v, Kind::Ty, |s| s.fty(body));
+                FTy::Rec(v2, Box::new(body))
             }
             FTy::Tuple(ts) => FTy::Tuple(ts.iter().map(|t| self.fty(t)).collect()),
         }
@@ -335,7 +364,9 @@ impl Subst {
             ),
             Instr::Unpack { tv, rd, src } => {
                 let src2 = self.small(src);
-                let (s, tv2) = self.under_binder(tv, Kind::Ty);
+                let (s, tv2) = self
+                    .under_binder(tv, Kind::Ty)
+                    .unwrap_or_else(|| (self.clone(), tv.clone()));
                 (
                     Instr::Unpack {
                         tv: tv2,
@@ -347,7 +378,9 @@ impl Subst {
             }
             Instr::Protect { phi, zeta } => {
                 let phi2: Vec<TTy> = phi.iter().map(|t| self.tty(t)).collect();
-                let (s, z2) = self.under_binder(zeta, Kind::Stack);
+                let (s, z2) = self
+                    .under_binder(zeta, Kind::Stack)
+                    .unwrap_or_else(|| (self.clone(), zeta.clone()));
                 (
                     Instr::Protect {
                         phi: phi2,
@@ -364,9 +397,8 @@ impl Subst {
                 body,
             } => {
                 let protected2 = self.stack(protected);
-                let (s, z2) = self.under_binder(zeta, Kind::Stack);
-                let ty2 = s.fty(ty);
-                let body2 = s.fexpr(body);
+                let (z2, (ty2, body2)) =
+                    self.under(zeta, Kind::Stack, |s| (s.fty(ty), s.fexpr(body)));
                 (
                     Instr::Import {
                         rd: *rd,
@@ -409,16 +441,8 @@ impl Subst {
 
     /// Applies the substitution to a code block (respecting `∆`).
     pub fn block(&self, b: &CodeBlock) -> CodeBlock {
-        let mut s = self.clone();
-        let mut delta = Vec::with_capacity(b.delta.len());
-        for d in &b.delta {
-            let (s2, v2) = s.under_binder(&d.var, d.kind);
-            s = s2;
-            delta.push(crate::ty::TyVarDecl {
-                var: v2,
-                kind: d.kind,
-            });
-        }
+        let (delta, inner) = self.under_binders(&b.delta);
+        let s = inner.as_ref().unwrap_or(self);
         CodeBlock {
             delta,
             chi: s.chi(&b.chi),
@@ -482,13 +506,19 @@ impl Subst {
                     .iter()
                     .map(|(x, t)| (x.clone(), self.fty(t)))
                     .collect();
-                let (s, z2) = self.under_binder(&lam.zeta, Kind::Stack);
+                let (zeta, (phi_in, phi_out, body)) = self.under(&lam.zeta, Kind::Stack, |s| {
+                    (
+                        lam.phi_in.iter().map(|t| s.tty(t)).collect(),
+                        lam.phi_out.iter().map(|t| s.tty(t)).collect(),
+                        s.fexpr(&lam.body),
+                    )
+                });
                 FExpr::Lam(Box::new(Lam {
                     params,
-                    zeta: z2,
-                    phi_in: lam.phi_in.iter().map(|t| s.tty(t)).collect(),
-                    phi_out: lam.phi_out.iter().map(|t| s.tty(t)).collect(),
-                    body: s.fexpr(&lam.body),
+                    zeta,
+                    phi_in,
+                    phi_out,
+                    body,
                 }))
             }
             FExpr::App { func, args } => FExpr::App {

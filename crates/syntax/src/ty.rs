@@ -83,14 +83,16 @@ pub enum TTy {
     Rec(TyVar, Box<TTy>),
     /// A mutable tuple reference `ref ⟨τ, …⟩`.
     Ref(Vec<TTy>),
-    /// An immutable pointer `box ψ`.
-    Boxed(Box<HeapTy>),
+    /// An immutable pointer `box ψ`. The heap type is shared, so copying
+    /// a code pointer's type (out of Ψ, a register or a stack slot) is a
+    /// refcount bump.
+    Boxed(Arc<HeapTy>),
 }
 
 impl TTy {
     /// Convenience constructor for a `box ∀[∆].{χ;σ}q` code-pointer type.
     pub fn code(delta: Vec<TyVarDecl>, chi: RegFileTy, sigma: StackTy, q: RetMarker) -> TTy {
-        TTy::Boxed(Box::new(HeapTy::Code(CodeTy {
+        TTy::Boxed(Arc::new(HeapTy::Code(CodeTy {
             delta,
             chi,
             sigma,
@@ -100,7 +102,7 @@ impl TTy {
 
     /// Convenience constructor for an immutable tuple `box ⟨τ, …⟩`.
     pub fn boxed_tuple(fields: Vec<TTy>) -> TTy {
-        TTy::Boxed(Box::new(HeapTy::Tuple(fields)))
+        TTy::Boxed(Arc::new(HeapTy::Tuple(fields)))
     }
 
     /// Returns the code type if `self` is `box ∀[∆].{χ;σ}q`.
@@ -161,11 +163,9 @@ impl RegFileTy {
         self.0.get(&r)
     }
 
-    /// Returns a copy with `r` (re)bound to `ty` — the paper's `χ[r : τ]`.
-    pub fn update(&self, r: Reg, ty: TTy) -> Self {
-        let mut m = self.0.clone();
-        m.insert(r, ty);
-        RegFileTy(m)
+    /// (Re)binds `r` to `ty` in place — the paper's `χ[r : τ]`.
+    pub fn insert(&mut self, r: Reg, ty: TTy) {
+        self.0.insert(r, ty);
     }
 
     /// Returns a copy without `r` — used for the `χ \ q` well-formedness
@@ -260,19 +260,6 @@ impl StackTy {
         self.prefix.get(i)
     }
 
-    /// Replaces the type of visible slot `i`.
-    ///
-    /// Returns `None` when the slot is hidden in the tail.
-    pub fn set(&self, i: usize, ty: TTy) -> Option<Self> {
-        if i < self.prefix.len() {
-            let mut s = self.clone();
-            s.prefix[i] = ty;
-            Some(s)
-        } else {
-            None
-        }
-    }
-
     /// The number of visible slots.
     pub fn visible_len(&self) -> usize {
         self.prefix.len()
@@ -291,6 +278,15 @@ impl StackTy {
             tail: self.tail.clone(),
         };
         Some((front, rest))
+    }
+
+    /// Removes the top `n` visible slots in place and returns them, top
+    /// first.
+    ///
+    /// Returns `None`, leaving `self` unchanged, if fewer than `n` slots
+    /// are visible.
+    pub fn pop_top(&mut self, n: usize) -> Option<Vec<TTy>> {
+        (n <= self.prefix.len()).then(|| self.prefix.drain(..n).collect())
     }
 
     /// True when `self` is syntactically `tail` with an empty prefix.
@@ -374,12 +370,14 @@ impl Inst {
 /// A heap typing `Ψ`: maps labels to `ν ψ` (mutability plus heap type).
 ///
 /// Ψ is an input of every T judgment that never changes inside a
-/// component, so the map sits behind an [`Arc`]: cloning a typing (the
-/// checker does so once per instruction) is a refcount bump, and
-/// [`insert`](HeapTyping::insert)/[`extend`](HeapTyping::extend) copy
-/// the map only when it is shared.
+/// component, so the map sits behind an [`Arc`]: cloning a typing is a
+/// refcount bump, and [`insert`](HeapTyping::insert)/
+/// [`extend`](HeapTyping::extend) copy the map only when it is shared.
+/// Each heap type is an [`Arc`] too, so such a copy, and the type
+/// [`loc_ty`](HeapTyping::loc_ty) hands out for a boxed label, share the
+/// entries instead of cloning them.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct HeapTyping(Arc<BTreeMap<Label, (Mutability, HeapTy)>>);
+pub struct HeapTyping(Arc<BTreeMap<Label, (Mutability, Arc<HeapTy>)>>);
 
 impl HeapTyping {
     /// The empty heap typing.
@@ -388,13 +386,18 @@ impl HeapTyping {
     }
 
     /// Looks up a label.
-    pub fn get(&self, l: &Label) -> Option<&(Mutability, HeapTy)> {
+    pub fn get(&self, l: &Label) -> Option<&(Mutability, Arc<HeapTy>)> {
         self.0.get(l)
     }
 
     /// Inserts a binding, returning any previous entry.
-    pub fn insert(&mut self, l: Label, m: Mutability, ty: HeapTy) -> Option<(Mutability, HeapTy)> {
-        Arc::make_mut(&mut self.0).insert(l, (m, ty))
+    pub fn insert(
+        &mut self,
+        l: Label,
+        m: Mutability,
+        ty: impl Into<Arc<HeapTy>>,
+    ) -> Option<(Mutability, Arc<HeapTy>)> {
+        Arc::make_mut(&mut self.0).insert(l, (m, ty.into()))
     }
 
     /// Merges `other` into `self` (right-biased).
@@ -413,14 +416,14 @@ impl HeapTyping {
     /// `ref ⟨τ̄⟩` for mutable tuples, `box ψ` otherwise.
     pub fn loc_ty(&self, l: &Label) -> Option<TTy> {
         let (m, h) = self.get(l)?;
-        Some(match (m, h) {
+        Some(match (m, &**h) {
             (Mutability::Ref, HeapTy::Tuple(ts)) => TTy::Ref(ts.clone()),
-            (_, h) => TTy::Boxed(Box::new(h.clone())),
+            _ => TTy::Boxed(Arc::clone(h)),
         })
     }
 
     /// Iterates over entries in label order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Label, &(Mutability, HeapTy))> {
+    pub fn iter(&self) -> impl Iterator<Item = (&Label, &(Mutability, Arc<HeapTy>))> {
         self.0.iter()
     }
 }
@@ -504,11 +507,13 @@ mod tests {
     }
 
     #[test]
-    fn regfile_update_is_persistent() {
-        let chi = RegFileTy::new();
-        let chi2 = chi.update(Reg::R1, TTy::Int);
+    fn regfile_insert_rebinds() {
+        let mut chi = RegFileTy::new();
         assert!(chi.get(Reg::R1).is_none());
-        assert_eq!(chi2.get(Reg::R1), Some(&TTy::Int));
+        chi.insert(Reg::R1, TTy::Int);
+        assert_eq!(chi.get(Reg::R1), Some(&TTy::Int));
+        chi.insert(Reg::R1, TTy::Unit);
+        assert_eq!(chi.get(Reg::R1), Some(&TTy::Unit));
     }
 
     #[test]

@@ -4,16 +4,18 @@
 //! metafunctions, and component typing `Ψ;∆;χ;σ;q ⊢ (I,H) : τ;σ'`.
 //!
 //! The FT checker reuses everything here via the `*_with` entry points,
-//! which accept an extension hook for the multi-language instructions
+//! which take the instruction rule to check with ([`ExtHook`]): the FT
+//! checker extends [`check_instr`] with the multi-language instructions
 //! (`import`, `protect`).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use funtal_syntax::alpha::{alpha_eq_ret, alpha_eq_stack, alpha_eq_tty};
 use funtal_syntax::subst::Subst;
 use funtal_syntax::{
     CodeBlock, CodeTy, HeapTy, HeapTyping, HeapVal, Inst, Instr, InstrSeq, Kind, Label, Mutability,
-    Reg, RegFileTy, RetMarker, SmallVal, StackTail, StackTy, TComp, TTy, Terminator,
+    Reg, RegFileTy, RetMarker, SmallVal, StackTail, StackTy, TComp, TTy, Terminator, WordVal,
 };
 
 use crate::error::{TResult, TypeError};
@@ -101,7 +103,7 @@ pub fn check_marker(ctx: &TCtx) -> TResult<()> {
 
 /// Decomposes a continuation type `box ∀[].{r : τ; σ'}q'`, requiring an
 /// empty binder list and exactly one register entry.
-fn cont_parts(t: &TTy) -> TResult<(Reg, TTy, StackTy, RetMarker)> {
+fn cont_parts(t: &TTy) -> TResult<(Reg, &TTy, &StackTy, &RetMarker)> {
     let code = t
         .as_code()
         .ok_or_else(|| TypeError::wrong_form("a continuation code pointer", t))?;
@@ -121,34 +123,32 @@ fn cont_parts(t: &TTy) -> TResult<(Reg, TTy, StackTy, RetMarker)> {
             t,
         ));
     }
-    Ok((r, ty.clone(), code.sigma.clone(), code.q.clone()))
+    Ok((r, ty, &code.sigma, &code.q))
 }
 
 /// `ret-type(q, χ, σ) = τ; σ'` (Fig 2): the type of the value passed to
 /// the return continuation at `q`, and the stack at that point.
 pub fn ret_type(q: &RetMarker, chi: &RegFileTy, sigma: &StackTy) -> TResult<(TTy, StackTy)> {
-    match q {
-        RetMarker::Reg(r) => {
-            let t = chi.get(*r).ok_or(TypeError::UnboundReg(*r))?;
-            let (_, ty, s, _) = cont_parts(t)?;
-            Ok((ty, s))
-        }
-        RetMarker::Stack(i) => {
-            let t = sigma.get(*i).ok_or(TypeError::BadStackIndex {
-                idx: *i,
-                visible: sigma.visible_len(),
-            })?;
-            let (_, ty, s, _) = cont_parts(t)?;
-            Ok((ty, s))
-        }
-        RetMarker::End { ty, sigma } => Ok(((**ty).clone(), sigma.clone())),
-        other => Err(TypeError::NoRetType(other.clone())),
-    }
+    let t = match q {
+        RetMarker::Reg(r) => chi.get(*r).ok_or(TypeError::UnboundReg(*r))?,
+        RetMarker::Stack(i) => sigma.get(*i).ok_or(TypeError::BadStackIndex {
+            idx: *i,
+            visible: sigma.visible_len(),
+        })?,
+        RetMarker::End { ty, sigma } => return Ok(((**ty).clone(), sigma.clone())),
+        other => return Err(TypeError::NoRetType(other.clone())),
+    };
+    let (_, ty, s, _) = cont_parts(t)?;
+    Ok((ty.clone(), s.clone()))
 }
 
 /// `ret-addr-type(q, χ, σ)` (Fig 2): the full code type of the return
 /// continuation at `q` (only defined for register and stack markers).
-pub fn ret_addr_type(q: &RetMarker, chi: &RegFileTy, sigma: &StackTy) -> TResult<CodeTy> {
+pub fn ret_addr_type<'a>(
+    q: &RetMarker,
+    chi: &'a RegFileTy,
+    sigma: &'a StackTy,
+) -> TResult<&'a CodeTy> {
     let t = match q {
         RetMarker::Reg(r) => chi.get(*r).ok_or(TypeError::UnboundReg(*r))?,
         RetMarker::Stack(i) => sigma.get(*i).ok_or(TypeError::BadStackIndex {
@@ -158,20 +158,18 @@ pub fn ret_addr_type(q: &RetMarker, chi: &RegFileTy, sigma: &StackTy) -> TResult
         other => return Err(TypeError::NoRetType(other.clone())),
     };
     t.as_code()
-        .cloned()
         .ok_or_else(|| TypeError::wrong_form("a code pointer at the return marker", t))
 }
 
-/// Checks a single pure-T instruction, returning the updated context
-/// (`Ψ;∆;χ;σ;q ⊢ ι ⇒ ∆';χ';σ';q'`).
+/// Checks a single instruction (`Ψ;∆;χ;σ;q ⊢ ι ⇒ ∆';χ';σ';q'`): the
+/// context moves in, the rule updates `∆`, `χ`, `σ` and `q` in place,
+/// and the result is the context for the next instruction.
 ///
 /// # Errors
 ///
 /// Returns [`TypeError::MultiLanguage`] for `import`/`protect`; the FT
-/// checker handles those via the extension hook of
-/// [`check_seq_with`].
-pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
-    let mut out = ctx.clone();
+/// checker's instruction rule ([`ExtHook`]) handles those.
+pub fn check_instr(mut ctx: TCtx, instr: &Instr) -> TResult<TCtx> {
     match instr {
         Instr::Arith { rd, rs, src, .. } => {
             let ts = ctx.reg(*rs)?;
@@ -183,20 +181,20 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
                 return Err(TypeError::mismatch("aop second operand", &TTy::Int, &tu));
             }
             ctx.guard_write(*rd, "aop destination")?;
-            out.chi = ctx.chi.update(*rd, TTy::Int);
+            ctx.chi.insert(*rd, TTy::Int);
         }
         Instr::Bnz { r, target } => {
             let tr = ctx.reg(*r)?;
             if !alpha_eq_tty(tr, &TTy::Int) {
                 return Err(TypeError::mismatch("bnz register", &TTy::Int, tr));
             }
-            check_jump_target(ctx, target, "bnz")?;
+            check_jump_target(&ctx, target, "bnz")?;
         }
         Instr::Ld { rd, rs, idx } => {
             let fields = match ctx.reg(*rs)? {
-                TTy::Ref(ts) => ts.clone(),
+                TTy::Ref(ts) => ts,
                 TTy::Boxed(h) => match &**h {
-                    HeapTy::Tuple(ts) => ts.clone(),
+                    HeapTy::Tuple(ts) => ts,
                     other => return Err(TypeError::wrong_form("a tuple pointer", other)),
                 },
                 other => return Err(TypeError::wrong_form("a tuple pointer", other)),
@@ -209,14 +207,14 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
                 })?
                 .clone();
             ctx.guard_write(*rd, "ld destination")?;
-            out.chi = ctx.chi.update(*rd, ty);
+            ctx.chi.insert(*rd, ty);
         }
         Instr::St { rd, idx, rs } => {
             if ctx.q == RetMarker::Reg(*rs) {
                 return Err(TypeError::MarkerEscape("st of the return continuation"));
             }
             let fields = match ctx.reg(*rd)? {
-                TTy::Ref(ts) => ts.clone(),
+                TTy::Ref(ts) => ts,
                 other => {
                     return Err(TypeError::wrong_form(
                         "a mutable (ref) tuple pointer",
@@ -235,7 +233,7 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
         }
         Instr::Ralloc { rd, n } | Instr::Balloc { rd, n } => {
             ctx.guard_write(*rd, "alloc destination")?;
-            let (front, rest) = ctx.sigma.split(*n).ok_or_else(|| TypeError::StackShape {
+            let front = ctx.sigma.pop_top(*n).ok_or_else(|| TypeError::StackShape {
                 need: format!("{n} visible slots to allocate from"),
                 found: ctx.sigma.clone(),
             })?;
@@ -243,15 +241,14 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
                 if i < *n {
                     return Err(TypeError::ClobbersMarker("alloc of the marker slot"));
                 }
-                out.q = RetMarker::Stack(i - n);
+                ctx.q = RetMarker::Stack(i - n);
             }
             let ty = if matches!(instr, Instr::Ralloc { .. }) {
                 TTy::Ref(front)
             } else {
                 TTy::boxed_tuple(front)
             };
-            out.chi = ctx.chi.update(*rd, ty);
-            out.sigma = rest;
+            ctx.chi.insert(*rd, ty);
         }
         Instr::Mv { rd, src } => {
             // Second rule of Fig 2: moving the continuation moves the
@@ -259,25 +256,25 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
             if let (SmallVal::Reg(rs), RetMarker::Reg(qr)) = (src, &ctx.q) {
                 if rs == qr {
                     let ty = ctx.reg(*rs)?.clone();
-                    out.chi = ctx.chi.update(*rd, ty);
-                    out.q = RetMarker::Reg(*rd);
-                    return Ok(out);
+                    ctx.chi.insert(*rd, ty);
+                    ctx.q = RetMarker::Reg(*rd);
+                    return Ok(ctx);
                 }
             }
             let ty = type_of_small(&ctx.psi, &ctx.delta, &ctx.chi, src)?;
             ctx.guard_write(*rd, "mv destination")?;
-            out.chi = ctx.chi.update(*rd, ty);
+            ctx.chi.insert(*rd, ty);
         }
         Instr::Salloc(n) => {
-            let mut s = ctx.sigma.clone();
-            for _ in 0..*n {
-                s = s.cons(TTy::Unit);
-            }
-            out.sigma = s;
-            out.q = ctx.q.shifted_by(*n as isize);
+            // n fresh `unit` slots on top, in one splice: consing them
+            // one at a time copies the stack n times.
+            ctx.sigma
+                .prefix
+                .splice(0..0, std::iter::repeat_n(TTy::Unit, *n));
+            ctx.q = ctx.q.shifted_by(*n as isize);
         }
         Instr::Sfree(n) => {
-            let (_, rest) = ctx.sigma.split(*n).ok_or_else(|| TypeError::StackShape {
+            ctx.sigma.pop_top(*n).ok_or_else(|| TypeError::StackShape {
                 need: format!("{n} visible slots to free"),
                 found: ctx.sigma.clone(),
             })?;
@@ -285,34 +282,29 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
                 if i < *n {
                     return Err(TypeError::ClobbersMarker("sfree of the marker slot"));
                 }
-                out.q = RetMarker::Stack(i - n);
+                ctx.q = RetMarker::Stack(i - n);
             }
-            out.sigma = rest;
         }
         Instr::Sld { rd, idx } => {
             let ty = ctx.slot(*idx)?.clone();
             if ctx.q == RetMarker::Stack(*idx) {
                 // Loading the continuation moves the marker into `rd`.
-                out.chi = ctx.chi.update(*rd, ty);
-                out.q = RetMarker::Reg(*rd);
+                ctx.q = RetMarker::Reg(*rd);
             } else {
                 ctx.guard_write(*rd, "sld destination")?;
-                out.chi = ctx.chi.update(*rd, ty);
             }
+            ctx.chi.insert(*rd, ty);
         }
         Instr::Sst { idx, rs } => {
             let ty = ctx.reg(*rs)?.clone();
             ctx.slot(*idx)?;
             if ctx.q == RetMarker::Reg(*rs) {
                 // Storing the continuation moves the marker to slot idx.
-                out.sigma = ctx.sigma.set(*idx, ty).expect("slot checked visible");
-                out.q = RetMarker::Stack(*idx);
-            } else {
-                if ctx.q == RetMarker::Stack(*idx) {
-                    return Err(TypeError::ClobbersMarker("sst over the marker slot"));
-                }
-                out.sigma = ctx.sigma.set(*idx, ty).expect("slot checked visible");
+                ctx.q = RetMarker::Stack(*idx);
+            } else if ctx.q == RetMarker::Stack(*idx) {
+                return Err(TypeError::ClobbersMarker("sst over the marker slot"));
             }
+            ctx.sigma.prefix[*idx] = ty;
         }
         Instr::Unpack { tv, rd, src } => {
             if ctx.delta.lookup(tv).is_some() {
@@ -324,8 +316,8 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
             };
             ctx.guard_write(*rd, "unpack destination")?;
             let opened = Subst::one(a.clone(), Inst::Ty(TTy::Var(tv.clone()))).tty(body);
-            out.delta = ctx.delta.extended(funtal_syntax::TyVarDecl::ty(tv.clone()));
-            out.chi = ctx.chi.update(*rd, opened);
+            ctx.delta.push(funtal_syntax::TyVarDecl::ty(tv.clone()));
+            ctx.chi.insert(*rd, opened);
         }
         Instr::Unfold { rd, src } => {
             let t = type_of_small(&ctx.psi, &ctx.delta, &ctx.chi, src)?;
@@ -334,12 +326,12 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
             };
             ctx.guard_write(*rd, "unfold destination")?;
             let unrolled = Subst::one(a.clone(), Inst::Ty(t.clone())).tty(body);
-            out.chi = ctx.chi.update(*rd, unrolled);
+            ctx.chi.insert(*rd, unrolled);
         }
         Instr::Protect { .. } => return Err(TypeError::MultiLanguage("protect")),
         Instr::Import { .. } => return Err(TypeError::MultiLanguage("import")),
     }
-    Ok(out)
+    Ok(ctx)
 }
 
 /// Shared precondition check for `jmp`/`bnz` targets: the target must be
@@ -401,10 +393,10 @@ pub fn check_terminator(ctx: &TCtx, term: &Terminator) -> TResult<()> {
                 .at("ret"));
             }
             let have = ctx.reg(*val)?;
-            if !alpha_eq_tty(have, &tau) {
-                return Err(TypeError::mismatch("ret value", &tau, have));
+            if !alpha_eq_tty(have, tau) {
+                return Err(TypeError::mismatch("ret value", tau, have));
             }
-            if !alpha_eq_stack(&sigma_c, &ctx.sigma) {
+            if !alpha_eq_stack(sigma_c, &ctx.sigma) {
                 return Err(TypeError::JumpMismatch {
                     what: "stack",
                     expected: sigma_c.to_string(),
@@ -518,7 +510,7 @@ fn check_call(ctx: &TCtx, target: &SmallVal, sigma0: &StackTy, qarg: &RetMarker)
     if !cont.delta.is_empty() {
         return Err(TypeError::wrong_form(
             "a callee continuation with an empty ∀",
-            &TTy::Boxed(Box::new(HeapTy::Code(cont))),
+            &TTy::Boxed(Arc::new(HeapTy::Code(cont.clone()))),
         ));
     }
     if cont.q != RetMarker::Var(eps.clone()) {
@@ -611,22 +603,19 @@ fn check_call(ctx: &TCtx, target: &SmallVal, sigma0: &StackTy, qarg: &RetMarker)
     Ok(())
 }
 
-/// An extension hook for multi-language instructions. Returning `None`
-/// means "not handled" (the pure-T rules apply); `Some(result)` supplies
-/// the updated context.
-pub type ExtHook<'a> = dyn FnMut(&TCtx, &Instr) -> Option<TResult<TCtx>> + 'a;
+/// The instruction rule a sequence is checked with: [`check_instr`] for
+/// pure T, and the FT checker's extension of it with the
+/// multi-language instructions (`import`, `protect`). Like
+/// [`check_instr`], it takes the context by value and returns the
+/// context after the instruction.
+pub type ExtHook<'a> = dyn FnMut(TCtx, &Instr) -> TResult<TCtx> + 'a;
 
-/// Checks an instruction sequence with an extension hook for
-/// multi-language instructions.
-pub fn check_seq_with(ctx: TCtx, seq: &InstrSeq, ext: &mut ExtHook<'_>) -> TResult<()> {
-    let mut ctx = ctx;
+/// Checks an instruction sequence with the instruction rule `ext`. The
+/// one context moves from instruction to instruction.
+pub fn check_seq_with(mut ctx: TCtx, seq: &InstrSeq, ext: &mut ExtHook<'_>) -> TResult<()> {
     for (i, instr) in seq.instrs.iter().enumerate() {
         check_marker(&ctx).map_err(|e| e.at(format!("instruction {i} ({instr})")))?;
-        ctx = match ext(&ctx, instr) {
-            Some(res) => res,
-            None => check_instr(&ctx, instr),
-        }
-        .map_err(|e| e.at(format!("instruction {i} ({instr})")))?;
+        ctx = ext(ctx, instr).map_err(|e| e.at(format!("instruction {i} ({instr})")))?;
     }
     check_marker(&ctx).map_err(|e| e.at("terminator"))?;
     check_terminator(&ctx, &seq.term).map_err(|e| e.at(format!("terminator ({})", seq.term)))
@@ -634,27 +623,29 @@ pub fn check_seq_with(ctx: TCtx, seq: &InstrSeq, ext: &mut ExtHook<'_>) -> TResu
 
 /// Checks a pure-T instruction sequence (`Ψ;∆;χ;σ;q ⊢ I`).
 pub fn check_seq(ctx: TCtx, seq: &InstrSeq) -> TResult<()> {
-    check_seq_with(ctx, seq, &mut |_, _| None)
+    check_seq_with(ctx, seq, &mut check_instr)
 }
 
 /// Infers the heap typing `Ψ'` of a heap fragment (`Ψ ⊢ H : Ψ'`).
 ///
 /// Code blocks are self-describing; tuple types are inferred from their
 /// fields, iterating to cope with tuples pointing at other labels.
+/// Each round visits the pending tuples in label order, and a tuple
+/// sees `Ψ` plus every type inferred before it, this round included.
 /// When `require_box` is set (component-local fragments, Fig 2), any
 /// `ref` tuple is rejected.
-pub fn infer_heap_typing(
-    heap: impl IntoIterator<Item = (Label, HeapVal)>,
+pub fn infer_heap_typing<'h>(
+    heap: impl IntoIterator<Item = (&'h Label, &'h HeapVal)>,
     psi_base: &HeapTyping,
     require_box: bool,
 ) -> TResult<HeapTyping> {
     let mut out = HeapTyping::new();
-    let mut pending: BTreeMap<Label, (Mutability, Vec<funtal_syntax::WordVal>)> = BTreeMap::new();
+    let mut pending: BTreeMap<&Label, (Mutability, &[WordVal])> = BTreeMap::new();
     for (l, hv) in heap {
         match hv {
             HeapVal::Code(b) => {
                 out.insert(
-                    l,
+                    l.clone(),
                     Mutability::Boxed,
                     HeapTy::Code(CodeTy {
                         delta: b.delta.clone(),
@@ -665,32 +656,31 @@ pub fn infer_heap_typing(
                 );
             }
             HeapVal::Tuple { mutability, fields } => {
-                if require_box && mutability == Mutability::Ref {
-                    return Err(TypeError::LocalHeapNotBox(l));
+                if require_box && *mutability == Mutability::Ref {
+                    return Err(TypeError::LocalHeapNotBox(l.clone()));
                 }
-                pending.insert(l, (mutability, fields));
+                pending.insert(l, (*mutability, fields));
             }
         }
     }
+    // `Ψ ∪ Ψ'` so far, built once and grown with `out`.
+    let mut lookup = psi_base.clone();
+    lookup.extend(&out);
     let delta = Delta::new();
     while !pending.is_empty() {
-        let mut progressed = false;
-        let labels: Vec<Label> = pending.keys().cloned().collect();
-        for l in labels {
-            let (m, fields) = &pending[&l];
-            let mut combined = psi_base.clone();
-            combined.extend(&out);
+        let before = pending.len();
+        pending.retain(|l, (m, fields)| {
             let tys: TResult<Vec<TTy>> = fields
                 .iter()
-                .map(|w| type_of_word(&combined, &delta, w))
+                .map(|w| type_of_word(&lookup, &delta, w))
                 .collect();
-            if let Ok(tys) = tys {
-                out.insert(l.clone(), *m, HeapTy::Tuple(tys));
-                pending.remove(&l);
-                progressed = true;
-            }
-        }
-        if !progressed {
+            let Ok(tys) = tys else { return true };
+            let ty = Arc::new(HeapTy::Tuple(tys));
+            lookup.insert((*l).clone(), *m, Arc::clone(&ty));
+            out.insert((*l).clone(), *m, ty);
+            false
+        });
+        if pending.len() == before {
             let stuck: Vec<String> = pending.keys().map(|l| l.to_string()).collect();
             return Err(TypeError::HeapInference(format!(
                 "unresolvable tuples (cyclic or referencing unbound labels): {}",
@@ -701,8 +691,8 @@ pub fn infer_heap_typing(
     Ok(out)
 }
 
-/// Checks one code block under a full heap typing, with an extension
-/// hook for multi-language instructions.
+/// Checks one code block under a full heap typing, with the instruction
+/// rule `ext`.
 pub fn check_block_with(
     psi: &HeapTyping,
     label: &Label,
@@ -724,19 +714,15 @@ pub fn check_block_with(
     check_seq_with(ctx, &block.body, ext).map_err(|e| e.at(format!("block {label}")))
 }
 
-/// Checks a T component `Ψ;∆;χ;σ;q ⊢ (I,H) : τ;σ'` (Fig 2), with an
-/// extension hook, returning the result type and stack from
-/// `ret-type(q, χ, σ)`.
+/// Checks a T component `Ψ;∆;χ;σ;q ⊢ (I,H) : τ;σ'` (Fig 2) with the
+/// instruction rule `ext`, returning the result type and stack from
+/// `ret-type(q, χ, σ)`. The context moves on into the entry sequence.
 pub fn check_component_with(
-    ctx: &TCtx,
+    ctx: TCtx,
     comp: &TComp,
     ext: &mut ExtHook<'_>,
 ) -> TResult<(TTy, StackTy)> {
-    let psi_local = infer_heap_typing(
-        comp.heap.iter().map(|(l, v)| (l.clone(), v.clone())),
-        &ctx.psi,
-        true,
-    )?;
+    let psi_local = infer_heap_typing(comp.heap.iter(), &ctx.psi, true)?;
     let mut psi_full = ctx.psi.clone();
     psi_full.extend(&psi_local);
     for (l, hv) in comp.heap.iter() {
@@ -745,17 +731,20 @@ pub fn check_component_with(
         }
     }
     let result = ret_type(&ctx.q, &ctx.chi, &ctx.sigma)?;
-    let main_ctx = TCtx {
-        psi: psi_full,
-        ..ctx.clone()
-    };
-    check_seq_with(main_ctx, &comp.seq, ext)?;
+    check_seq_with(
+        TCtx {
+            psi: psi_full,
+            ..ctx
+        },
+        &comp.seq,
+        ext,
+    )?;
     Ok(result)
 }
 
 /// Checks a pure-T component.
-pub fn check_component(ctx: &TCtx, comp: &TComp) -> TResult<(TTy, StackTy)> {
-    check_component_with(ctx, comp, &mut |_, _| None)
+pub fn check_component(ctx: TCtx, comp: &TComp) -> TResult<(TTy, StackTy)> {
+    check_component_with(ctx, comp, &mut check_instr)
 }
 
 /// Checks a closed, whole T program: a component executed on an empty
@@ -768,7 +757,7 @@ pub fn check_program(comp: &TComp, result_ty: &TTy) -> TResult<()> {
         StackTy::nil(),
         RetMarker::end(result_ty.clone(), StackTy::nil()),
     );
-    let (ty, _) = check_component(&ctx, comp)?;
+    let (ty, _) = check_component(ctx, comp)?;
     if !alpha_eq_tty(&ty, result_ty) {
         return Err(TypeError::mismatch("program result", result_ty, &ty));
     }

@@ -1,6 +1,8 @@
 //! Typing of word values (`Ψ; ∆ ⊢ w : τ`) and small values
 //! (`Ψ; ∆; χ ⊢ u : τ`), plus register-file subtyping `∆ ⊢ χ ≤ χ'`.
 
+use std::sync::Arc;
+
 use funtal_syntax::alpha::alpha_eq_tty;
 use funtal_syntax::subst::Subst;
 use funtal_syntax::{CodeTy, HeapTy, HeapTyping, Inst, RegFileTy, SmallVal, TTy, WordVal};
@@ -100,22 +102,16 @@ fn instantiate_code(delta: &Delta, body_ty: &TTy, args: &[Inst]) -> TResult<TTy>
         ));
     };
     let (subst, rest) = apply_insts(delta, &code.delta, args)?;
-    let inner = CodeTy {
-        delta: rest.to_vec(),
-        chi: code.chi.clone(),
-        sigma: code.sigma.clone(),
-        q: code.q.clone(),
-    };
     // `apply_insts` already removed the instantiated binders; the
-    // substitution respects the remaining ones via `Subst::code_ty`'s
-    // binder handling, but we apply it to the *open* remainder directly.
+    // substitution is applied to the *open* remainder directly, not
+    // through `Subst::code_ty`'s binder handling.
     let applied = CodeTy {
-        delta: inner.delta.clone(),
-        chi: subst.chi(&inner.chi),
-        sigma: subst.stack(&inner.sigma),
-        q: subst.ret(&inner.q),
+        delta: rest.to_vec(),
+        chi: subst.chi(&code.chi),
+        sigma: subst.stack(&code.sigma),
+        q: subst.ret(&code.q),
     };
-    Ok(TTy::Boxed(Box::new(HeapTy::Code(applied))))
+    Ok(TTy::Boxed(Arc::new(HeapTy::Code(applied))))
 }
 
 /// Register-file subtyping `∆ ⊢ χ ≤ χ'`: every register required by

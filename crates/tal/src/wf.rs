@@ -43,6 +43,11 @@ impl Delta {
         d
     }
 
+    /// Binds `decl` in place (innermost).
+    pub fn push(&mut self, decl: TyVarDecl) {
+        self.0.push(decl);
+    }
+
     /// Returns an environment extended with all of `decls`.
     pub fn extended_all(&self, decls: &[TyVarDecl]) -> Self {
         let mut d = self.clone();

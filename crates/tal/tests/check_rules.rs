@@ -29,16 +29,16 @@ fn sec3_mv_salloc_sst_example() {
     // (we use end{int; int :: •} as the marker since a bare `ra` marker
     // needs ra in χ; the stack/χ transitions are what the example shows)
     let c0 = ctx(vec![], nil(), q_end(int(), stack(vec![int()], nil())));
-    let c1 = check_instr(&c0, &mv(r1(), int_v(42))).unwrap();
+    let c1 = check_instr(c0.clone(), &mv(r1(), int_v(42))).unwrap();
     assert_eq!(c1.chi.get(r1()), Some(&int()));
     assert_eq!(c1.sigma, nil());
 
     // salloc 1 ⇒ r1: int; unit :: •; ra
-    let c2 = check_instr(&c1, &salloc(1)).unwrap();
+    let c2 = check_instr(c1.clone(), &salloc(1)).unwrap();
     assert_eq!(c2.sigma, stack(vec![unit()], nil()));
 
     // sst 0, r1 ⇒ r1: int; int :: •; ra
-    let c3 = check_instr(&c2, &sst(0, r1())).unwrap();
+    let c3 = check_instr(c2.clone(), &sst(0, r1())).unwrap();
     assert_eq!(c3.sigma, stack(vec![int()], nil()));
 }
 
@@ -62,7 +62,7 @@ fn sec3_jmp_example() {
     psi.insert(
         funtal_syntax::Label::new("l"),
         funtal_syntax::Mutability::Boxed,
-        *h,
+        h,
     );
 
     let c = TCtx::new(
@@ -107,7 +107,7 @@ fn sec3_call_example() {
     psi.insert(
         funtal_syntax::Label::new("l"),
         funtal_syntax::Mutability::Boxed,
-        *h,
+        h,
     );
 
     // Caller: r1: int, ra: box∀[].{r1:int; int::•}end{int;•};
@@ -141,14 +141,14 @@ fn sec3_call_example() {
 #[test]
 fn mv_cannot_clobber_marker_register() {
     let c = ctx(vec![(ra(), cont(nil(), end_int()))], nil(), q_reg(ra()));
-    let err = check_instr(&c, &mv(ra(), int_v(1))).unwrap_err();
+    let err = check_instr(c.clone(), &mv(ra(), int_v(1))).unwrap_err();
     assert!(matches!(err.root(), TypeError::ClobbersMarker(_)), "{err}");
 }
 
 #[test]
 fn mv_of_marker_moves_marker() {
     let c = ctx(vec![(ra(), cont(nil(), end_int()))], nil(), q_reg(ra()));
-    let c2 = check_instr(&c, &mv(r2(), reg(ra()))).unwrap();
+    let c2 = check_instr(c.clone(), &mv(r2(), reg(ra()))).unwrap();
     assert_eq!(c2.q, q_reg(r2()));
     assert_eq!(c2.chi.get(r2()), c.chi.get(ra()));
 }
@@ -160,7 +160,7 @@ fn sst_of_marker_moves_marker_to_stack() {
         stack(vec![unit()], nil()),
         q_reg(ra()),
     );
-    let c2 = check_instr(&c, &sst(0, ra())).unwrap();
+    let c2 = check_instr(c.clone(), &sst(0, ra())).unwrap();
     assert_eq!(c2.q, q_i(0));
     assert_eq!(c2.sigma.get(0), c.chi.get(ra()));
 }
@@ -172,14 +172,14 @@ fn sst_cannot_overwrite_marker_slot() {
         stack(vec![cont(nil(), end_int())], nil()),
         q_i(0),
     );
-    let err = check_instr(&c, &sst(0, r1())).unwrap_err();
+    let err = check_instr(c.clone(), &sst(0, r1())).unwrap_err();
     assert!(matches!(err.root(), TypeError::ClobbersMarker(_)), "{err}");
 }
 
 #[test]
 fn sld_of_marker_slot_moves_marker() {
     let c = ctx(vec![], stack(vec![cont(nil(), end_int())], nil()), q_i(0));
-    let c2 = check_instr(&c, &sld(ra(), 0)).unwrap();
+    let c2 = check_instr(c.clone(), &sld(ra(), 0)).unwrap();
     assert_eq!(c2.q, q_reg(ra()));
 }
 
@@ -190,7 +190,7 @@ fn sfree_cannot_free_marker_slot() {
         stack(vec![cont(nil(), end_int()), int()], nil()),
         q_i(0),
     );
-    let err = check_instr(&c, &sfree(1)).unwrap_err();
+    let err = check_instr(c.clone(), &sfree(1)).unwrap_err();
     assert!(matches!(err.root(), TypeError::ClobbersMarker(_)), "{err}");
     // Freeing below the marker is fine if the marker is deeper... the
     // marker at slot 1 with sfree 1 would free slot 0 only: allowed, and
@@ -200,16 +200,36 @@ fn sfree_cannot_free_marker_slot() {
         stack(vec![int(), cont(nil(), end_int())], nil()),
         q_i(1),
     );
-    let after = check_instr(&c2, &sfree(1)).unwrap();
+    let after = check_instr(c2.clone(), &sfree(1)).unwrap();
     assert_eq!(after.q, q_i(0));
 }
 
 #[test]
 fn salloc_shifts_stack_marker() {
     let c = ctx(vec![], stack(vec![cont(nil(), end_int())], nil()), q_i(0));
-    let c2 = check_instr(&c, &salloc(2)).unwrap();
+    let c2 = check_instr(c.clone(), &salloc(2)).unwrap();
     assert_eq!(c2.q, q_i(2));
     assert_eq!(c2.sigma.visible_len(), 3);
+}
+
+#[test]
+fn salloc_of_a_million_slots_is_one_splice() {
+    // `salloc n` adds its n `unit` slots in one splice, so checking it
+    // is linear in n.
+    let n = 1_000_000;
+    let c = ctx(vec![], stack(vec![cont(nil(), end_int())], nil()), q_i(0));
+    let after = check_instr(c, &salloc(n)).unwrap();
+    assert_eq!(after.q, q_i(n));
+    assert_eq!(after.sigma.visible_len(), n + 1);
+    assert!(after.sigma.prefix[..n].iter().all(|t| *t == unit()));
+    assert_eq!(after.sigma.prefix[n], cont(nil(), end_int()));
+    assert_eq!(after.sigma.tail, nil().tail);
+    // The whole `salloc n; sfree n; mv r1, 1; halt int, * {r1}`.
+    let body = seq(
+        vec![salloc(n), sfree(n), mv(r1(), int_v(1))],
+        halt(int(), nil(), r1()),
+    );
+    check_seq(ctx(vec![], nil(), end_int()), &body).unwrap();
 }
 
 #[test]
@@ -222,7 +242,7 @@ fn st_cannot_leak_marker_into_heap() {
         nil(),
         q_reg(ra()),
     );
-    let err = check_instr(&c, &st(r2(), 0, ra())).unwrap_err();
+    let err = check_instr(c.clone(), &st(r2(), 0, ra())).unwrap_err();
     assert!(matches!(err.root(), TypeError::MarkerEscape(_)), "{err}");
 }
 
@@ -233,7 +253,7 @@ fn alloc_cannot_consume_marker_slot() {
         stack(vec![cont(nil(), end_int()), int()], nil()),
         q_i(0),
     );
-    let err = check_instr(&c, &ralloc(r1(), 1)).unwrap_err();
+    let err = check_instr(c.clone(), &ralloc(r1(), 1)).unwrap_err();
     assert!(matches!(err.root(), TypeError::ClobbersMarker(_)), "{err}");
 }
 
@@ -242,9 +262,9 @@ fn alloc_cannot_consume_marker_slot() {
 #[test]
 fn arith_requires_ints() {
     let c = ctx(vec![(r1(), int()), (r2(), unit())], nil(), end_int());
-    assert!(check_instr(&c, &add(r3(), r1(), int_v(1))).is_ok());
-    assert!(check_instr(&c, &add(r3(), r2(), int_v(1))).is_err());
-    assert!(check_instr(&c, &add(r3(), r1(), unit_v())).is_err());
+    assert!(check_instr(c.clone(), &add(r3(), r1(), int_v(1))).is_ok());
+    assert!(check_instr(c.clone(), &add(r3(), r2(), int_v(1))).is_err());
+    assert!(check_instr(c.clone(), &add(r3(), r1(), unit_v())).is_err());
 }
 
 #[test]
@@ -257,11 +277,11 @@ fn ld_from_box_and_ref() {
         nil(),
         end_int(),
     );
-    let c2 = check_instr(&c, &ld(r3(), r1(), 1)).unwrap();
+    let c2 = check_instr(c.clone(), &ld(r3(), r1(), 1)).unwrap();
     assert_eq!(c2.chi.get(r3()), Some(&unit()));
-    let c3 = check_instr(&c, &ld(r3(), r2(), 0)).unwrap();
+    let c3 = check_instr(c.clone(), &ld(r3(), r2(), 0)).unwrap();
     assert_eq!(c3.chi.get(r3()), Some(&unit()));
-    assert!(check_instr(&c, &ld(r3(), r1(), 2)).is_err());
+    assert!(check_instr(c.clone(), &ld(r3(), r1(), 2)).is_err());
 }
 
 #[test]
@@ -276,23 +296,23 @@ fn st_requires_ref_and_matching_type() {
         nil(),
         end_int(),
     );
-    assert!(check_instr(&c, &st(r1(), 0, r3())).is_ok());
+    assert!(check_instr(c.clone(), &st(r1(), 0, r3())).is_ok());
     // box is immutable
-    assert!(check_instr(&c, &st(r2(), 0, r3())).is_err());
+    assert!(check_instr(c.clone(), &st(r2(), 0, r3())).is_err());
     // wrong field type
-    assert!(check_instr(&c, &st(r1(), 0, r4())).is_err());
+    assert!(check_instr(c.clone(), &st(r1(), 0, r4())).is_err());
 }
 
 #[test]
 fn alloc_from_stack() {
     let c = ctx(vec![], stack(vec![int(), unit()], nil()), end_int());
-    let c2 = check_instr(&c, &ralloc(r1(), 2)).unwrap();
+    let c2 = check_instr(c.clone(), &ralloc(r1(), 2)).unwrap();
     assert_eq!(c2.chi.get(r1()), Some(&ref_tuple(vec![int(), unit()])));
     assert_eq!(c2.sigma, nil());
-    let c3 = check_instr(&c, &balloc(r1(), 1)).unwrap();
+    let c3 = check_instr(c.clone(), &balloc(r1(), 1)).unwrap();
     assert_eq!(c3.chi.get(r1()), Some(&box_tuple(vec![int()])));
     assert_eq!(c3.sigma, stack(vec![unit()], nil()));
-    assert!(check_instr(&c, &ralloc(r1(), 3)).is_err());
+    assert!(check_instr(c.clone(), &ralloc(r1(), 3)).is_err());
 }
 
 #[test]
@@ -303,7 +323,7 @@ fn unpack_and_unfold() {
         ann: exists("a", tvar("a")),
     };
     let c = ctx(vec![], nil(), end_int());
-    let c2 = check_instr(&c, &unpack("b", r1(), packed)).unwrap();
+    let c2 = check_instr(c.clone(), &unpack("b", r1(), packed)).unwrap();
     assert_eq!(c2.chi.get(r1()), Some(&tvar("b")));
     assert!(c2.delta.binds(&"b".into(), funtal_syntax::Kind::Ty));
 
@@ -311,7 +331,7 @@ fn unpack_and_unfold() {
         ann: mu("a", int()),
         body: Box::new(int_v(3)),
     };
-    let c3 = check_instr(&c, &unfold_i(r1(), folded)).unwrap();
+    let c3 = check_instr(c.clone(), &unfold_i(r1(), folded)).unwrap();
     assert_eq!(c3.chi.get(r1()), Some(&int()));
 }
 
@@ -329,7 +349,7 @@ fn unpack_rejects_shadowing() {
         nil(),
         end_int(),
     );
-    assert!(check_instr(&c, &unpack("b", r1(), packed)).is_err());
+    assert!(check_instr(c.clone(), &unpack("b", r1(), packed)).is_err());
 }
 
 // --- terminators -----------------------------------------------------------
@@ -392,7 +412,7 @@ fn call_rejects_register_marker() {
     psi.insert(
         funtal_syntax::Label::new("l"),
         funtal_syntax::Mutability::Boxed,
-        *h,
+        h,
     );
     let c = TCtx::new(
         psi,

@@ -3,7 +3,9 @@
 //! existential/recursive values flowing through components.
 
 use funtal_syntax::build::*;
-use funtal_syntax::{HeapTyping, HeapVal, Label, WordVal};
+use std::sync::Arc;
+
+use funtal_syntax::{HeapTy, HeapTyping, HeapVal, Label, TTy, WordVal};
 use funtal_tal::check::{check_program, infer_heap_typing, TCtx};
 use funtal_tal::error::TypeError;
 use funtal_tal::machine::{run_program, Outcome};
@@ -13,24 +15,67 @@ use funtal_tal::wf::Delta;
 #[test]
 fn heap_inference_resolves_tuple_chains() {
     // t2 points to t1; inference needs two passes.
-    let heap = vec![
+    let heap = [
         (
             Label::new("t2"),
             boxed_tuple_v(vec![WordVal::Loc(Label::new("t1")), WordVal::Int(2)]),
         ),
         (Label::new("t1"), boxed_tuple_v(vec![WordVal::Int(1)])),
     ];
-    let psi = infer_heap_typing(heap, &HeapTyping::new(), true).unwrap();
+    let psi =
+        infer_heap_typing(heap.iter().map(|(l, v)| (l, v)), &HeapTyping::new(), true).unwrap();
     let (_, t2) = psi.get(&Label::new("t2")).unwrap();
     assert_eq!(
-        t2,
-        &funtal_syntax::HeapTy::Tuple(vec![box_tuple(vec![int()]), int()])
+        **t2,
+        funtal_syntax::HeapTy::Tuple(vec![box_tuple(vec![int()]), int()])
     );
 }
 
 #[test]
+fn heap_inference_is_linear_on_long_tuple_chains() {
+    // t_i = ⟨t_{i-1}⟩, labelled in chain order: one round resolves the
+    // chain, and each type shares its predecessor's instead of copying
+    // it, so inference is linear in the chain's length.
+    let n = 20_000;
+    let label = |i: usize| Label::new(format!("t{i:05}"));
+    let heap: Vec<(Label, HeapVal)> = (0..n)
+        .map(|i| {
+            let field = match i {
+                0 => WordVal::Int(0),
+                _ => WordVal::Loc(label(i - 1)),
+            };
+            (label(i), boxed_tuple_v(vec![field]))
+        })
+        .collect();
+    // The inferred types nest n deep, and dropping one recurses once per
+    // level (deep types are ROADMAP item 1), so the check runs on a
+    // thread whose stack fits that drop.
+    let check = move || {
+        let psi =
+            infer_heap_typing(heap.iter().map(|(l, v)| (l, v)), &HeapTyping::new(), true).unwrap();
+        for i in 1..n {
+            let (_, ty) = psi.get(&label(i)).unwrap();
+            let HeapTy::Tuple(fields) = &**ty else {
+                panic!("t{i} is a tuple")
+            };
+            let [TTy::Boxed(inner)] = fields.as_slice() else {
+                panic!("t{i} has one boxed field, got {fields:?}")
+            };
+            assert!(Arc::ptr_eq(inner, &psi.get(&label(i - 1)).unwrap().1));
+        }
+        assert_eq!(*psi.get(&label(0)).unwrap().1, HeapTy::Tuple(vec![int()]));
+    };
+    std::thread::Builder::new()
+        .stack_size(128 << 20)
+        .spawn(check)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+#[test]
 fn heap_inference_rejects_cycles() {
-    let heap = vec![
+    let heap = [
         (
             Label::new("a"),
             boxed_tuple_v(vec![WordVal::Loc(Label::new("b"))]),
@@ -40,7 +85,8 @@ fn heap_inference_rejects_cycles() {
             boxed_tuple_v(vec![WordVal::Loc(Label::new("a"))]),
         ),
     ];
-    let err = infer_heap_typing(heap, &HeapTyping::new(), true).unwrap_err();
+    let err =
+        infer_heap_typing(heap.iter().map(|(l, v)| (l, v)), &HeapTyping::new(), true).unwrap_err();
     assert!(matches!(err.root(), TypeError::HeapInference(_)), "{err}");
 }
 

@@ -67,6 +67,30 @@ bench-check:
         --speedup strategy_ablation/substitution/12:strategy_ablation/environment/12:22.1 \
         --speedup fib_steady/bytecode/24:fib_steady/counted/24:0.87
 
+# Paired end-to-end runs of REF against the working tree: builds
+# perfbench from a `git archive` of REF under target/perf-pairs/ and
+# from the working tree, then runs N pairs on WORKLOAD at
+# BENCHMARK.json's run_seconds, alternating which side goes first. For
+# each end-to-end metric it prints both sides' medians and quartiles,
+# the change's wins and a verdict by the pairing rule (see
+# crates/bench/src/bin/perf_pairs.rs). perfbench/ is only built.
+perf-pairs REF WORKLOAD SEED N="10":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    root={{justfile_directory()}}
+    base="$root/target/perf-pairs/$(git -C "$root" rev-parse --short {{REF}})"
+    if [ ! -d "$base" ]; then
+        mkdir -p "$base"
+        git -C "$root" archive {{REF}} | tar -x -C "$base"
+    fi
+    cargo build --release --offline --quiet --manifest-path "$base/perfbench/Cargo.toml"
+    cargo build --release --offline --quiet --manifest-path "$root/perfbench/Cargo.toml"
+    cargo build --release --offline --quiet -p funtal-bench --bin perf_pairs
+    cd "$root"
+    target/release/perf_pairs BENCHMARK.json \
+        "$base/perfbench/target/release/funtal-perfbench" \
+        perfbench/target/release/funtal-perfbench {{WORKLOAD}} {{SEED}} {{N}}
+
 # Refresh the CLI golden snapshots after an intentional output change
 # (review the diff like any other code change).
 golden:
