@@ -35,8 +35,9 @@
 //!   `factF` into exactly the loop shape of `factT`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use funtal::LoweredProgram;
 use funtal_syntax::build as b;
 use funtal_syntax::{
     CodeBlock, FExpr, HeapVal, Instr, InstrSeq, Label, RetMarker, SmallVal, StackTail, StackTy,
@@ -63,8 +64,20 @@ pub struct CodegenOpts {
 pub struct Compiled {
     /// All generated blocks, shared.
     pub heap: Vec<(Label, Arc<HeapVal>)>,
-    /// Entry label and arity per definition.
-    pub entries: BTreeMap<String, (Label, usize)>,
+    /// The entry point of each definition.
+    pub entries: BTreeMap<String, Entry>,
+}
+
+/// A compiled definition's entry point.
+#[derive(Clone, Debug)]
+pub struct Entry {
+    /// The label of its first block.
+    pub label: Label,
+    /// Its arity.
+    pub arity: usize,
+    /// The lowering of the definition's [`wrap`](Compiled::wrap),
+    /// built the first time it is asked for.
+    lowered: OnceLock<LoweredProgram>,
 }
 
 impl Compiled {
@@ -72,7 +85,7 @@ impl Compiled {
     /// evaluates to the code pointer (the Fig 10 value translation turns
     /// it into a wrapper lambda when it crosses into F).
     pub fn wrap(&self, name: &str) -> FExpr {
-        let (label, arity) = &self.entries[name];
+        let Entry { label, arity, .. } = &self.entries[name];
         let aty = b::arrow(vec![b::fint(); *arity], b::fint());
         let t_aty = funtal::fty_to_tty(&aty);
         let zp = format!("zp_{name}");
@@ -96,6 +109,18 @@ impl Compiled {
         }
     }
 
+    /// The lowered [`wrap`](Compiled::wrap) of a definition, built on
+    /// the first call and shared by every later one, or `None` if there
+    /// is no such definition.
+    pub fn lowered(&self, name: &str) -> Option<&LoweredProgram> {
+        let entry = self.entries.get(name)?;
+        Some(
+            entry
+                .lowered
+                .get_or_init(|| funtal::prelower(&self.wrap(name))),
+        )
+    }
+
     /// Total number of generated blocks.
     pub fn block_count(&self) -> usize {
         self.heap.len()
@@ -109,7 +134,11 @@ pub fn compile_program(p: &Program, opts: CodegenOpts) -> Compiled {
     for def in p.defs.values() {
         entries.insert(
             def.name.clone(),
-            (Label::new(def.name.as_str()), def.params.len()),
+            Entry {
+                label: Label::new(def.name.as_str()),
+                arity: def.params.len(),
+                lowered: OnceLock::new(),
+            },
         );
         heap.extend(
             compile_def(def, opts)

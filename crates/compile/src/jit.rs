@@ -133,8 +133,8 @@ impl Jit {
             // definition whose lowering does not verify stays
             // interpreted — a codegen or lowering bug degrades to the
             // F encoding instead of executing unchecked bytecode.
-            let lowered = funtal::prelower(&self.compiled.wrap(name));
-            if funtal::verify_lowered(&lowered).is_ok() {
+            let lowered = self.compiled.lowered(name).expect("a defined function");
+            if funtal::verify_lowered(lowered).is_ok() {
                 self.hot.insert(name.to_string());
             }
         }

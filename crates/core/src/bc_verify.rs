@@ -260,8 +260,8 @@ impl std::error::Error for ModuleVerifyError {}
 /// Verifies every module of a pre-lowered program. `Ok(())` means the
 /// dispatch loop's structural assumptions hold for all of them.
 pub fn verify_lowered(lp: &LoweredProgram) -> Result<(), ModuleVerifyError> {
-    for (i, (_, m)) in lp.modules.iter().enumerate() {
-        verify_module(m).map_err(|error| ModuleVerifyError { module: i, error })?;
+    for (i, lc) in lp.modules.iter().enumerate() {
+        verify_module(&lc.module).map_err(|error| ModuleVerifyError { module: i, error })?;
     }
     Ok(())
 }
@@ -727,7 +727,7 @@ mod tests {
         prelower(e)
             .modules
             .iter()
-            .map(|(_, m)| clone_module(m))
+            .map(|lc| clone_module(&lc.module))
             .collect()
     }
 

@@ -49,8 +49,8 @@ pub fn lint_program(
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     shadowed_binders(file, expr, &mut Vec::new(), &mut diags);
-    for (comp, m) in &lp.modules {
-        lint_module(file, spans, comp, m, &mut diags);
+    for lc in &lp.modules {
+        lint_module(file, spans, &lc.comp, &lc.module, &mut diags);
     }
     if let FuelBound::Exact(n) = infer_fuel(lp) {
         diags.push(Diagnostic::new(
@@ -663,20 +663,15 @@ mod tests {
         let lp = prelower(&e);
         // Point `ldead`'s block past the end of the op stream, as the
         // verifier's offset mutations do.
-        let (comp, m) = &lp.modules[0];
+        let m = &lp.modules[0].module;
         let mut blocks = m.blocks.clone();
         blocks[0].0 = m.ops.len() as u32;
-        let tampered = LoweredProgram {
-            iexpr: lp.iexpr.clone(),
-            modules: vec![(
-                comp.clone(),
-                std::sync::Arc::new(BcModule {
-                    ops: m.ops.clone(),
-                    blocks,
-                    labels: m.labels.clone(),
-                }),
-            )],
-        };
+        let mut tampered = lp.clone();
+        tampered.modules[0].module = std::sync::Arc::new(BcModule {
+            ops: m.ops.clone(),
+            blocks,
+            labels: m.labels.clone(),
+        });
         assert!(crate::verify_lowered(&tampered).is_err());
         let spans = dead_block_spans();
         let diags = lint_program("test.ft", &e, &tampered, &spans);

@@ -88,10 +88,10 @@ impl RunCfg {
 // thread over artifacts shared via `Arc`. Everything a worker receives
 // (configuration, programs, memories) and everything it sends back
 // (outcomes) must therefore be `Send + Sync`; the fast machine's `Rc`
-// values and thread-local lowered-block caches are per-worker
-// internals and never cross threads. These assertions are the
-// compile-time contract — adding an `Rc` or `Cell` to any shared type
-// fails the build here, not intermittently at runtime.
+// values and per-run module tables are per-worker internals and never
+// cross threads. These assertions are the compile-time contract —
+// adding an `Rc` or `Cell` to any shared type fails the build here,
+// not intermittently at runtime.
 const _: () = {
     const fn require_send_sync<T: Send + Sync>() {}
     require_send_sync::<RunCfg>();
@@ -423,8 +423,15 @@ fn run_subst(
 
 /// Runs a closed F expression in a fresh memory.
 pub fn run_fexpr(e: &FExpr, cfg: RunCfg, tracer: &mut dyn Tracer) -> RResult<FtOutcome> {
-    let mut mem = Memory::new();
-    run(&mut mem, &Component::F(e.clone()), cfg, tracer)
+    match cfg.strategy {
+        EvalStrategy::Environment | EvalStrategy::Bytecode => {
+            crate::machine_bc::run_fexpr_bc(e, cfg, tracer)
+        }
+        EvalStrategy::Substitution => {
+            let mut mem = Memory::new();
+            run(&mut mem, &Component::F(e.clone()), cfg, tracer)
+        }
+    }
 }
 
 /// Runs a closed F expression on a dedicated thread with a large stack.

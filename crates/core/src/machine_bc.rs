@@ -29,10 +29,9 @@
 //! CEK machine of [`crate::machine_fast`], which hands every suspended
 //! T execution ([`BcCtrl`]) to this module's dispatch loop.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use funtal_syntax::intern::{IExpr, IKind};
 use funtal_syntax::subst::Subst;
@@ -41,14 +40,14 @@ use funtal_syntax::{
     Reg, RetMarker, StackTy, TComp, Terminator, WordVal,
 };
 use funtal_tal::error::{RResult, RuntimeError};
-use funtal_tal::machine::Memory;
-use funtal_tal::trace::{CountTracer, Event, Tracer};
+use funtal_tal::machine::{check_salloc, Memory, MAX_STACK_SLOTS};
+use funtal_tal::trace::{Event, Tracer};
 
 use crate::bc_verify::module_regions;
 use crate::machine::{FtOutcome, RunCfg};
 use crate::machine_fast::{
     lower_op, peel_count, Ctrl, Env, FastHeapVal, FastMem, FastOp, Frame, Machine, MergeOutcome,
-    Step, TWord,
+    Step, TWord, WrapperSlot,
 };
 
 // ---------------------------------------------------------------------
@@ -615,76 +614,6 @@ fn lower_renamed(mem: &FastMem, entry: &InstrSeq, indices: &[u32]) -> BcModule {
     lower_module(entry, &frag)
 }
 
-// Lazily lowered single-block modules for cells entered across
-// fragments (translation-allocated closures, `ℓend` blocks, blocks of
-// the initial memory). Keyed by block identity and validated by weak
-// upgrade. All targets are dynamic: the same shared block can be bound
-// under different cell names, so no label may be resolved at lower
-// time.
-type BlockModCache = HashMap<usize, (Weak<HeapVal>, Arc<BcModule>)>;
-
-thread_local! {
-    static BC_BLOCK_CACHE: RefCell<BlockModCache> = RefCell::new(HashMap::new());
-}
-
-fn single_block_module(hv: &Arc<HeapVal>) -> Arc<BcModule> {
-    let key = Arc::as_ptr(hv) as usize;
-    BC_BLOCK_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some((weak, m)) = cache.get(&key) {
-            if let Some(live) = weak.upgrade() {
-                if Arc::ptr_eq(&live, hv) {
-                    return m.clone();
-                }
-            }
-        }
-        let HeapVal::Code(block) = &**hv else {
-            unreachable!("single_block_module called on a tuple")
-        };
-        let m = Arc::new(lower_module(&block.body, &[]));
-        if cache.len() >= 4096 {
-            cache.retain(|_, (w, _)| w.upgrade().is_some());
-        }
-        cache.insert(key, (Arc::downgrade(hv), m.clone()));
-        m
-    })
-}
-
-// Lowered boundary components, kept across runs on this thread. Every
-// run interns a fresh `TComp`, but its heap cells are the program's own
-// shared `Arc`s, so an entry matches when each cell is the same `Arc`
-// under the same label and the entry sequences are equal — `lower_comp`
-// is a pure function of exactly that. Holding the cells' `Arc`s rules
-// out a recycled address aliasing a stale entry.
-thread_local! {
-    static COMP_MOD_CACHE: RefCell<Vec<(TComp, Arc<BcModule>)>> = const { RefCell::new(Vec::new()) };
-}
-
-fn cached_comp_module(comp: &TComp) -> Arc<BcModule> {
-    let same = |c: &TComp| {
-        c.heap.0.len() == comp.heap.0.len()
-            && c.heap
-                .iter_shared()
-                .zip(comp.heap.iter_shared())
-                .all(|((l1, h1), (l2, h2))| l1 == l2 && Arc::ptr_eq(h1, h2))
-            && c.seq == comp.seq
-    };
-    COMP_MOD_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some((_, m)) = cache.iter().find(|(c, _)| same(c)) {
-            return m.clone();
-        }
-        let m = Arc::new(lower_comp(comp));
-        if cache.len() >= 64 {
-            // Evict the oldest half; evicted components simply lower
-            // again on their next run.
-            cache.drain(..32);
-        }
-        cache.push((comp.clone(), m.clone()));
-        m
-    })
-}
-
 // ---------------------------------------------------------------------
 // Per-run state
 // ---------------------------------------------------------------------
@@ -694,7 +623,10 @@ fn cached_comp_module(comp: &TComp) -> Arc<BcModule> {
 /// pre-lowered the program).
 #[derive(Debug, Default)]
 pub(crate) struct BcState {
-    modules: HashMap<usize, (Weak<TComp>, Arc<BcModule>)>,
+    /// Keyed by the component's address; each entry holds the
+    /// component's `Arc`, so the address cannot be reused by another
+    /// component while the run lasts.
+    modules: HashMap<usize, LoweredComp>,
     /// Fully associative cache of resolved `Big`-word jump targets
     /// (return addresses are the hot case: the same shared
     /// `Arc<WordVal>` is moved into a register on every call). Keyed by
@@ -712,27 +644,25 @@ pub(crate) struct BcState {
 }
 
 impl BcState {
-    fn module_for(&mut self, comp: &Arc<TComp>) -> Arc<BcModule> {
-        let key = Arc::as_ptr(comp) as usize;
-        if let Some((weak, m)) = self.modules.get(&key) {
-            if let Some(live) = weak.upgrade() {
-                if Arc::ptr_eq(&live, comp) {
-                    return m.clone();
-                }
-            }
-        }
-        let m = cached_comp_module(comp);
-        self.modules.insert(key, (Arc::downgrade(comp), m.clone()));
-        m
+    /// The component's module and its boundary's wrapper slot; a
+    /// component the table lacks is lowered here, once per run.
+    fn module_for(&mut self, comp: &Arc<TComp>) -> (Arc<BcModule>, Option<Arc<WrapperSlot>>) {
+        let lc = self
+            .modules
+            .entry(Arc::as_ptr(comp) as usize)
+            .or_insert_with(|| LoweredComp {
+                comp: comp.clone(),
+                module: Arc::new(lower_comp(comp)),
+                wrapper: None,
+            });
+        (lc.module.clone(), lc.wrapper.clone())
     }
 
-    fn seeded(mods: &[(Arc<TComp>, Arc<BcModule>)]) -> BcState {
-        BcState {
-            modules: mods
-                .iter()
-                .map(|(c, m)| (Arc::as_ptr(c) as usize, (Arc::downgrade(c), m.clone())))
-                .collect(),
-            ..BcState::default()
+    /// Adds already-lowered components to the table.
+    pub(crate) fn seed(&mut self, mods: &[LoweredComp]) {
+        for lc in mods {
+            self.modules
+                .insert(Arc::as_ptr(&lc.comp) as usize, lc.clone());
         }
     }
 
@@ -807,22 +737,26 @@ fn bind_instance(
 type Transfer = (Option<Rc<BcInstance>>, u32, u32);
 
 impl Machine<'_> {
-    /// Builds the T control for a boundary entry. `merge` is the result
-    /// of merging the component's heap fragment (already performed, and
-    /// already ticked/traced, by the F side).
+    /// Builds the T control for a boundary entry, plus the boundary's
+    /// wrapper slot when the run's program owns one. `merge` is the
+    /// result of merging the component's heap fragment (already
+    /// performed, and already ticked/traced, by the F side).
     pub(crate) fn boundary_ctrl(
         &mut self,
         comp: &Arc<TComp>,
         env: &Env,
         merge: MergeOutcome,
-    ) -> RResult<BcCtrl> {
-        let module = match &merge.renamed_entry {
-            Some(entry) => Arc::new(lower_renamed(&self.mem, entry, &merge.indices)),
+    ) -> RResult<(BcCtrl, Option<Arc<WrapperSlot>>)> {
+        let (module, wrapper) = match &merge.renamed_entry {
+            Some(entry) => (
+                Arc::new(lower_renamed(&self.mem, entry, &merge.indices)),
+                None,
+            ),
             None => self.bc.module_for(comp),
         };
         self.bc.admit(&module)?;
         let inst = bind_instance(&mut self.mem, module, merge.indices, env.clone());
-        Ok(BcCtrl { inst, pc: 0 })
+        Ok((BcCtrl { inst, pc: 0 }, wrapper))
     }
 
     /// The dispatch loop entry: monomorphizes on the trace flag so the
@@ -1004,6 +938,7 @@ impl Machine<'_> {
                     BcOp::Salloc(n) => {
                         instr!();
                         let len = self.mem.stack.len();
+                        check_salloc(len, *n)?;
                         self.mem.stack.resize(len + *n, TWord::Unit);
                         pc += 1;
                     }
@@ -1138,7 +1073,13 @@ impl Machine<'_> {
                     // and skips them. Otherwise the last arm steps over
                     // the head, and the followers' own arms tick, trace
                     // and run out of fuel exactly as unfused code does.
-                    BcOp::Push { rs } if !TRACED && fuel >= BcOp::PUSH_COST => {
+                    // A push at the stack bound steps into its
+                    // `salloc 1`, which raises the overflow.
+                    BcOp::Push { rs }
+                        if !TRACED
+                            && fuel >= BcOp::PUSH_COST
+                            && self.mem.stack.len() < MAX_STACK_SLOTS =>
+                    {
                         charge!(BcOp::PUSH_COST, 0);
                         let w = self.mem.reg(*rs)?.clone();
                         self.mem.stack.push(w);
@@ -1147,13 +1088,21 @@ impl Machine<'_> {
                     BcOp::PushJmp {
                         rs,
                         t: BcTarget::Static { off, .. },
-                    } if !TRACED && !self.guard && fuel >= BcOp::PUSH_JMP_COST => {
+                    } if !TRACED
+                        && !self.guard
+                        && fuel >= BcOp::PUSH_JMP_COST
+                        && self.mem.stack.len() < MAX_STACK_SLOTS =>
+                    {
                         charge!(BcOp::PUSH_JMP_COST, 1);
                         let w = self.mem.reg(*rs)?.clone();
                         self.mem.stack.push(w);
                         pc = *off;
                     }
-                    BcOp::SldPush { rd, idx } if !TRACED && fuel >= BcOp::SLD_PUSH_COST => {
+                    BcOp::SldPush { rd, idx }
+                        if !TRACED
+                            && fuel >= BcOp::SLD_PUSH_COST
+                            && self.mem.stack.len() < MAX_STACK_SLOTS =>
+                    {
                         charge!(BcOp::SLD_PUSH_COST, 0);
                         let w = self.mem.stack_get(*idx)?.clone();
                         self.mem.set_reg(*rd, w.clone());
@@ -1322,9 +1271,14 @@ impl Machine<'_> {
         let (inst2, off) = match cached {
             Some(cell) => (cell.inst.clone(), cell.off),
             None => {
-                // First cross-fragment entry into an unbound cell:
-                // lower (or fetch) its single-block module and bind.
-                let module = single_block_module(&hv);
+                // First cross-fragment entry into an unbound cell (a
+                // translation-allocated closure, an `ℓend` block, a
+                // block of the initial memory): lower its block alone
+                // and bind; the cell keeps the module for the rest of
+                // the run. All targets are dynamic: the same shared
+                // block can be bound under different cell names, so no
+                // label may be resolved at lower time.
+                let module = Arc::new(lower_module(&block.body, &[]));
                 self.bc.admit(&module)?;
                 let inst2 = Rc::new(BcInstance {
                     module,
@@ -1382,17 +1336,7 @@ pub fn run_bc(
     cfg: RunCfg,
     tracer: &mut dyn Tracer,
 ) -> RResult<FtOutcome> {
-    let fmem = FastMem::from_memory(mem);
-    let mut machine = Machine {
-        mem: fmem,
-        frames: Vec::new(),
-        fuel: cfg.fuel,
-        guard: cfg.guard,
-        trace: tracer.enabled(),
-        tracer,
-        counts: CountTracer::new(),
-        bc: BcState::default(),
-    };
+    let mut machine = Machine::new(FastMem::from_memory(mem), cfg, tracer, BcState::default());
     let ctrl = match comp {
         Component::F(e) => Ctrl::Eval(IExpr::from_fexpr(e), Env::default()),
         Component::T(c) => {
@@ -1401,7 +1345,7 @@ pub fn run_bc(
             let merge = machine.mem.merge_fragment(c, &Env::default());
             let module = match &merge.renamed_entry {
                 Some(entry) => Arc::new(lower_renamed(&machine.mem, entry, &merge.indices)),
-                None => cached_comp_module(c),
+                None => Arc::new(lower_comp(c)),
             };
             let inst = bind_instance(&mut machine.mem, module, merge.indices, Env::default());
             Ctrl::T(BcCtrl { inst, pc: 0 })
@@ -1412,6 +1356,14 @@ pub fn run_bc(
     result
 }
 
+/// Runs a closed F expression in a fresh memory on the fast machine,
+/// interning it straight from `e` (the final memory is dropped, so
+/// nothing is written back).
+pub(crate) fn run_fexpr_bc(e: &FExpr, cfg: RunCfg, tracer: &mut dyn Tracer) -> RResult<FtOutcome> {
+    Machine::new(FastMem::default(), cfg, tracer, BcState::default())
+        .run(Ctrl::Eval(IExpr::from_fexpr(e), Env::default()))
+}
+
 // ---------------------------------------------------------------------
 // Pre-lowered programs (the driver's cacheable artifact)
 // ---------------------------------------------------------------------
@@ -1420,10 +1372,25 @@ pub fn run_bc(
 /// bytecode module of every embedded T component (including components
 /// nested inside `import` bodies). Shareable across threads and runs —
 /// the driver caches these so warm batch runs skip re-lowering.
-#[derive(Debug)]
+///
+/// Each boundary whose type is an arrow also owns a wrapper slot: the
+/// first run that translates a code pointer out of it stores the Fig 10
+/// wrapper there, and later runs whose translation has the same key
+/// reuse it (see `WrapperSlot`). The slots are bounded by the number
+/// of boundaries in the program.
+#[derive(Clone, Debug)]
 pub struct LoweredProgram {
     pub(crate) iexpr: IExpr,
-    pub(crate) modules: Vec<(Arc<TComp>, Arc<BcModule>)>,
+    pub(crate) modules: Vec<LoweredComp>,
+}
+
+/// One lowered boundary component: the component, its module, and its
+/// boundary's wrapper slot when the boundary's type is an arrow.
+#[derive(Clone, Debug)]
+pub(crate) struct LoweredComp {
+    pub(crate) comp: Arc<TComp>,
+    pub(crate) module: Arc<BcModule>,
+    pub(crate) wrapper: Option<Arc<WrapperSlot>>,
 }
 
 impl LoweredProgram {
@@ -1431,13 +1398,22 @@ impl LoweredProgram {
     pub fn module_count(&self) -> usize {
         self.modules.len()
     }
+
+    /// This program applied to integer literals. The call shares every
+    /// lowered module and wrapper slot of `self`, so running it lowers
+    /// nothing that `self` already holds.
+    pub fn call(&self, args: &[i64]) -> LoweredProgram {
+        LoweredProgram {
+            iexpr: IExpr::new(IKind::App {
+                func: self.iexpr.clone(),
+                args: args.iter().map(|n| IExpr::new(IKind::Int(*n))).collect(),
+            }),
+            modules: self.modules.clone(),
+        }
+    }
 }
 
-fn collect_modules(
-    e: &IExpr,
-    seen: &mut HashSet<usize>,
-    out: &mut Vec<(Arc<TComp>, Arc<BcModule>)>,
-) {
+fn collect_modules(e: &IExpr, seen: &mut HashSet<usize>, out: &mut Vec<LoweredComp>) {
     match e.kind() {
         IKind::Var(_) | IKind::Unit | IKind::Int(_) => {}
         IKind::Binop { lhs, rhs, .. } => {
@@ -1468,7 +1444,7 @@ fn collect_modules(
             }
         }
         IKind::Proj { tuple, .. } => collect_modules(tuple, seen, out),
-        IKind::Boundary { comp, .. } => {
+        IKind::Boundary { ty, comp, .. } => {
             if seen.insert(Arc::as_ptr(comp) as usize) {
                 let module = Arc::new(lower_comp(comp));
                 // Import bodies may embed further boundaries; their
@@ -1479,10 +1455,21 @@ fn collect_modules(
                         collect_modules(body, seen, out);
                     }
                 }
-                out.push((comp.clone(), module));
+                out.push(LoweredComp {
+                    comp: comp.clone(),
+                    module,
+                    wrapper: matches!(**ty, FTy::Arrow { .. }).then(Arc::default),
+                });
             }
         }
     }
+}
+
+/// Lowers every T component embedded in `e`.
+pub(crate) fn lower_components(e: &IExpr) -> Vec<LoweredComp> {
+    let mut modules = Vec::new();
+    collect_modules(e, &mut HashSet::new(), &mut modules);
+    modules
 }
 
 /// Lowers a closed F expression ahead of time: interns it and lowers
@@ -1490,9 +1477,7 @@ fn collect_modules(
 /// and reusable across runs and worker threads.
 pub fn prelower(e: &FExpr) -> LoweredProgram {
     let iexpr = IExpr::from_fexpr(e);
-    let mut seen = HashSet::new();
-    let mut modules = Vec::new();
-    collect_modules(&iexpr, &mut seen, &mut modules);
+    let modules = lower_components(&iexpr);
     let lp = LoweredProgram { iexpr, modules };
     // Debug builds verify every module the lowerer emits; release
     // builds stay verification-free here so lowering cost is
@@ -1507,7 +1492,8 @@ pub fn prelower(e: &FExpr) -> LoweredProgram {
 /// Runs a pre-lowered program in a fresh memory on the fast machine,
 /// seeding the module table so no component is re-lowered.
 /// Observably identical to running the original expression through
-/// [`crate::machine::run_fexpr`] under any strategy.
+/// [`crate::machine::run_fexpr`] under any strategy: what the run
+/// reads from `lp`'s wrapper slots is exactly what it would compute.
 pub fn run_prelowered(
     lp: &LoweredProgram,
     cfg: RunCfg,
@@ -1522,14 +1508,7 @@ pub(crate) fn prelowered_machine<'t>(
     cfg: RunCfg,
     tracer: &'t mut dyn Tracer,
 ) -> Machine<'t> {
-    Machine {
-        mem: FastMem::from_memory(&Memory::new()),
-        frames: Vec::new(),
-        fuel: cfg.fuel,
-        guard: cfg.guard,
-        trace: tracer.enabled(),
-        tracer,
-        counts: CountTracer::new(),
-        bc: BcState::seeded(&lp.modules),
-    }
+    let mut bc = BcState::default();
+    bc.seed(&lp.modules);
+    Machine::new(FastMem::default(), cfg, tracer, bc)
 }

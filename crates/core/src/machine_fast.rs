@@ -23,10 +23,9 @@
 //! minimal sufficient fuel coincides. Fresh-label generation mirrors
 //! [`Memory`] word for word, so even heap labels in outcomes match.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use funtal_fun::check::unroll_fty;
 use funtal_syntax::intern::{IExpr, IKind};
@@ -40,8 +39,8 @@ use funtal_tal::error::{RResult, RuntimeError};
 use funtal_tal::machine::Memory;
 use funtal_tal::trace::{CountTracer, Event, Tracer};
 
-use crate::machine::FtOutcome;
-use crate::machine_bc::{BcCtrl, BcState};
+use crate::machine::{FtOutcome, RunCfg};
+use crate::machine_bc::{lower_components, BcCtrl, BcState, LoweredComp};
 use crate::translate::{check_wrappable, end_block, fty_to_tty, lambda_glue_block, wrapper_lambda};
 
 // ---------------------------------------------------------------------
@@ -449,18 +448,6 @@ pub(crate) fn lower_op(u: &SmallVal) -> FastOp {
     }
 }
 
-// Memoized Fig 10 code→λ wrappers: (code word, ℓend label, arrow type)
-// → (ℓend block, interned wrapper). Checked by value equality, so it
-// is exact; bounded by wholesale clearing.
-// The ℓend label is determined by the fresh counter at translation
-// time, so the counter value keys the cache (an integer compare
-// rejects mismatches before the deeper word/type comparisons).
-type WrapperCache = Vec<(u64, WordVal, FTy, Arc<HeapVal>, IExpr)>;
-
-thread_local! {
-    static WRAPPER_CACHE: RefCell<WrapperCache> = const { RefCell::new(Vec::new()) };
-}
-
 // ---------------------------------------------------------------------
 // F values, environments, frames
 // ---------------------------------------------------------------------
@@ -568,9 +555,13 @@ pub(crate) enum Frame {
     ProjF {
         idx: usize,
     },
-    /// T code is running under a boundary of this type.
+    /// T code is running under a boundary of this type; `wrapper` is
+    /// the boundary's slot in the run's [`LoweredProgram`], if any.
+    ///
+    /// [`LoweredProgram`]: crate::machine_bc::LoweredProgram
     BoundaryT {
         ty: Arc<FTy>,
+        wrapper: Option<Arc<WrapperSlot>>,
     },
     /// An `import` body is being evaluated; `saved` resumes the
     /// enclosing T sequence after the translated value lands in `rd`.
@@ -718,9 +709,38 @@ fn f_to_t_fast(mem: &mut FastMem, v: &FastVal, ty: &FTy) -> RResult<TWord> {
     }
 }
 
+/// A boundary's memoized Fig 10 code→λ wrapper, kept in the program's
+/// [`LoweredProgram`] (one slot per boundary whose type is an arrow).
+/// The first translation out of the boundary fills the slot; a later
+/// one reuses it only when its key — the fresh counter (which names
+/// `ℓend`), the code word and the type — equals the stored key by
+/// value, so a hit is exactly what a miss would compute.
+///
+/// [`LoweredProgram`]: crate::machine_bc::LoweredProgram
+pub(crate) type WrapperSlot = OnceLock<Wrapper>;
+
+/// The content of a [`WrapperSlot`]: its key, the `ℓend` block, the
+/// wrapper λ, and the λ's lowered components (seeded into each run that
+/// reuses it).
+#[derive(Debug)]
+pub(crate) struct Wrapper {
+    counter: u64,
+    word: WordVal,
+    ty: FTy,
+    end: Arc<HeapVal>,
+    lam: IExpr,
+    modules: Vec<LoweredComp>,
+}
+
 /// `τℱ𝒯(w, M)` over the fast memory, mirroring
-/// [`crate::translate::t_to_f`].
-fn t_to_f_fast(mem: &mut FastMem, w: &TWord, ty: &FTy) -> RResult<FastVal> {
+/// [`crate::translate::t_to_f`]. `site` is the boundary's wrapper slot
+/// and the run's module table, consulted only for the outermost arrow.
+fn t_to_f_fast(
+    mem: &mut FastMem,
+    w: &TWord,
+    ty: &FTy,
+    site: Option<(&WrapperSlot, &mut BcState)>,
+) -> RResult<FastVal> {
     match (w, ty) {
         (TWord::Int(n), FTy::Int) => Ok(FastVal::Int(*n)),
         (TWord::Unit, FTy::Unit) => Ok(FastVal::Unit),
@@ -730,7 +750,7 @@ fn t_to_f_fast(mem: &mut FastMem, w: &TWord, ty: &FTy) -> RResult<FastVal> {
             };
             let inner_ty = unroll_fty(ty).expect("checked Rec");
             let inner = mem.tword_of_word(body);
-            let v = t_to_f_fast(mem, &inner, &inner_ty)?;
+            let v = t_to_f_fast(mem, &inner, &inner_ty, None)?;
             Ok(FastVal::Fold {
                 ann: Arc::new(ty.clone()),
                 body: Rc::new(v),
@@ -759,7 +779,7 @@ fn t_to_f_fast(mem: &mut FastMem, w: &TWord, ty: &FTy) -> RResult<FastVal> {
             let fields = fields.clone();
             let mut out = Vec::with_capacity(ts.len());
             for (f, t) in fields.iter().zip(ts) {
-                out.push(t_to_f_fast(mem, f, t)?);
+                out.push(t_to_f_fast(mem, f, t, None)?);
             }
             Ok(FastVal::Tuple(Rc::new(out)))
         }
@@ -778,44 +798,41 @@ fn t_to_f_fast(mem: &mut FastMem, w: &TWord, ty: &FTy) -> RResult<FastVal> {
             // (fresh-counter state, code word, arrow type) — the
             // counter determines the embedded ℓend label. Steady-state
             // workloads re-translate the same pointer at the same type
-            // with the same counter state every run, so memoize.
+            // with the same counter state every run, so the boundary's
+            // slot keeps the first one.
             let counter = mem.next_fresh;
             let lend = mem.fresh_label("lend");
-            let (end_hv, lam) = WRAPPER_CACHE.with(|cache| {
-                let mut cache = cache.borrow_mut();
-                if let Some((_, _, _, end_hv, lam)) = cache
-                    .iter()
-                    .find(|(cc, cw, cty, _, _)| *cc == counter && cw == &word && cty == ty)
-                {
-                    return (end_hv.clone(), lam.clone());
+            let build = |word: WordVal| {
+                let end = Arc::new(HeapVal::Code(end_block(&fty_to_tty(ret), phi_out)));
+                let lam = wrapper_lambda(word, &lend, params, phi_in, phi_out, ret);
+                (end, IExpr::from_fexpr(&lam))
+            };
+            let (end, lam) = match site {
+                Some((slot, bc)) => {
+                    let wr = slot.get_or_init(|| {
+                        let (end, lam) = build(word.clone());
+                        let modules = lower_components(&lam);
+                        Wrapper {
+                            counter,
+                            word: word.clone(),
+                            ty: ty.clone(),
+                            end,
+                            lam,
+                            modules,
+                        }
+                    });
+                    if wr.counter == counter && wr.word == word && wr.ty == *ty {
+                        bc.seed(&wr.modules);
+                        (wr.end.clone(), wr.lam.clone())
+                    } else {
+                        build(word)
+                    }
                 }
-                let ret_tty = fty_to_tty(ret);
-                let end_hv = Arc::new(HeapVal::Code(end_block(&ret_tty, phi_out)));
-                let lam = IExpr::from_fexpr(&wrapper_lambda(
-                    word.clone(),
-                    &lend,
-                    params,
-                    phi_in,
-                    phi_out,
-                    ret,
-                ));
-                if cache.len() >= 64 {
-                    // Evict the oldest half; evicted entries simply
-                    // repopulate on their next miss.
-                    cache.drain(..32);
-                }
-                cache.push((
-                    counter,
-                    word.clone(),
-                    ty.clone(),
-                    end_hv.clone(),
-                    lam.clone(),
-                ));
-                (end_hv, lam)
-            });
+                None => build(word),
+            };
             let lend_idx = mem.intern(lend);
             mem.heap[lend_idx as usize] = FastHeapVal::Code {
-                hv: end_hv,
+                hv: end,
                 env: Env::default(),
                 bc: None,
             };
@@ -886,7 +903,26 @@ enum Shape {
     Other,
 }
 
-impl Machine<'_> {
+impl<'t> Machine<'t> {
+    /// A machine over `mem` with no frames, configured by `cfg`.
+    pub(crate) fn new(
+        mem: FastMem,
+        cfg: RunCfg,
+        tracer: &'t mut dyn Tracer,
+        bc: BcState,
+    ) -> Machine<'t> {
+        Machine {
+            mem,
+            frames: Vec::new(),
+            fuel: cfg.fuel,
+            guard: cfg.guard,
+            trace: tracer.enabled(),
+            tracer,
+            counts: CountTracer::new(),
+            bc,
+        }
+    }
+
     pub(crate) fn run(&mut self, mut ctrl: Ctrl) -> RResult<FtOutcome> {
         loop {
             let step = match ctrl {
@@ -976,8 +1012,11 @@ impl Machine<'_> {
                     note!(self, crossings, Event::BoundaryEnter { ty: (**ty).clone() });
                     self.mem.merge_fragment(comp, &env)
                 };
-                let t = self.boundary_ctrl(comp, &env, merge)?;
-                self.frames.push(Frame::BoundaryT { ty: ty.clone() });
+                let (t, wrapper) = self.boundary_ctrl(comp, &env, merge)?;
+                self.frames.push(Frame::BoundaryT {
+                    ty: ty.clone(),
+                    wrapper,
+                });
                 Ctrl::T(t)
             }
         };
@@ -1141,11 +1180,12 @@ impl Machine<'_> {
                 // Fig 8: a boundary around a halt value translates —
                 // one machine step.
                 tick!(self);
-                let Some(Frame::BoundaryT { ty }) = self.frames.pop() else {
+                let Some(Frame::BoundaryT { ty, wrapper }) = self.frames.pop() else {
                     unreachable!()
                 };
                 let w = self.mem.reg(val)?.clone();
-                let v = t_to_f_fast(&mut self.mem, &w, &ty)?;
+                let site = wrapper.as_deref().map(|slot| (slot, &mut self.bc));
+                let v = t_to_f_fast(&mut self.mem, &w, &ty, site)?;
                 note!(self, crossings, Event::BoundaryExit { ty: (*ty).clone() });
                 Ok(Step::Continue(Ctrl::Ret(v)))
             }

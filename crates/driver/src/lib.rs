@@ -428,9 +428,9 @@ impl Pipeline {
         args: &[i64],
         def_spans: &[(String, funtal_syntax::span::Span)],
     ) -> Result<ProfileReport, FunTalError> {
-        let (call, ty) = self.typed_call(compiled, name, args)?;
+        let (f, ty) = self.typed_call(compiled, name, args)?;
         let table = minif_span_table(compiled, def_spans);
-        self.profile_prechecked(&call, ty, Arc::new(table))
+        self.profile_prechecked(&int_call(f, args), ty, Arc::new(table))
     }
 
     // --- stage 5½: static analysis ----------------------------------------
@@ -574,30 +574,44 @@ impl Pipeline {
     /// (a wrong arity, a stack-modifying arrow, a recorded type that
     /// disagrees with the annotation) takes the full check of
     /// [`run`](Pipeline::run), so its errors keep their text and stage.
+    ///
+    /// On the fast machine the call runs through
+    /// [`run_prelowered`](Pipeline::run_prelowered) over the
+    /// definition's lowering, which `compiled` builds on its first call
+    /// and keeps ([`Compiled::lowered`]); the oracle runs the call
+    /// expression.
+    ///
+    /// [`Compiled::lowered`]: funtal_compile::codegen::Compiled::lowered
     pub fn run_compiled(
         &self,
         compiled: &CompiledMiniF,
         name: &str,
         args: &[i64],
     ) -> Result<RunReport, FunTalError> {
-        let (call, ty) = self.typed_call(compiled, name, args)?;
-        self.run_prechecked(&call, ty)
+        let (f, ty) = self.typed_call(compiled, name, args)?;
+        let lowered = match self.strategy {
+            EvalStrategy::Substitution => None,
+            EvalStrategy::Environment | EvalStrategy::Bytecode => compiled.compiled.lowered(name),
+        };
+        match lowered {
+            Some(lowered) => self.run_prelowered(&lowered.call(args), ty),
+            None => self.run_prechecked(&int_call(f, args), ty),
+        }
     }
 
-    /// The call `name(args…)` of a compiled definition and its type,
-    /// as [`run_compiled`](Pipeline::run_compiled) describes.
-    fn typed_call(
+    /// The wrapped definition `name` and the type of its call on
+    /// `args`, as [`run_compiled`](Pipeline::run_compiled) describes.
+    fn typed_call<'c>(
         &self,
-        compiled: &CompiledMiniF,
+        compiled: &'c CompiledMiniF,
         name: &str,
         args: &[i64],
-    ) -> Result<(FExpr, FTy), FunTalError> {
+    ) -> Result<(&'c FExpr, FTy), FunTalError> {
         let (_, f, recorded) = compiled
             .wrapped
             .iter()
             .find(|(n, _, _)| n == name)
             .ok_or_else(|| FunTalError::driver(format!("no definition named `{name}`")))?;
-        let call = app(f.clone(), args.iter().map(|n| fint_e(*n)).collect());
         let ty = match f {
             FExpr::Boundary {
                 ty:
@@ -617,8 +631,13 @@ impl Pipeline {
             {
                 (**ret).clone()
             }
-            _ => self.check(&call)?,
+            _ => self.check(&int_call(f, args))?,
         };
-        Ok((call, ty))
+        Ok((f, ty))
     }
+}
+
+/// The call `f(args…)` on integer literals.
+fn int_call(f: &FExpr, args: &[i64]) -> FExpr {
+    app(f.clone(), args.iter().map(|n| fint_e(*n)).collect())
 }

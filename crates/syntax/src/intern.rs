@@ -104,6 +104,11 @@ const _: () = {
 };
 
 impl IExpr {
+    /// A node of the given form.
+    pub fn new(kind: IKind) -> IExpr {
+        IExpr(Arc::new(kind))
+    }
+
     /// The node form.
     pub fn kind(&self) -> &IKind {
         &self.0

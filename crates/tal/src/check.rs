@@ -19,6 +19,7 @@ use funtal_syntax::{
 };
 
 use crate::error::{TResult, TypeError};
+use crate::machine::MAX_STACK_SLOTS;
 use crate::value_ty::{chi_subtype, type_of_small, type_of_word};
 use crate::wf::{check_distinct, wf_chi, wf_ret, wf_stack, wf_tty, Delta};
 
@@ -266,6 +267,13 @@ pub fn check_instr(mut ctx: TCtx, instr: &Instr) -> TResult<TCtx> {
             ctx.chi.insert(*rd, ty);
         }
         Instr::Salloc(n) => {
+            let visible = ctx.sigma.visible_len();
+            if *n > MAX_STACK_SLOTS.saturating_sub(visible) {
+                return Err(TypeError::Other(format!(
+                    "{visible} visible stack slots grown by {n} pass the bound of \
+                     {MAX_STACK_SLOTS} slots"
+                )));
+            }
             // n fresh `unit` slots on top, in one splice: consing them
             // one at a time copies the stack n times.
             ctx.sigma

@@ -242,6 +242,14 @@ pub enum RuntimeError {
         /// How many were present.
         have: usize,
     },
+    /// `salloc` would grow the stack past
+    /// [`MAX_STACK_SLOTS`](crate::machine::MAX_STACK_SLOTS).
+    StackOverflow {
+        /// How many slots were requested.
+        need: usize,
+        /// How many were present.
+        have: usize,
+    },
     /// A stack slot index was out of range.
     BadStackIndex(usize),
     /// A tuple field index was out of range.
@@ -277,6 +285,11 @@ impl fmt::Display for RuntimeError {
             RuntimeError::StackUnderflow { need, have } => {
                 write!(f, "stack underflow: need {need} slots, have {have}")
             }
+            RuntimeError::StackOverflow { need, have } => write!(
+                f,
+                "stack overflow: salloc {need} on {have} slots passes the bound of {} slots",
+                crate::machine::MAX_STACK_SLOTS
+            ),
             RuntimeError::BadStackIndex(i) => write!(f, "stack slot {i} out of range"),
             RuntimeError::BadFieldIndex(i) => write!(f, "tuple field {i} out of range"),
             RuntimeError::ImmutableStore(l) => {

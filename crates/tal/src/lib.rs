@@ -54,7 +54,7 @@ pub mod wf;
 
 pub use check::{check_component, check_program, check_seq, ret_addr_type, ret_type, TCtx};
 pub use error::{RResult, RuntimeError, TResult, TypeError};
-pub use machine::{run_component, run_program, Memory, Outcome, Stack};
+pub use machine::{run_component, run_program, Memory, Outcome, Stack, MAX_STACK_SLOTS};
 pub use profile::{ProfileEntry, Profiler, RootLang};
 pub use trace::{CountTracer, Event, NullTracer, Tracer, VecTracer};
 pub use wf::Delta;

@@ -20,6 +20,21 @@ use funtal_syntax::{
 use crate::error::{RResult, RuntimeError};
 use crate::trace::{Event, Tracer};
 
+/// The most words the stack may hold. `salloc` past it is an error on
+/// both machines, and the checker rejects a block whose visible stack
+/// would grow past it. A push costs a step, so no program under the
+/// default fuel (one million steps) reaches it one slot at a time.
+pub const MAX_STACK_SLOTS: usize = 1 << 20;
+
+/// Checks that `salloc n` on a stack of `have` words stays within
+/// [`MAX_STACK_SLOTS`] — the one test both machines apply.
+pub fn check_salloc(have: usize, n: usize) -> RResult<()> {
+    if n > MAX_STACK_SLOTS.saturating_sub(have) {
+        return Err(RuntimeError::StackOverflow { need: n, have });
+    }
+    Ok(())
+}
+
 /// The runtime stack `S`. Slot 0 is the top of the stack, matching the
 /// static convention.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -39,6 +54,13 @@ impl Stack {
     /// Pushes a word on top.
     pub fn push(&mut self, w: WordVal) {
         self.0.push(w);
+    }
+
+    /// Pushes `n` unit words (`salloc n`), within [`MAX_STACK_SLOTS`].
+    pub fn salloc(&mut self, n: usize) -> RResult<()> {
+        check_salloc(self.0.len(), n)?;
+        self.0.resize(self.0.len() + n, WordVal::Unit);
+        Ok(())
     }
 
     /// Pops the top word.
@@ -416,11 +438,7 @@ pub fn exec_instr(mem: &mut Memory, instr: &Instr) -> RResult<()> {
             let w = eval_small(mem, src)?;
             mem.set_reg(*rd, w);
         }
-        Instr::Salloc(n) => {
-            for _ in 0..*n {
-                mem.stack.push(WordVal::Unit);
-            }
-        }
+        Instr::Salloc(n) => mem.stack.salloc(*n)?,
         Instr::Sfree(n) => {
             mem.stack.pop_n(*n)?;
         }

@@ -102,6 +102,7 @@ lint:
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps \
         --workspace --exclude proptest --exclude criterion --document-private-items
+    ! grep -rn 'thread_local!' crates/*/src
 
 # The static-analysis gate, exactly as CI runs it: every committed
 # example must pass `funtal lint` clean at warning level. (The
