@@ -260,8 +260,8 @@ impl std::error::Error for ModuleVerifyError {}
 /// Verifies every module of a pre-lowered program. `Ok(())` means the
 /// dispatch loop's structural assumptions hold for all of them.
 pub fn verify_lowered(lp: &LoweredProgram) -> Result<(), ModuleVerifyError> {
-    for (i, lc) in lp.modules.iter().enumerate() {
-        verify_module(&lc.module).map_err(|error| ModuleVerifyError { module: i, error })?;
+    for (i, c) in lp.components().into_iter().enumerate() {
+        verify_module(c.module()).map_err(|error| ModuleVerifyError { module: i, error })?;
     }
     Ok(())
 }
@@ -725,9 +725,9 @@ mod tests {
 
     fn modules_of(e: &funtal_syntax::FExpr) -> Vec<BcModule> {
         prelower(e)
-            .modules
-            .iter()
-            .map(|lc| clone_module(&lc.module))
+            .components()
+            .into_iter()
+            .map(|c| clone_module(c.module()))
             .collect()
     }
 
@@ -1044,9 +1044,7 @@ mod tests {
                     m.ops[sites[rng.below(sites.len())] + 1] = BcOp::Import {
                         rd: Reg::R1,
                         ty: std::sync::Arc::new(funtal_syntax::FTy::Int),
-                        body: funtal_syntax::intern::IExpr::from_fexpr(
-                            &funtal_syntax::build::fint_e(0),
-                        ),
+                        body: crate::intern::IExpr::from_fexpr(&funtal_syntax::build::fint_e(0)),
                     };
                     assert!(
                         matches!(verify_module(&m), Err(BcVerifyError::BadFusedCost { .. })),

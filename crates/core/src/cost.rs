@@ -30,8 +30,8 @@ use std::collections::HashMap;
 use funtal_tal::trace::NullTracer;
 
 use crate::machine::{FtOutcome, RunCfg};
-use crate::machine_bc::{prelowered_machine, LoweredProgram};
-use crate::machine_fast::{Ctrl, Env};
+use crate::machine_bc::LoweredProgram;
+use crate::machine_fast::{Ctrl, Env, FastMem, Machine};
 
 /// A statically inferred fuel bound for a whole program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,7 +54,8 @@ const FUEL_BUDGET: u64 = 1_000_000;
 /// back edge, faults, or exhausts the fuel budget.
 pub fn infer_fuel(lp: &LoweredProgram) -> FuelBound {
     let mut tracer = NullTracer;
-    let mut m = prelowered_machine(lp, RunCfg::with_fuel(FUEL_BUDGET), &mut tracer);
+    let cfg = RunCfg::with_fuel(FUEL_BUDGET);
+    let mut m = Machine::new(FastMem::default(), cfg, &mut tracer);
     m.bc.loop_gate = Some(HashMap::new());
     match m.run(Ctrl::Eval(lp.iexpr.clone(), Env::default())) {
         Ok(FtOutcome::Value(_)) => FuelBound::Exact(FUEL_BUDGET - m.fuel),

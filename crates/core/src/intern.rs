@@ -8,17 +8,22 @@
 //!
 //! Conversion to and from the plain [`FExpr`] tree is lossless
 //! ([`IExpr::from_fexpr`], [`IExpr::to_fexpr`]); embedded T components
-//! are shared whole (`Arc<TComp>`).
+//! are shared whole, together with the fast machine's memos for them
+//! ([`IComp`]).
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use crate::ids::{TyVar, VarName};
-use crate::term::{ArithOp, FExpr, Lam, TComp};
-use crate::ty::{FTy, StackTy, TTy};
+use funtal_syntax::ids::{TyVar, VarName};
+use funtal_syntax::term::{ArithOp, FExpr, Lam, TComp};
+use funtal_syntax::ty::{FTy, StackTy, TTy};
+
+use crate::machine_bc::{lower_comp, BcModule};
+use crate::machine_fast::WrapperSlot;
 
 /// The node forms of an interned F expression, mirroring [`FExpr`].
 #[derive(Clone, Debug, PartialEq)]
-pub enum IKind {
+pub(crate) enum IKind {
     /// A variable.
     Var(VarName),
     /// `()`.
@@ -88,14 +93,49 @@ pub enum IKind {
         ty: Arc<FTy>,
         /// Output stack annotation, if any.
         sigma_out: Option<Arc<StackTy>>,
-        /// The embedded T component.
-        comp: Arc<TComp>,
+        /// The embedded T component and its memos.
+        comp: Arc<IComp>,
     },
+}
+
+/// A boundary's T component together with the fast machine's two memos
+/// for it. The node owns them, so every run of the term, on any thread,
+/// shares them, and they are dropped with the term: at most one module
+/// and one wrapper per boundary node. Equality and `Debug` see the
+/// component alone.
+pub(crate) struct IComp {
+    /// The component.
+    pub(crate) tcomp: TComp,
+    /// Its lowered module, filled by the first [`IComp::module`] call.
+    pub(crate) module: OnceLock<Arc<BcModule>>,
+    /// The boundary's Fig 10 wrapper slot when its type is an arrow
+    /// (see [`WrapperSlot`]).
+    pub(crate) wrapper: Option<WrapperSlot>,
+}
+
+impl IComp {
+    /// The component's lowered module, lowered by the first caller.
+    pub(crate) fn module(&self) -> &Arc<BcModule> {
+        self.module
+            .get_or_init(|| Arc::new(lower_comp(&self.tcomp)))
+    }
+}
+
+impl PartialEq for IComp {
+    fn eq(&self, other: &IComp) -> bool {
+        self.tcomp == other.tcomp
+    }
+}
+
+impl fmt::Debug for IComp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.tcomp.fmt(f)
+    }
 }
 
 /// An interned F expression: a shared node. Cloning is an `Arc` bump.
 #[derive(Clone, Debug, PartialEq)]
-pub struct IExpr(Arc<IKind>);
+pub(crate) struct IExpr(Arc<IKind>);
 
 // Interned artifacts are shared across batch workers via `Arc`.
 const _: () = {
@@ -105,17 +145,17 @@ const _: () = {
 
 impl IExpr {
     /// A node of the given form.
-    pub fn new(kind: IKind) -> IExpr {
+    pub(crate) fn new(kind: IKind) -> IExpr {
         IExpr(Arc::new(kind))
     }
 
     /// The node form.
-    pub fn kind(&self) -> &IKind {
+    pub(crate) fn kind(&self) -> &IKind {
         &self.0
     }
 
     /// Interns a plain F expression.
-    pub fn from_fexpr(e: &FExpr) -> IExpr {
+    pub(crate) fn from_fexpr(e: &FExpr) -> IExpr {
         IExpr(Arc::new(match e {
             FExpr::Var(x) => IKind::Var(x.clone()),
             FExpr::Unit => IKind::Unit,
@@ -162,13 +202,17 @@ impl IExpr {
             } => IKind::Boundary {
                 ty: Arc::new(ty.clone()),
                 sigma_out: sigma_out.clone().map(Arc::new),
-                comp: Arc::new((**comp).clone()),
+                comp: Arc::new(IComp {
+                    tcomp: (**comp).clone(),
+                    module: OnceLock::new(),
+                    wrapper: matches!(ty, FTy::Arrow { .. }).then(WrapperSlot::new),
+                }),
             },
         }))
     }
 
     /// Converts back to a plain F expression tree.
-    pub fn to_fexpr(&self) -> FExpr {
+    pub(crate) fn to_fexpr(&self) -> FExpr {
         match self.kind() {
             IKind::Var(x) => FExpr::Var(x.clone()),
             IKind::Unit => FExpr::Unit,
@@ -221,7 +265,7 @@ impl IExpr {
             } => FExpr::Boundary {
                 ty: (**ty).clone(),
                 sigma_out: sigma_out.as_ref().map(|s| (**s).clone()),
-                comp: Box::new((**comp).clone()),
+                comp: Box::new(comp.tcomp.clone()),
             },
         }
     }
@@ -230,7 +274,7 @@ impl IExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::*;
+    use funtal_syntax::build::*;
 
     #[test]
     fn round_trip_preserves_structure() {

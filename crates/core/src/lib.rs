@@ -50,6 +50,7 @@ pub mod bc_verify;
 pub mod check;
 pub mod cost;
 pub mod figures;
+mod intern;
 pub mod lint;
 pub mod machine;
 pub mod machine_bc;

@@ -49,8 +49,8 @@ pub fn lint_program(
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     shadowed_binders(file, expr, &mut Vec::new(), &mut diags);
-    for lc in &lp.modules {
-        lint_module(file, spans, &lc.comp, &lc.module, &mut diags);
+    for c in lp.components() {
+        lint_module(file, spans, &c.tcomp, c.module(), &mut diags);
     }
     if let FuelBound::Exact(n) = infer_fuel(lp) {
         diags.push(Diagnostic::new(
@@ -240,7 +240,7 @@ fn label_of_region(m: &BcModule, ord: Option<u32>) -> &str {
 fn lint_module(
     file: &str,
     spans: &SpanTable,
-    comp: &std::sync::Arc<TComp>,
+    comp: &TComp,
     m: &BcModule,
     diags: &mut Vec<Diagnostic>,
 ) {
@@ -311,7 +311,7 @@ fn constant_imports(
     regions: &ModuleRegions,
     diags: &mut Vec<Diagnostic>,
 ) {
-    use funtal_syntax::intern::IKind;
+    use crate::intern::IKind;
     for r in 0..regions.cfg.node_count() {
         let range = regions.range(r, m.ops.len());
         for (off, op) in m.ops[range.clone()].iter().enumerate() {
@@ -663,15 +663,19 @@ mod tests {
         let lp = prelower(&e);
         // Point `ldead`'s block past the end of the op stream, as the
         // verifier's offset mutations do.
-        let m = &lp.modules[0].module;
+        let m = lp.components()[0].module();
         let mut blocks = m.blocks.clone();
         blocks[0].0 = m.ops.len() as u32;
-        let mut tampered = lp.clone();
-        tampered.modules[0].module = std::sync::Arc::new(BcModule {
+        let tampered = LoweredProgram::intern(&e);
+        let crate::intern::IKind::Boundary { comp, .. } = tampered.iexpr.kind() else {
+            unreachable!("the program is one boundary")
+        };
+        let module = BcModule {
             ops: m.ops.clone(),
             blocks,
             labels: m.labels.clone(),
-        });
+        };
+        assert!(comp.module.set(std::sync::Arc::new(module)).is_ok());
         assert!(crate::verify_lowered(&tampered).is_err());
         let spans = dead_block_spans();
         let diags = lint_program("test.ft", &e, &tampered, &spans);

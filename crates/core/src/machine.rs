@@ -19,6 +19,7 @@ use funtal_tal::error::{RResult, RuntimeError};
 use funtal_tal::machine::{step_seq_opts, MachineOpts, Memory, TStep};
 use funtal_tal::trace::{Event, Tracer};
 
+use crate::machine_bc::{run_prelowered, LoweredProgram};
 use crate::translate::{f_to_t, t_to_f};
 
 /// Which machine evaluates: the paper-literal substitution oracle or
@@ -88,7 +89,7 @@ impl RunCfg {
 // thread over artifacts shared via `Arc`. Everything a worker receives
 // (configuration, programs, memories) and everything it sends back
 // (outcomes) must therefore be `Send + Sync`; the fast machine's `Rc`
-// values and per-run module tables are per-worker internals and never
+// values and per-run instances are per-worker internals and never
 // cross threads. These assertions are the compile-time contract —
 // adding an `Rc` or `Cell` to any shared type fails the build here,
 // not intermittently at runtime.
@@ -103,7 +104,7 @@ const _: () = {
     require_send_sync::<RuntimeError>();
     // Pre-lowered bytecode is a shared batch artifact: workers run the
     // same lowered program concurrently.
-    require_send_sync::<crate::machine_bc::LoweredProgram>();
+    require_send_sync::<LoweredProgram>();
 };
 
 /// The final outcome of running an FT component.
@@ -425,7 +426,7 @@ fn run_subst(
 pub fn run_fexpr(e: &FExpr, cfg: RunCfg, tracer: &mut dyn Tracer) -> RResult<FtOutcome> {
     match cfg.strategy {
         EvalStrategy::Environment | EvalStrategy::Bytecode => {
-            crate::machine_bc::run_fexpr_bc(e, cfg, tracer)
+            run_prelowered(&LoweredProgram::intern(e), cfg, tracer)
         }
         EvalStrategy::Substitution => {
             let mut mem = Memory::new();

@@ -29,25 +29,25 @@
 //! CEK machine of [`crate::machine_fast`], which hands every suspended
 //! T execution ([`BcCtrl`]) to this module's dispatch loop.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use funtal_syntax::intern::{IExpr, IKind};
 use funtal_syntax::subst::Subst;
 use funtal_syntax::{
-    ArithOp, Component, FExpr, FTy, HeapFrag, HeapVal, Inst, Instr, InstrSeq, Label, Mutability,
-    Reg, RetMarker, StackTy, TComp, Terminator, WordVal,
+    ArithOp, CodeBlock, Component, FExpr, FTy, HeapFrag, HeapVal, Inst, Instr, InstrSeq, Label,
+    Mutability, Reg, RetMarker, StackTy, TComp, Terminator, WordVal,
 };
 use funtal_tal::error::{RResult, RuntimeError};
 use funtal_tal::machine::{check_salloc, Memory, MAX_STACK_SLOTS};
 use funtal_tal::trace::{Event, Tracer};
 
 use crate::bc_verify::module_regions;
+use crate::intern::{IComp, IExpr, IKind};
 use crate::machine::{FtOutcome, RunCfg};
 use crate::machine_fast::{
     lower_op, peel_count, Ctrl, Env, FastHeapVal, FastMem, FastOp, Frame, Machine, MergeOutcome,
-    Step, TWord, WrapperSlot,
+    Step, TWord,
 };
 
 // ---------------------------------------------------------------------
@@ -300,7 +300,8 @@ pub(crate) const NOT_CODE: usize = usize::MAX;
 
 /// A lowered module: the component's entry sequence at offset 0
 /// followed by every fragment block, as one flat op stream. Shared and
-/// immutable (cached per component, reusable across runs and threads).
+/// immutable (memoized on the boundary node, reusable across runs and
+/// threads).
 #[derive(Debug)]
 pub(crate) struct BcModule {
     pub(crate) ops: Vec<BcOp>,
@@ -592,8 +593,17 @@ fn frag_cells(heap: &HeapFrag) -> Vec<FragCell> {
         .collect()
 }
 
-fn lower_comp(comp: &TComp) -> BcModule {
+pub(crate) fn lower_comp(comp: &TComp) -> BcModule {
     lower_module(&comp.seq, &frag_cells(&comp.heap))
+}
+
+/// Lowers one code block alone, for a cell entered without its
+/// fragment (a translation-allocated closure, an `ℓend` block, a block
+/// of the initial memory). All targets are dynamic: the same shared
+/// block can be bound under different cell names, so no label may be
+/// resolved at lower time.
+pub(crate) fn lower_block(block: &CodeBlock) -> BcModule {
+    lower_module(&block.body, &[])
 }
 
 /// Lowers a renamed merge: the module is instance-specific (its labels
@@ -618,15 +628,10 @@ fn lower_renamed(mem: &FastMem, entry: &InstrSeq, indices: &[u32]) -> BcModule {
 // Per-run state
 // ---------------------------------------------------------------------
 
-/// The bytecode VM's per-run state: a table of lowered modules keyed by
-/// component identity (seeded from a [`LoweredProgram`] when the driver
-/// pre-lowered the program).
+/// The bytecode VM's per-run state: the jump-word cache and the loop
+/// gate. Lowered modules live on the boundary nodes ([`IComp`]).
 #[derive(Debug, Default)]
 pub(crate) struct BcState {
-    /// Keyed by the component's address; each entry holds the
-    /// component's `Arc`, so the address cannot be reused by another
-    /// component while the run lasts.
-    modules: HashMap<usize, LoweredComp>,
     /// Fully associative cache of resolved `Big`-word jump targets
     /// (return addresses are the hot case: the same shared
     /// `Arc<WordVal>` is moved into a register on every call). Keyed by
@@ -644,28 +649,6 @@ pub(crate) struct BcState {
 }
 
 impl BcState {
-    /// The component's module and its boundary's wrapper slot; a
-    /// component the table lacks is lowered here, once per run.
-    fn module_for(&mut self, comp: &Arc<TComp>) -> (Arc<BcModule>, Option<Arc<WrapperSlot>>) {
-        let lc = self
-            .modules
-            .entry(Arc::as_ptr(comp) as usize)
-            .or_insert_with(|| LoweredComp {
-                comp: comp.clone(),
-                module: Arc::new(lower_comp(comp)),
-                wrapper: None,
-            });
-        (lc.module.clone(), lc.wrapper.clone())
-    }
-
-    /// Adds already-lowered components to the table.
-    pub(crate) fn seed(&mut self, mods: &[LoweredComp]) {
-        for lc in mods {
-            self.modules
-                .insert(Arc::as_ptr(&lc.comp) as usize, lc.clone());
-        }
-    }
-
     /// Admits a module about to be instantiated: always, unless the
     /// loop gate is set — one branch per instantiation otherwise.
     #[inline]
@@ -737,26 +720,51 @@ fn bind_instance(
 type Transfer = (Option<Rc<BcInstance>>, u32, u32);
 
 impl Machine<'_> {
-    /// Builds the T control for a boundary entry, plus the boundary's
-    /// wrapper slot when the run's program owns one. `merge` is the
-    /// result of merging the component's heap fragment (already
-    /// performed, and already ticked/traced, by the F side).
+    /// Builds the T control for entering a component whose heap
+    /// fragment is merged (`merge`, already performed, and ticked and
+    /// traced where the step counts). `module` gives the component's
+    /// module, unless the merge renamed labels.
     pub(crate) fn boundary_ctrl(
         &mut self,
-        comp: &Arc<TComp>,
+        module: impl FnOnce() -> Arc<BcModule>,
         env: &Env,
         merge: MergeOutcome,
-    ) -> RResult<(BcCtrl, Option<Arc<WrapperSlot>>)> {
-        let (module, wrapper) = match &merge.renamed_entry {
-            Some(entry) => (
-                Arc::new(lower_renamed(&self.mem, entry, &merge.indices)),
-                None,
-            ),
-            None => self.bc.module_for(comp),
+    ) -> RResult<BcCtrl> {
+        let module = match &merge.renamed_entry {
+            Some(entry) => Arc::new(lower_renamed(&self.mem, entry, &merge.indices)),
+            None => module(),
         };
         self.bc.admit(&module)?;
         let inst = bind_instance(&mut self.mem, module, merge.indices, env.clone());
-        Ok((BcCtrl { inst, pc: 0 }, wrapper))
+        Ok(BcCtrl { inst, pc: 0 })
+    }
+
+    /// Admits `module`, the lowering of code cell `idx`'s block alone
+    /// ([`lower_block`]), and binds the cell's inline cache to a fresh
+    /// instance of it.
+    pub(crate) fn bind_block(
+        &mut self,
+        idx: u32,
+        module: Arc<BcModule>,
+        env: Env,
+    ) -> RResult<Rc<BcInstance>> {
+        self.bc.admit(&module)?;
+        let inst = Rc::new(BcInstance {
+            module,
+            labels: Vec::new(),
+            env,
+        });
+        if let FastHeapVal::Code { hv, bc, .. } = &mut self.mem.heap[idx as usize] {
+            let HeapVal::Code(block) = &**hv else {
+                unreachable!("a code cell holds a block")
+            };
+            *bc = Some(BcCell {
+                inst: inst.clone(),
+                off: 0,
+                arity: block.delta.len() as u32,
+            });
+        }
+        Ok(inst)
     }
 
     /// The dispatch loop entry: monomorphizes on the trace flag so the
@@ -1271,28 +1279,11 @@ impl Machine<'_> {
         let (inst2, off) = match cached {
             Some(cell) => (cell.inst.clone(), cell.off),
             None => {
-                // First cross-fragment entry into an unbound cell (a
-                // translation-allocated closure, an `ℓend` block, a
-                // block of the initial memory): lower its block alone
-                // and bind; the cell keeps the module for the rest of
-                // the run. All targets are dynamic: the same shared
-                // block can be bound under different cell names, so no
-                // label may be resolved at lower time.
-                let module = Arc::new(lower_module(&block.body, &[]));
-                self.bc.admit(&module)?;
-                let inst2 = Rc::new(BcInstance {
-                    module,
-                    labels: Vec::new(),
-                    env: benv,
-                });
-                if let FastHeapVal::Code { bc, .. } = &mut self.mem.heap[idx as usize] {
-                    *bc = Some(BcCell {
-                        inst: inst2.clone(),
-                        off: 0,
-                        arity: block.delta.len() as u32,
-                    });
-                }
-                (inst2, 0)
+                // First cross-fragment entry into an unbound cell:
+                // lower its block alone and bind; the cell keeps the
+                // module for the rest of the run.
+                let module = Arc::new(lower_block(block));
+                (self.bind_block(idx, module, benv)?, 0)
             }
         };
         if self.guard {
@@ -1336,19 +1327,14 @@ pub fn run_bc(
     cfg: RunCfg,
     tracer: &mut dyn Tracer,
 ) -> RResult<FtOutcome> {
-    let mut machine = Machine::new(FastMem::from_memory(mem), cfg, tracer, BcState::default());
+    let mut machine = Machine::new(FastMem::from_memory(mem), cfg, tracer);
     let ctrl = match comp {
         Component::F(e) => Ctrl::Eval(IExpr::from_fexpr(e), Env::default()),
         Component::T(c) => {
             // The merge happens before the step loop (no fuel), as in
             // the substitution machine's `run`.
             let merge = machine.mem.merge_fragment(c, &Env::default());
-            let module = match &merge.renamed_entry {
-                Some(entry) => Arc::new(lower_renamed(&machine.mem, entry, &merge.indices)),
-                None => Arc::new(lower_comp(c)),
-            };
-            let inst = bind_instance(&mut machine.mem, module, merge.indices, Env::default());
-            Ctrl::T(BcCtrl { inst, pc: 0 })
+            Ctrl::T(machine.boundary_ctrl(|| Arc::new(lower_comp(c)), &Env::default(), merge)?)
         }
     };
     let result = machine.run(ctrl);
@@ -1356,129 +1342,112 @@ pub fn run_bc(
     result
 }
 
-/// Runs a closed F expression in a fresh memory on the fast machine,
-/// interning it straight from `e` (the final memory is dropped, so
-/// nothing is written back).
-pub(crate) fn run_fexpr_bc(e: &FExpr, cfg: RunCfg, tracer: &mut dyn Tracer) -> RResult<FtOutcome> {
-    Machine::new(FastMem::default(), cfg, tracer, BcState::default())
-        .run(Ctrl::Eval(IExpr::from_fexpr(e), Env::default()))
-}
-
 // ---------------------------------------------------------------------
 // Pre-lowered programs (the driver's cacheable artifact)
 // ---------------------------------------------------------------------
 
-/// A program lowered ahead of time: the interned expression plus the
-/// bytecode module of every embedded T component (including components
-/// nested inside `import` bodies). Shareable across threads and runs —
-/// the driver caches these so warm batch runs skip re-lowering.
-///
-/// Each boundary whose type is an arrow also owns a wrapper slot: the
-/// first run that translates a code pointer out of it stores the Fig 10
-/// wrapper there, and later runs whose translation has the same key
-/// reuse it (see `WrapperSlot`). The slots are bounded by the number
-/// of boundaries in the program.
+/// A program lowered ahead of time: the interned expression, whose
+/// boundary nodes each hold their component's bytecode module
+/// (including the boundaries nested inside `import` bodies) and, at
+/// arrow type, their Fig 10 wrapper slot (`IComp`). Shareable across
+/// threads and runs — the driver caches these so warm batch runs skip
+/// re-lowering, and a run that reuses a stored wrapper lowers nothing
+/// for it.
 #[derive(Clone, Debug)]
 pub struct LoweredProgram {
     pub(crate) iexpr: IExpr,
-    pub(crate) modules: Vec<LoweredComp>,
-}
-
-/// One lowered boundary component: the component, its module, and its
-/// boundary's wrapper slot when the boundary's type is an arrow.
-#[derive(Clone, Debug)]
-pub(crate) struct LoweredComp {
-    pub(crate) comp: Arc<TComp>,
-    pub(crate) module: Arc<BcModule>,
-    pub(crate) wrapper: Option<Arc<WrapperSlot>>,
 }
 
 impl LoweredProgram {
+    /// The interned `e`; each boundary is lowered the first time it is
+    /// entered or walked.
+    pub(crate) fn intern(e: &FExpr) -> LoweredProgram {
+        LoweredProgram {
+            iexpr: IExpr::from_fexpr(e),
+        }
+    }
+
     /// How many distinct T components were lowered.
     pub fn module_count(&self) -> usize {
-        self.modules.len()
+        self.components().len()
     }
 
     /// This program applied to integer literals. The call shares every
-    /// lowered module and wrapper slot of `self`, so running it lowers
-    /// nothing that `self` already holds.
+    /// boundary node of `self`, so running it lowers nothing that
+    /// `self` already holds.
     pub fn call(&self, args: &[i64]) -> LoweredProgram {
         LoweredProgram {
             iexpr: IExpr::new(IKind::App {
                 func: self.iexpr.clone(),
                 args: args.iter().map(|n| IExpr::new(IKind::Int(*n))).collect(),
             }),
-            modules: self.modules.clone(),
         }
+    }
+
+    /// Every boundary component of the program, each with its module
+    /// lowered, in lowering order: a component follows the components
+    /// of its own `import` bodies. The verifier numbers modules in this
+    /// order.
+    pub(crate) fn components(&self) -> Vec<&IComp> {
+        let mut out = Vec::new();
+        collect_components(&self.iexpr, &mut out);
+        out
     }
 }
 
-fn collect_modules(e: &IExpr, seen: &mut HashSet<usize>, out: &mut Vec<LoweredComp>) {
+fn collect_components<'a>(e: &'a IExpr, out: &mut Vec<&'a IComp>) {
     match e.kind() {
         IKind::Var(_) | IKind::Unit | IKind::Int(_) => {}
         IKind::Binop { lhs, rhs, .. } => {
-            collect_modules(lhs, seen, out);
-            collect_modules(rhs, seen, out);
+            collect_components(lhs, out);
+            collect_components(rhs, out);
         }
         IKind::If0 {
             cond,
             then_branch,
             else_branch,
         } => {
-            collect_modules(cond, seen, out);
-            collect_modules(then_branch, seen, out);
-            collect_modules(else_branch, seen, out);
+            collect_components(cond, out);
+            collect_components(then_branch, out);
+            collect_components(else_branch, out);
         }
-        IKind::Lam { body, .. } => collect_modules(body, seen, out),
+        IKind::Lam { body, .. } => collect_components(body, out),
         IKind::App { func, args } => {
-            collect_modules(func, seen, out);
+            collect_components(func, out);
             for a in args.iter() {
-                collect_modules(a, seen, out);
+                collect_components(a, out);
             }
         }
-        IKind::Fold { body, .. } => collect_modules(body, seen, out),
-        IKind::Unfold(body) => collect_modules(body, seen, out),
+        IKind::Fold { body, .. } => collect_components(body, out),
+        IKind::Unfold(body) => collect_components(body, out),
         IKind::Tuple(es) => {
             for e in es.iter() {
-                collect_modules(e, seen, out);
+                collect_components(e, out);
             }
         }
-        IKind::Proj { tuple, .. } => collect_modules(tuple, seen, out),
-        IKind::Boundary { ty, comp, .. } => {
-            if seen.insert(Arc::as_ptr(comp) as usize) {
-                let module = Arc::new(lower_comp(comp));
-                // Import bodies may embed further boundaries; their
-                // components were freshly shared during lowering, so
-                // walk the lowered ops to reach them.
-                for op in &module.ops {
-                    if let BcOp::Import { body, .. } = op {
-                        collect_modules(body, seen, out);
-                    }
+        IKind::Proj { tuple, .. } => collect_components(tuple, out),
+        IKind::Boundary { comp, .. } => {
+            // Import bodies may embed further boundaries; they were
+            // interned during lowering, so walk the lowered ops to
+            // reach them.
+            for op in &comp.module().ops {
+                if let BcOp::Import { body, .. } = op {
+                    collect_components(body, out);
                 }
-                out.push(LoweredComp {
-                    comp: comp.clone(),
-                    module,
-                    wrapper: matches!(**ty, FTy::Arrow { .. }).then(Arc::default),
-                });
             }
+            out.push(comp);
         }
     }
 }
 
-/// Lowers every T component embedded in `e`.
-pub(crate) fn lower_components(e: &IExpr) -> Vec<LoweredComp> {
-    let mut modules = Vec::new();
-    collect_modules(e, &mut HashSet::new(), &mut modules);
-    modules
-}
-
 /// Lowers a closed F expression ahead of time: interns it and lowers
-/// every embedded T component to bytecode. The result is `Send + Sync`
-/// and reusable across runs and worker threads.
+/// every embedded T component to bytecode, so the lowering cost is paid
+/// here rather than on first entry. The result is `Send + Sync` and
+/// reusable across runs and worker threads.
 pub fn prelower(e: &FExpr) -> LoweredProgram {
-    let iexpr = IExpr::from_fexpr(e);
-    let modules = lower_components(&iexpr);
-    let lp = LoweredProgram { iexpr, modules };
+    let lp = LoweredProgram::intern(e);
+    // The walk lowers every boundary it reaches.
+    lp.components();
     // Debug builds verify every module the lowerer emits; release
     // builds stay verification-free here so lowering cost is
     // unchanged (callers opt in via `bc_verify::verify_lowered`).
@@ -1489,26 +1458,16 @@ pub fn prelower(e: &FExpr) -> LoweredProgram {
     lp
 }
 
-/// Runs a pre-lowered program in a fresh memory on the fast machine,
-/// seeding the module table so no component is re-lowered.
-/// Observably identical to running the original expression through
+/// Runs a pre-lowered program in a fresh memory on the fast machine;
+/// every boundary reads its module from its node. Observably identical
+/// to running the original expression through
 /// [`crate::machine::run_fexpr`] under any strategy: what the run
-/// reads from `lp`'s wrapper slots is exactly what it would compute.
+/// reads from the program's wrapper slots is exactly what it would
+/// compute.
 pub fn run_prelowered(
     lp: &LoweredProgram,
     cfg: RunCfg,
     tracer: &mut dyn Tracer,
 ) -> RResult<FtOutcome> {
-    prelowered_machine(lp, cfg, tracer).run(Ctrl::Eval(lp.iexpr.clone(), Env::default()))
-}
-
-/// A fresh-memory machine whose module table is seeded from `lp`.
-pub(crate) fn prelowered_machine<'t>(
-    lp: &LoweredProgram,
-    cfg: RunCfg,
-    tracer: &'t mut dyn Tracer,
-) -> Machine<'t> {
-    let mut bc = BcState::default();
-    bc.seed(&lp.modules);
-    Machine::new(FastMem::default(), cfg, tracer, bc)
+    Machine::new(FastMem::default(), cfg, tracer).run(Ctrl::Eval(lp.iexpr.clone(), Env::default()))
 }

@@ -8,7 +8,7 @@
 //!
 //! - an explicit **continuation stack** ([`Frame`]) and a **value
 //!   environment** ([`Env`]) for F — a CEK-style machine over the
-//!   [`IExpr`] interned terms of `funtal-syntax`;
+//!   `IExpr` interned terms of `crate::intern`;
 //! - a register file held in a fixed array, a plain `Vec` stack, and a
 //!   flat `Vec`-indexed heap with a label-interning table ([`FastMem`])
 //!   for T, whose code runs on the bytecode VM of
@@ -28,7 +28,6 @@ use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
 use funtal_fun::check::unroll_fty;
-use funtal_syntax::intern::{IExpr, IKind};
 use funtal_syntax::rename::{rename_heap_val, rename_seq};
 use funtal_syntax::subst::subst_fvars;
 use funtal_syntax::{
@@ -39,8 +38,9 @@ use funtal_tal::error::{RResult, RuntimeError};
 use funtal_tal::machine::Memory;
 use funtal_tal::trace::{CountTracer, Event, Tracer};
 
+use crate::intern::{IComp, IExpr, IKind};
 use crate::machine::{FtOutcome, RunCfg};
-use crate::machine_bc::{lower_components, BcCtrl, BcState, LoweredComp};
+use crate::machine_bc::{lower_block, BcCtrl, BcModule, BcState};
 use crate::translate::{check_wrappable, end_block, fty_to_tty, lambda_glue_block, wrapper_lambda};
 
 // ---------------------------------------------------------------------
@@ -555,13 +555,11 @@ pub(crate) enum Frame {
     ProjF {
         idx: usize,
     },
-    /// T code is running under a boundary of this type; `wrapper` is
-    /// the boundary's slot in the run's [`LoweredProgram`], if any.
-    ///
-    /// [`LoweredProgram`]: crate::machine_bc::LoweredProgram
+    /// T code is running under a boundary of this type, whose
+    /// component (and its wrapper slot) is `comp`.
     BoundaryT {
         ty: Arc<FTy>,
-        wrapper: Option<Arc<WrapperSlot>>,
+        comp: Arc<IComp>,
     },
     /// An `import` body is being evaluated; `saved` resumes the
     /// enclosing T sequence after the translated value lands in `rd`.
@@ -709,142 +707,140 @@ fn f_to_t_fast(mem: &mut FastMem, v: &FastVal, ty: &FTy) -> RResult<TWord> {
     }
 }
 
-/// A boundary's memoized Fig 10 code→λ wrapper, kept in the program's
-/// [`LoweredProgram`] (one slot per boundary whose type is an arrow).
-/// The first translation out of the boundary fills the slot; a later
-/// one reuses it only when its key — the fresh counter (which names
-/// `ℓend`), the code word and the type — equals the stored key by
-/// value, so a hit is exactly what a miss would compute.
-///
-/// [`LoweredProgram`]: crate::machine_bc::LoweredProgram
+/// A boundary's memoized Fig 10 code→λ wrapper, kept on the boundary
+/// node ([`IComp`]) when its type is an arrow. The first translation
+/// out of the boundary fills the slot; a later one reuses it only when
+/// its key — the fresh counter (which names `ℓend`) and the code word —
+/// equals the stored key by value, so a hit is exactly what a miss
+/// would compute. The node fixes the arrow type, and only the
+/// outermost arrow reads the slot.
 pub(crate) type WrapperSlot = OnceLock<Wrapper>;
 
-/// The content of a [`WrapperSlot`]: its key, the `ℓend` block, the
-/// wrapper λ, and the λ's lowered components (seeded into each run that
-/// reuses it).
+/// The content of a [`WrapperSlot`]: its key, the `ℓend` block and its
+/// lowered module, and the wrapper λ (whose boundary nodes keep their
+/// own modules).
 #[derive(Debug)]
 pub(crate) struct Wrapper {
     counter: u64,
     word: WordVal,
-    ty: FTy,
     end: Arc<HeapVal>,
+    end_module: Arc<BcModule>,
     lam: IExpr,
-    modules: Vec<LoweredComp>,
 }
 
-/// `τℱ𝒯(w, M)` over the fast memory, mirroring
-/// [`crate::translate::t_to_f`]. `site` is the boundary's wrapper slot
-/// and the run's module table, consulted only for the outermost arrow.
-fn t_to_f_fast(
-    mem: &mut FastMem,
-    w: &TWord,
-    ty: &FTy,
-    site: Option<(&WrapperSlot, &mut BcState)>,
-) -> RResult<FastVal> {
-    match (w, ty) {
-        (TWord::Int(n), FTy::Int) => Ok(FastVal::Int(*n)),
-        (TWord::Unit, FTy::Unit) => Ok(FastVal::Unit),
-        (TWord::Big(b), FTy::Rec(..)) if matches!(&**b, WordVal::Fold { .. }) => {
-            let WordVal::Fold { body, .. } = &**b else {
-                unreachable!()
-            };
-            let inner_ty = unroll_fty(ty).expect("checked Rec");
-            let inner = mem.tword_of_word(body);
-            let v = t_to_f_fast(mem, &inner, &inner_ty, None)?;
-            Ok(FastVal::Fold {
-                ann: Arc::new(ty.clone()),
-                body: Rc::new(v),
-            })
-        }
-        // Syntactic locations only, as in the oracle's `(Loc, Tuple)`
-        // arm: wrapped words at tuple type fall through to the
-        // catch-all below.
-        (TWord::Loc(_), FTy::Tuple(ts)) | (TWord::Big(_), FTy::Tuple(ts))
-            if matches!(w, TWord::Loc(_))
-                || matches!(w, TWord::Big(b) if matches!(&**b, WordVal::Loc(_))) =>
-        {
-            let i = mem.loc_of(w)?;
-            let FastHeapVal::Tuple { fields, .. } = &mem.heap[i as usize] else {
-                return Err(RuntimeError::NotTuple(format!(
-                    "{} is code",
-                    mem.names[i as usize]
-                )));
-            };
-            if fields.len() != ts.len() {
-                return Err(RuntimeError::Stuck(format!(
-                    "tuple width mismatch translating {} at {ty}",
-                    mem.names[i as usize]
-                )));
+impl Machine<'_> {
+    /// `τℱ𝒯(w, M)` over the fast memory, mirroring
+    /// [`crate::translate::t_to_f`]. `slot` is the boundary's wrapper
+    /// slot, consulted only for the outermost arrow.
+    fn t_to_f(&mut self, w: &TWord, ty: &FTy, slot: Option<&WrapperSlot>) -> RResult<FastVal> {
+        match (w, ty) {
+            (TWord::Int(n), FTy::Int) => Ok(FastVal::Int(*n)),
+            (TWord::Unit, FTy::Unit) => Ok(FastVal::Unit),
+            (TWord::Big(b), FTy::Rec(..)) if matches!(&**b, WordVal::Fold { .. }) => {
+                let WordVal::Fold { body, .. } = &**b else {
+                    unreachable!()
+                };
+                let inner_ty = unroll_fty(ty).expect("checked Rec");
+                let inner = self.mem.tword_of_word(body);
+                let v = self.t_to_f(&inner, &inner_ty, None)?;
+                Ok(FastVal::Fold {
+                    ann: Arc::new(ty.clone()),
+                    body: Rc::new(v),
+                })
             }
-            let fields = fields.clone();
-            let mut out = Vec::with_capacity(ts.len());
-            for (f, t) in fields.iter().zip(ts) {
-                out.push(t_to_f_fast(mem, f, t, None)?);
-            }
-            Ok(FastVal::Tuple(Rc::new(out)))
-        }
-        (
-            _,
-            FTy::Arrow {
-                params,
-                phi_in,
-                phi_out,
-                ret,
-            },
-        ) => {
-            check_wrappable(phi_in, phi_out)?;
-            let word = mem.reify_word(w);
-            // The wrapper (and its ℓend block) is a pure function of
-            // (fresh-counter state, code word, arrow type) — the
-            // counter determines the embedded ℓend label. Steady-state
-            // workloads re-translate the same pointer at the same type
-            // with the same counter state every run, so the boundary's
-            // slot keeps the first one.
-            let counter = mem.next_fresh;
-            let lend = mem.fresh_label("lend");
-            let build = |word: WordVal| {
-                let end = Arc::new(HeapVal::Code(end_block(&fty_to_tty(ret), phi_out)));
-                let lam = wrapper_lambda(word, &lend, params, phi_in, phi_out, ret);
-                (end, IExpr::from_fexpr(&lam))
-            };
-            let (end, lam) = match site {
-                Some((slot, bc)) => {
-                    let wr = slot.get_or_init(|| {
-                        let (end, lam) = build(word.clone());
-                        let modules = lower_components(&lam);
-                        Wrapper {
-                            counter,
-                            word: word.clone(),
-                            ty: ty.clone(),
-                            end,
-                            lam,
-                            modules,
-                        }
-                    });
-                    if wr.counter == counter && wr.word == word && wr.ty == *ty {
-                        bc.seed(&wr.modules);
-                        (wr.end.clone(), wr.lam.clone())
-                    } else {
-                        build(word)
-                    }
+            // Syntactic locations only, as in the oracle's `(Loc, Tuple)`
+            // arm: wrapped words at tuple type fall through to the
+            // catch-all below.
+            (TWord::Loc(_), FTy::Tuple(ts)) | (TWord::Big(_), FTy::Tuple(ts))
+                if matches!(w, TWord::Loc(_))
+                    || matches!(w, TWord::Big(b) if matches!(&**b, WordVal::Loc(_))) =>
+            {
+                let i = self.mem.loc_of(w)?;
+                let FastHeapVal::Tuple { fields, .. } = &self.mem.heap[i as usize] else {
+                    return Err(RuntimeError::NotTuple(format!(
+                        "{} is code",
+                        self.mem.names[i as usize]
+                    )));
+                };
+                if fields.len() != ts.len() {
+                    return Err(RuntimeError::Stuck(format!(
+                        "tuple width mismatch translating {} at {ty}",
+                        self.mem.names[i as usize]
+                    )));
                 }
-                None => build(word),
-            };
-            let lend_idx = mem.intern(lend);
-            mem.heap[lend_idx as usize] = FastHeapVal::Code {
-                hv: end,
-                env: Env::default(),
-                bc: None,
-            };
-            Ok(FastVal::Clos(Rc::new(Closure {
-                lam,
-                env: Env::default(),
-            })))
+                let fields = fields.clone();
+                let mut out = Vec::with_capacity(ts.len());
+                for (f, t) in fields.iter().zip(ts) {
+                    out.push(self.t_to_f(f, t, None)?);
+                }
+                Ok(FastVal::Tuple(Rc::new(out)))
+            }
+            (
+                _,
+                FTy::Arrow {
+                    params,
+                    phi_in,
+                    phi_out,
+                    ret,
+                },
+            ) => {
+                check_wrappable(phi_in, phi_out)?;
+                let word = self.mem.reify_word(w);
+                // The wrapper (and its ℓend block) is a pure function of
+                // (fresh-counter state, code word, arrow type) — the
+                // counter determines the embedded ℓend label. Steady-state
+                // workloads re-translate the same pointer at the same type
+                // with the same counter state every run, so the boundary's
+                // slot keeps the first one.
+                let counter = self.mem.next_fresh;
+                let lend = self.mem.fresh_label("lend");
+                let build = |word: WordVal| {
+                    let end = Arc::new(HeapVal::Code(end_block(&fty_to_tty(ret), phi_out)));
+                    let lam = wrapper_lambda(word, &lend, params, phi_in, phi_out, ret);
+                    (end, IExpr::from_fexpr(&lam))
+                };
+                let hit = slot
+                    .map(|slot| {
+                        slot.get_or_init(|| {
+                            let (end, lam) = build(word.clone());
+                            let HeapVal::Code(block) = &*end else {
+                                unreachable!("ℓend is a code block")
+                            };
+                            Wrapper {
+                                counter,
+                                word: word.clone(),
+                                end_module: Arc::new(lower_block(block)),
+                                end,
+                                lam,
+                            }
+                        })
+                    })
+                    .filter(|wr| wr.counter == counter && wr.word == word);
+                let (end, lam) = match hit {
+                    Some(wr) => (wr.end.clone(), wr.lam.clone()),
+                    None => build(word),
+                };
+                let lend_idx = self.mem.intern(lend);
+                self.mem.heap[lend_idx as usize] = FastHeapVal::Code {
+                    hv: end,
+                    env: Env::default(),
+                    bc: None,
+                };
+                // A reused wrapper brings its ℓend module along, so the
+                // cell is bound now instead of lowered again on entry.
+                if let Some(wr) = hit {
+                    self.bind_block(lend_idx, wr.end_module.clone(), Env::default())?;
+                }
+                Ok(FastVal::Clos(Rc::new(Closure {
+                    lam,
+                    env: Env::default(),
+                })))
+            }
+            _ => Err(RuntimeError::Stuck(format!(
+                "cannot translate T value {} at type {ty}",
+                self.mem.reify_word(w)
+            ))),
         }
-        _ => Err(RuntimeError::Stuck(format!(
-            "cannot translate T value {} at type {ty}",
-            mem.reify_word(w)
-        ))),
     }
 }
 
@@ -865,7 +861,7 @@ pub(crate) struct Machine<'t> {
     /// emits the counted events and handed to the tracer
     /// ([`Tracer::add_counts`]) when the run ends.
     pub(crate) counts: CountTracer,
-    /// The bytecode VM's per-run state (its module table).
+    /// The bytecode VM's per-run state.
     pub(crate) bc: BcState,
 }
 
@@ -905,12 +901,7 @@ enum Shape {
 
 impl<'t> Machine<'t> {
     /// A machine over `mem` with no frames, configured by `cfg`.
-    pub(crate) fn new(
-        mem: FastMem,
-        cfg: RunCfg,
-        tracer: &'t mut dyn Tracer,
-        bc: BcState,
-    ) -> Machine<'t> {
+    pub(crate) fn new(mem: FastMem, cfg: RunCfg, tracer: &'t mut dyn Tracer) -> Machine<'t> {
         Machine {
             mem,
             frames: Vec::new(),
@@ -919,7 +910,7 @@ impl<'t> Machine<'t> {
             trace: tracer.enabled(),
             tracer,
             counts: CountTracer::new(),
-            bc,
+            bc: BcState::default(),
         }
     }
 
@@ -1005,17 +996,17 @@ impl<'t> Machine<'t> {
             }
             IKind::Boundary { ty, comp, .. } => {
                 // Fig 8: the fragment merge is one machine step.
-                let merge = if comp.heap.is_empty() {
+                let merge = if comp.tcomp.heap.is_empty() {
                     MergeOutcome::default()
                 } else {
                     tick!(self);
                     note!(self, crossings, Event::BoundaryEnter { ty: (**ty).clone() });
-                    self.mem.merge_fragment(comp, &env)
+                    self.mem.merge_fragment(&comp.tcomp, &env)
                 };
-                let (t, wrapper) = self.boundary_ctrl(comp, &env, merge)?;
+                let t = self.boundary_ctrl(|| comp.module().clone(), &env, merge)?;
                 self.frames.push(Frame::BoundaryT {
                     ty: ty.clone(),
-                    wrapper,
+                    comp: comp.clone(),
                 });
                 Ctrl::T(t)
             }
@@ -1180,12 +1171,11 @@ impl<'t> Machine<'t> {
                 // Fig 8: a boundary around a halt value translates —
                 // one machine step.
                 tick!(self);
-                let Some(Frame::BoundaryT { ty, wrapper }) = self.frames.pop() else {
+                let Some(Frame::BoundaryT { ty, comp }) = self.frames.pop() else {
                     unreachable!()
                 };
                 let w = self.mem.reg(val)?.clone();
-                let site = wrapper.as_deref().map(|slot| (slot, &mut self.bc));
-                let v = t_to_f_fast(&mut self.mem, &w, &ty, site)?;
+                let v = self.t_to_f(&w, &ty, comp.wrapper.as_ref())?;
                 note!(self, crossings, Event::BoundaryExit { ty: (*ty).clone() });
                 Ok(Step::Continue(Ctrl::Ret(v)))
             }

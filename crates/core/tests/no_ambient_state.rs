@@ -1,17 +1,19 @@
 //! No ambient state: a run on the fast machine depends on its arguments
 //! alone.
 //!
-//! The fast machine memoizes only inside artifacts its caller owns: a
-//! [`LoweredProgram`] keeps its modules and one wrapper slot per
-//! arrow-typed boundary, and a [`Compiled`] keeps one lowered program
-//! per definition. Nothing survives on the thread. This suite pins the
-//! consequence: for every program, what a run shows — outcome (or
-//! error text), traced events, untraced step counts and, where the
-//! entry point exposes it, the final memory — is the same
+//! The fast machine memoizes only inside artifacts its caller owns:
+//! each boundary node of a [`LoweredProgram`] keeps its lowered module
+//! and, at arrow type, one wrapper slot, and a [`Compiled`] keeps one
+//! lowered program per definition. Nothing survives on the thread. This
+//! suite pins the consequence: for every program, what a run shows —
+//! outcome (or error text), traced events, untraced step counts and,
+//! where the entry point exposes it, the final memory — is the same
 //!
 //! 1. on the first run of a fresh artifact on a fresh thread;
 //! 2. on the 2nd and 3rd runs of the same artifact;
-//! 3. on runs interleaved, on one thread, with other programs.
+//! 3. on runs interleaved, on one thread, with other programs;
+//! 4. on runs of one artifact on two threads at once, while its memos
+//!    fill.
 //!
 //! The corpus holds the paper figures, compiled `fib` and `fact` calls,
 //! and programs whose arrow-typed boundary is left twice at different
@@ -266,4 +268,35 @@ fn interleaved_runs_match_the_first() {
         ),
         "the second wrapper is the result"
     );
+}
+
+#[test]
+fn concurrent_runs_of_one_artifact_match_the_first() {
+    let want: Vec<Observed> = first_runs()
+        .into_iter()
+        .flat_map(|(traced, untraced)| [traced, untraced])
+        .collect();
+    // Fresh artifacts, so two threads race to fill every memo. They meet
+    // at the barrier before each run and compare only once both are
+    // done, so a mismatch cannot leave one of them waiting.
+    let arts = artifacts();
+    let barrier = std::sync::Barrier::new(2);
+    let run_all = || {
+        let runs = arts.iter().flat_map(|(_, a)| [(a, true), (a, false)]);
+        let run = |(a, traced)| {
+            barrier.wait();
+            observe(a, traced)
+        };
+        runs.map(run).collect::<Vec<_>>()
+    };
+    let seen = std::thread::scope(|s| {
+        let other = s.spawn(run_all);
+        [run_all(), other.join().expect("observing thread")]
+    });
+    let names = arts.iter().flat_map(|(n, _)| [(n, true), (n, false)]);
+    for (thread, seen) in seen.iter().enumerate() {
+        for ((got, want), (name, traced)) in seen.iter().zip(&want).zip(names.clone()) {
+            assert_eq!(got, want, "{name}: thread {thread}, traced={traced}");
+        }
+    }
 }

@@ -25,6 +25,7 @@
 //! Jobs and results are JSON lines (see [`Job::from_json`] and
 //! [`JobOutcome::to_json`]); the schema is documented in the README.
 
+use std::io::BufRead;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -41,6 +42,11 @@ use crate::Pipeline;
 /// Stack size for worker threads: evaluation recurses over the term
 /// and the substitution oracle's context depth can be large.
 const WORKER_STACK_BYTES: usize = 64 * 1024 * 1024;
+
+/// The longest job line `batch` and `serve` accept, in bytes (1 MiB).
+/// A longer line becomes its own `error[driver]` result; its rest is
+/// read and discarded in bounded chunks, never held whole.
+pub const MAX_JOB_LINE_BYTES: usize = 1 << 20;
 
 /// What a job asks the pipeline to do.
 #[derive(Clone, Debug, PartialEq)]
@@ -179,10 +185,7 @@ impl Job {
         let src = match (v.get("src").and_then(Json::as_str), v.get("file")) {
             (Some(src), None) => src.to_string(),
             (None, Some(Json::Str(path))) => {
-                std::fs::read_to_string(path).map_err(|e| FunTalError::Io {
-                    path: path.clone(),
-                    cause: e.to_string(),
-                })?
+                std::fs::read_to_string(path).map_err(|e| FunTalError::io(path, e))?
             }
             (Some(_), Some(_)) => {
                 return Err(FunTalError::driver(format!(
@@ -300,13 +303,7 @@ impl Job {
         }
         let fallback = format!("job{lineno}");
         Some(match Json::parse(line) {
-            Err(e) => Job {
-                id: fallback,
-                kind: JobKind::Invalid {
-                    stage: "driver",
-                    message: format!("jobs line {lineno}: {e}"),
-                },
-            },
+            Err(e) => Job::bad_line(lineno, e),
             Ok(v) => match Job::from_json(&v, &fallback) {
                 Ok(job) => job,
                 Err(e) => Job {
@@ -324,13 +321,66 @@ impl Job {
         })
     }
 
-    /// Parses a whole JSON-lines job stream with [`Job::parse_line`].
-    pub fn parse_jsonl(text: &str) -> Vec<Job> {
-        text.lines()
-            .enumerate()
-            .filter_map(|(i, line)| Job::parse_line(line, i + 1))
-            .collect()
+    /// The invalid job for a line the parser cannot read at all.
+    fn bad_line(lineno: usize, why: impl std::fmt::Display) -> Job {
+        Job {
+            id: format!("job{lineno}"),
+            kind: JobKind::Invalid {
+                stage: "driver",
+                message: format!("jobs line {lineno}: {why}"),
+            },
+        }
     }
+
+    /// Reads a JSON-lines job stream line by line with
+    /// [`Job::parse_line`]. A line that is not UTF-8 or is longer than
+    /// [`MAX_JOB_LINE_BYTES`] becomes its own invalid job, so the jobs
+    /// after it still run; only an I/O error ends the stream early.
+    pub fn read_jsonl<R: BufRead>(mut r: R) -> impl Iterator<Item = std::io::Result<Job>> {
+        let mut buf = Vec::new();
+        let mut lineno = 0;
+        std::iter::from_fn(move || loop {
+            match read_line_bounded(&mut r, &mut buf) {
+                Ok(true) => lineno += 1,
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
+            }
+            let job = if buf.len() > MAX_JOB_LINE_BYTES {
+                Some(Job::bad_line(
+                    lineno,
+                    format!("longer than {MAX_JOB_LINE_BYTES} bytes"),
+                ))
+            } else {
+                match std::str::from_utf8(&buf) {
+                    Ok(line) => Job::parse_line(line, lineno),
+                    Err(_) => Some(Job::bad_line(lineno, "not valid UTF-8")),
+                }
+            };
+            if let Some(job) = job {
+                return Some(Ok(job));
+            }
+        })
+    }
+
+    /// Parses a whole JSON-lines job stream with [`Job::read_jsonl`].
+    pub fn parse_jsonl(text: &str) -> Vec<Job> {
+        Job::read_jsonl(text.as_bytes()).flatten().collect()
+    }
+}
+
+/// Reads the next line of `r` into `buf`, without its `\n`. At most
+/// [`MAX_JOB_LINE_BYTES`] + 1 bytes are kept, so an over-long line is
+/// told by its length; the rest of it is skipped through `r`'s buffer.
+/// `Ok(false)` at the end of the input.
+fn read_line_bounded(r: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    buf.clear();
+    let n = std::io::Read::take(&mut *r, MAX_JOB_LINE_BYTES as u64 + 1).read_until(b'\n', buf)?;
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_JOB_LINE_BYTES {
+        r.skip_until(b'\n')?;
+    }
+    Ok(n > 0)
 }
 
 /// The successful payload of a job, ready for rendering.

@@ -86,6 +86,14 @@ impl FunTalError {
     pub fn driver(msg: impl Into<String>) -> FunTalError {
         FunTalError::Driver(msg.into())
     }
+
+    /// Convenience constructor for [`FunTalError::Io`] on `path`.
+    pub fn io(path: &str, e: std::io::Error) -> FunTalError {
+        FunTalError::Io {
+            path: path.to_string(),
+            cause: e.to_string(),
+        }
+    }
 }
 
 impl FunTalError {

@@ -226,10 +226,14 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, FunTalError
 }
 
 fn read_file(path: &str) -> Result<String, FunTalError> {
-    std::fs::read_to_string(path).map_err(|e| FunTalError::Io {
-        path: path.to_string(),
-        cause: e.to_string(),
-    })
+    std::fs::read_to_string(path).map_err(|e| FunTalError::io(path, e))
+}
+
+/// Every job of the JSON-lines stream `r`, read from `path`.
+fn read_jobs(r: impl std::io::BufRead, path: &str) -> Result<Vec<Job>, FunTalError> {
+    Job::read_jsonl(r)
+        .collect::<Result<_, _>>()
+        .map_err(|e| FunTalError::io(path, e))
 }
 
 fn one_file<'a>(o: &'a Opts, cmd: &str) -> Result<&'a str, FunTalError> {
@@ -502,17 +506,10 @@ fn batch_jobs(o: &Opts) -> Result<Vec<Job>, FunTalError> {
     let mut jobs = Vec::new();
     for file in &o.files {
         if file == "-" {
-            let mut text = String::new();
-            use std::io::Read;
-            std::io::stdin()
-                .read_to_string(&mut text)
-                .map_err(|e| FunTalError::Io {
-                    path: "<stdin>".to_string(),
-                    cause: e.to_string(),
-                })?;
-            jobs.extend(Job::parse_jsonl(&text));
+            jobs.extend(read_jobs(std::io::stdin().lock(), "<stdin>")?);
         } else if file.ends_with(".jsonl") || file.ends_with(".json") {
-            jobs.extend(Job::parse_jsonl(&read_file(file)?));
+            let f = std::fs::File::open(file).map_err(|e| FunTalError::io(file, e))?;
+            jobs.extend(read_jobs(std::io::BufReader::new(f), file)?);
         } else if file.ends_with(".mf") {
             let mut job = Job::compile(file.clone(), read_file(file)?);
             if let (
@@ -559,10 +556,7 @@ fn open_store(o: &Opts) -> Result<Option<std::sync::Arc<funtal_driver::DiskStore
         None => Ok(None),
         Some(dir) => funtal_driver::DiskStore::open(dir, o.store_cap)
             .map(|s| Some(std::sync::Arc::new(s)))
-            .map_err(|e| FunTalError::Io {
-                path: dir.clone(),
-                cause: e.to_string(),
-            }),
+            .map_err(|e| FunTalError::io(dir, e)),
     }
 }
 
@@ -605,29 +599,12 @@ fn cmd_serve(o: &Opts) -> Result<(), FunTalError> {
         ));
     }
     let engine = Batch::new(pipeline(o)).with_cache(engine_cache(o)?);
-    let stdin = std::io::stdin();
     let mut served = 0usize;
     let mut failed = 0usize;
-    let mut lineno = 0usize;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        use std::io::{BufRead, Write};
-        if stdin
-            .lock()
-            .read_line(&mut line)
-            .map_err(|e| FunTalError::Io {
-                path: "<stdin>".to_string(),
-                cause: e.to_string(),
-            })?
-            == 0
-        {
-            break; // EOF: client hung up.
-        }
-        lineno += 1;
-        let Some(job) = Job::parse_line(&line, lineno) else {
-            continue;
-        };
+    // Ends at EOF, when the client hangs up.
+    for job in Job::read_jsonl(std::io::stdin().lock()) {
+        use std::io::Write;
+        let job = job.map_err(|e| FunTalError::io("<stdin>", e))?;
         served += 1;
         let outcome = engine.run_job(&job);
         if outcome.result.is_err() {
@@ -668,14 +645,9 @@ fn cmd_store(o: &Opts) -> Result<(), FunTalError> {
     let Some(dir) = &o.store_dir else {
         return Err(FunTalError::driver("`funtal store` needs --store-dir DIR"));
     };
-    let store = funtal_driver::DiskStore::open(dir, o.store_cap).map_err(|e| FunTalError::Io {
-        path: dir.clone(),
-        cause: e.to_string(),
-    })?;
-    let io_err = |e: std::io::Error| FunTalError::Io {
-        path: dir.clone(),
-        cause: e.to_string(),
-    };
+    let store =
+        funtal_driver::DiskStore::open(dir, o.store_cap).map_err(|e| FunTalError::io(dir, e))?;
+    let io_err = |e: std::io::Error| FunTalError::io(dir, e);
     match action {
         "stats" => {
             let mut total_entries = 0usize;

@@ -43,7 +43,6 @@ pub mod display;
 pub mod free;
 pub mod hash;
 pub mod ids;
-pub mod intern;
 pub mod rename;
 pub mod span;
 pub mod subst;

@@ -4,9 +4,9 @@
 //! regions. Spans deliberately live **beside** the AST rather than in
 //! it: the syntax trees derive structural `PartialEq` (differential
 //! tests, alpha-equivalence, roundtrip properties all compare terms),
-//! and interning (`intern::IExpr`) shares subterms behind `Arc` — a
-//! span field inside the tree would either break term equality or be
-//! lost at the first shared node. A [`SpanTable`] keyed by heap label
+//! and the fast machine's interned terms (`funtal`'s `intern::IExpr`)
+//! share subterms behind `Arc` — a span field inside the tree would
+//! either break term equality or be lost at the first shared node. A [`SpanTable`] keyed by heap label
 //! survives both: labels are stable across interning, `Arc` sharing,
 //! and machine-side heap merging (fresh labels get a `$n` suffix that
 //! [`SpanTable::resolve`] strips — `$` is rejected by the lexer, so a

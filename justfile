@@ -120,6 +120,13 @@ store-gc DIR="~/.cache/funtal-store" CAP="268435456":
     cargo run -q -p funtal-driver -- store gc \
         --store-dir {{DIR}} --store-cap {{CAP}}
 
+# Lines of Rust outside vendor/, perfbench/ and target/: the size
+# measure each change reports its net delta against.
+loc:
+    find {{justfile_directory()}} -name '*.rs' -not -path '*/vendor/*' \
+        -not -path '*/perfbench/*' -not -path '*/target/*' -print0 \
+        | xargs -0 cat | wc -l
+
 # Apply formatting.
 fmt:
     cargo fmt --all
