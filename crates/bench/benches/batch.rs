@@ -22,6 +22,14 @@
 //! MiniF codegen, and skips every FT typecheck, paying disk load +
 //! decode of the stored type text instead; the gate pins
 //! warm ≥ 2× cold.
+//!
+//! `store_save/{uncapped,at_cap}/64` is the store's write-path stage
+//! row: 64 saves of 100-byte containers per iteration, cycling through
+//! 512 keys. `uncapped` has no cap, so each save is a temp-file write
+//! and a rename over an older entry. `at_cap` keeps the store at its
+//! 256-entry cap, so every save inserts a key evicted long ago and
+//! pays its share of the budgeted eviction sweeps. The rows are
+//! recorded, not gated.
 
 #![forbid(unsafe_code)]
 
@@ -31,6 +39,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use funtal_driver::corpus::paper_corpus;
 use funtal_driver::{ArtifactCache, Batch, DiskStore, Job, JobKind, Pipeline};
+use funtal_store::Stage;
 
 /// Corpus repeats per batch: 6 distinct programs × 4 = 24 jobs/iter.
 const ROUNDS: usize = 4;
@@ -171,5 +180,39 @@ fn store_warm_start(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, batch_throughput, store_warm_start);
+fn store_save(c: &mut Criterion) {
+    const SAVES: usize = 64;
+    const KEYS: usize = 512;
+    let mut g = c.benchmark_group("store_save");
+    let base = std::env::temp_dir().join(format!("funtal_bench_save_{}", std::process::id()));
+    // A 5-byte key and a 64-byte payload: 100 bytes a container.
+    let key = |i: usize| format!("k{:04}", i % KEYS);
+    let payload = [7u8; 64];
+    for (name, cap) in [("uncapped", 0), ("at_cap", KEYS as u64 / 2 * 100)] {
+        let dir = base.join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir, cap).expect("open store");
+        for i in 0..KEYS {
+            store
+                .save(Stage::Check, key(i).as_bytes(), &payload)
+                .expect("prime");
+        }
+        let mut next = KEYS;
+        g.bench_function(BenchmarkId::new(name, SAVES), |b| {
+            b.iter(|| {
+                for _ in 0..SAVES {
+                    store
+                        .save(Stage::Check, key(next).as_bytes(), &payload)
+                        .expect("save");
+                    next += 1;
+                }
+                next
+            })
+        });
+    }
+    let _ = std::fs::remove_dir_all(&base);
+    g.finish();
+}
+
+criterion_group!(benches, batch_throughput, store_warm_start, store_save);
 criterion_main!(benches);

@@ -19,7 +19,22 @@
 //! ```
 //!
 //! Writes go to a temp file in the same directory and are `rename`d
-//! into place, so readers never observe a partial entry. Counter
+//! into place, so readers never observe a partial entry; a failed
+//! write or rename removes its temp file.
+//!
+//! Eviction runs on a byte budget, not on every write. A capped store
+//! keeps a ledger of the bytes it takes the directory to hold: the
+//! first capped [`DiskStore::save`] seeds it with one scan, every
+//! later save adds its container's length, and only a save that takes
+//! the ledger past the cap scans again — evicting least-recently-used
+//! entries down to the low-water mark `cap - cap / 8` when the scan
+//! finds the store over its cap. A scan resets the ledger to what it
+//! found, but never below the low-water mark, so a writer scans again
+//! after at most `cap / 8` bytes of its own writes. The bound: with one
+//! writing process the store holds at most `cap` bytes after every
+//! save; with `W` processes writing at once, at most
+//! `cap + (W - 1) * cap / 8`, since each one's ledger misses only the
+//! others' writes since its last scan. Counter
 //! protocol: `load` counts a miss for an absent entry and a
 //! reject+miss (deleting the file) for a container-level failure; a
 //! successful container read returns the payload *without* counting a
@@ -28,9 +43,10 @@
 //! fail. Either way `hits + misses == lookups` holds per stage.
 
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
 use funtal_syntax::hash::{hash_bytes, hash_bytes_from};
@@ -49,6 +65,12 @@ pub const FORMAT_VERSION: u16 = 2;
 /// any more. [`DiskStore::open`] deletes them so their bytes cannot
 /// sit outside the size cap.
 const RETIRED_DIRS: [&str; 2] = ["parse", "lower"];
+
+/// Where a capped store's sweep evicts down to: an eighth of the cap
+/// below it, so a writer makes one scan per `cap / 8` bytes it writes.
+fn low_water(cap_bytes: u64) -> u64 {
+    cap_bytes - cap_bytes / 8
+}
 
 /// The two verdict kinds the store persists.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -224,6 +246,22 @@ pub struct DiskStore {
     counters: [StageCounters; 2],
     evicted: AtomicU64,
     tmp_seq: AtomicU64,
+    ledger: Mutex<Ledger>,
+}
+
+/// A capped store's running estimate of its size (see the module docs).
+/// It never reads less than the bytes this process has seen in the
+/// directory: a save is charged after its rename, and every other
+/// change (an eviction, a reject, another process's sweep) only takes
+/// bytes away.
+#[derive(Debug, Default)]
+struct Ledger {
+    /// Bytes the store is taken to hold; `None` until a scan seeds it,
+    /// and again after a scan or eviction failed part-way.
+    bytes: Option<u64>,
+    /// Directory scans made, read by the tests that pin the budget.
+    #[cfg_attr(not(test), allow(dead_code))]
+    scans: u64,
 }
 
 const _: () = {
@@ -252,6 +290,7 @@ impl DiskStore {
             counters: Default::default(),
             evicted: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
+            ledger: Mutex::default(),
         })
     }
 
@@ -286,8 +325,12 @@ impl DiskStore {
     /// [`DiskStore::reject`] if they fail.
     pub fn load(&self, stage: Stage, key: &[u8]) -> Option<Vec<u8>> {
         let path = self.entry_path(stage, key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
+        let mut bytes = Vec::new();
+        let file = match fs::File::open(&path).and_then(|mut f| {
+            f.read_to_end(&mut bytes)?;
+            Ok(f)
+        }) {
+            Ok(f) => f,
             Err(_) => {
                 self.counters[stage.index()]
                     .misses
@@ -297,11 +340,10 @@ impl DiskStore {
         };
         match parse_container(&bytes, Some(stage), Some(key)) {
             Ok((_, _, payload)) => {
-                // Touch the LRU clock; best-effort (a failed touch only
-                // makes the entry look colder than it is).
-                if let Ok(f) = fs::OpenOptions::new().write(true).open(&path) {
-                    let _ = f.set_modified(SystemTime::now());
-                }
+                // Touch the LRU clock through the handle just read;
+                // best-effort (a failed touch only makes the entry look
+                // colder than it is).
+                let _ = file.set_modified(SystemTime::now());
                 Some(payload)
             }
             Err(_) => {
@@ -331,9 +373,10 @@ impl DiskStore {
         let _ = fs::remove_file(self.entry_path(stage, key));
     }
 
-    /// Writes `payload` for `key` atomically, then enforces the size
-    /// cap (evicting least-recently-used entries, never this one —
-    /// it carries the freshest mtime).
+    /// Writes `payload` for `key` atomically, then charges its bytes
+    /// to the ledger; a save that takes the ledger past the cap sweeps
+    /// (evicting least-recently-used entries down to the low-water
+    /// mark, this one last — it carries the freshest mtime).
     pub fn save(&self, stage: Stage, key: &[u8], payload: &[u8]) -> io::Result<()> {
         let dir = self.root.join(stage.dir());
         let tmp = dir.join(format!(
@@ -351,12 +394,30 @@ impl DiskStore {
         bytes.extend_from_slice(key);
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(payload);
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, self.entry_path(stage, key))?;
+        if let Err(e) =
+            fs::write(&tmp, &bytes).and_then(|()| fs::rename(&tmp, self.entry_path(stage, key)))
+        {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
         if self.cap_bytes > 0 {
-            let _ = self.enforce_cap(self.cap_bytes);
+            let mut ledger = self.ledger();
+            // An overwritten entry is charged again: the ledger may
+            // only read high.
+            match ledger.bytes.map(|b| b.saturating_add(bytes.len() as u64)) {
+                Some(b) if b <= self.cap_bytes => ledger.bytes = Some(b),
+                _ => {
+                    let _ = self.sweep(&mut ledger, self.cap_bytes, low_water(self.cap_bytes));
+                }
+            }
         }
         Ok(())
+    }
+
+    fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        // Every update leaves the ledger at or above the store's size,
+        // so a panic elsewhere while it was held leaves it usable.
+        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Every entry of `stage`, sorted by file name (deterministic).
@@ -392,9 +453,33 @@ impl DiskStore {
     }
 
     /// Evicts least-recently-used entries until the store fits in
-    /// `cap_bytes` (`0` = remove nothing, report only).
+    /// `cap_bytes` (`0` = remove nothing, report only), and reseeds the
+    /// ledger from the scan.
     pub fn enforce_cap(&self, cap_bytes: u64) -> io::Result<GcReport> {
-        let mut entries = self.all_entries()?;
+        self.sweep(&mut self.ledger(), cap_bytes, cap_bytes)
+    }
+
+    /// Scans the store and, when it holds more than `cap_bytes`, evicts
+    /// down to `target`; the ledger then reads the bytes left, but not
+    /// less than the low-water mark.
+    fn sweep(&self, ledger: &mut Ledger, cap_bytes: u64, target: u64) -> io::Result<GcReport> {
+        ledger.scans += 1;
+        ledger.bytes = None;
+        let report = self.evict(self.all_entries()?, cap_bytes, target)?;
+        ledger.bytes = Some(report.bytes_after.max(low_water(self.cap_bytes)));
+        Ok(report)
+    }
+
+    /// Removes the oldest of `entries` until they hold at most `target`
+    /// bytes, if they hold more than `cap_bytes` (`0` = no cap). An
+    /// entry already gone — another sweep or a reject took it after
+    /// the scan — counts as removed.
+    fn evict(
+        &self,
+        mut entries: Vec<EntryInfo>,
+        cap_bytes: u64,
+        target: u64,
+    ) -> io::Result<GcReport> {
         let bytes_before: u64 = entries.iter().map(|e| e.bytes).sum();
         let mut report = GcReport {
             examined: entries.len(),
@@ -407,17 +492,18 @@ impl DiskStore {
         }
         // Oldest access first; path breaks ties deterministically.
         entries.sort_by(|a, b| a.mtime.cmp(&b.mtime).then_with(|| a.path.cmp(&b.path)));
-        let mut total = bytes_before;
         for e in entries {
-            if total <= cap_bytes {
+            if report.bytes_after <= target {
                 break;
             }
-            fs::remove_file(&e.path)?;
-            total -= e.bytes;
+            match fs::remove_file(&e.path) {
+                Err(err) if err.kind() != io::ErrorKind::NotFound => return Err(err),
+                _ => {}
+            }
+            report.bytes_after -= e.bytes;
             report.removed += 1;
             self.evicted.fetch_add(1, Ordering::Relaxed);
         }
-        report.bytes_after = total;
         Ok(report)
     }
 
@@ -668,6 +754,130 @@ mod tests {
                 "key_len {key_len}"
             );
         }
+    }
+
+    /// Saves entry `i`: a 5-byte key and a 64-byte payload make a
+    /// 100-byte container.
+    fn put(s: &DiskStore, i: usize) {
+        s.save(Stage::Check, format!("k{i:04}").as_bytes(), &[7u8; 64])
+            .unwrap();
+    }
+
+    const ENTRY: u64 = 100;
+
+    fn total(s: &DiskStore) -> u64 {
+        s.all_entries().unwrap().iter().map(|e| e.bytes).sum()
+    }
+
+    fn set_mtime(s: &DiskStore, key: &[u8], secs: u64) {
+        fs::File::open(s.entry_path(Stage::Check, key))
+            .unwrap()
+            .set_modified(SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(secs))
+            .unwrap();
+    }
+
+    #[test]
+    fn load_touches_the_lru_clock() {
+        let s = temp_store("touch", 0);
+        s.save(Stage::Check, b"k", b"artifact").unwrap();
+        set_mtime(&s, b"k", 1_000);
+        assert!(s.load(Stage::Check, b"k").is_some());
+        let mtime = fs::metadata(s.entry_path(Stage::Check, b"k"))
+            .unwrap()
+            .modified()
+            .unwrap();
+        assert!(mtime > SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_000));
+    }
+
+    #[test]
+    fn failed_save_removes_its_temp_file() {
+        let s = temp_store("tmpfail", 0);
+        // A non-empty directory at the entry's path makes the rename fail.
+        let path = s.entry_path(Stage::Check, b"k");
+        fs::create_dir_all(path.join("occupied")).unwrap();
+        assert!(s.save(Stage::Check, b"k", b"artifact").is_err());
+        let leftovers: Vec<_> = fs::read_dir(s.root().join("check"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().starts_with(".tmp-"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
+    }
+
+    #[test]
+    fn eviction_goes_on_past_an_entry_already_gone() {
+        let s = temp_store("gone", 0);
+        for i in 0..4 {
+            put(&s, i);
+            set_mtime(&s, format!("k{i:04}").as_bytes(), 1_000 + i as u64);
+        }
+        let listed = s.all_entries().unwrap();
+        // Another sweep takes the oldest entry after this one listed it.
+        fs::remove_file(s.entry_path(Stage::Check, b"k0000")).unwrap();
+        let report = s.evict(listed, 2 * ENTRY, 2 * ENTRY).unwrap();
+        assert_eq!((report.removed, report.bytes_after), (2, 2 * ENTRY));
+        assert!(!s.entry_path(Stage::Check, b"k0001").exists());
+        assert_eq!(total(&s), 2 * ENTRY);
+    }
+
+    #[test]
+    fn one_writer_stays_within_the_cap() {
+        let cap = 16 * ENTRY;
+        let s = temp_store("bound1", cap);
+        for i in 0..160 {
+            put(&s, i);
+            assert!(total(&s) <= cap, "save {i}: {} > {cap}", total(&s));
+        }
+        assert!(total(&s) >= low_water(cap));
+    }
+
+    #[test]
+    fn two_writers_stay_within_the_cap_plus_an_eighth() {
+        let cap = 16 * ENTRY;
+        let a = temp_store("bound2", cap);
+        let b = DiskStore::open(a.root(), cap).unwrap();
+        for i in 0..160 {
+            put(if i % 2 == 0 { &a } else { &b }, i);
+            assert!(total(&a) <= cap + cap / 8, "save {i}: {}", total(&a));
+        }
+    }
+
+    #[test]
+    fn a_sweep_keeps_the_recently_loaded_entry() {
+        let s = temp_store("recent", 8 * ENTRY);
+        for i in 0..8 {
+            put(&s, i);
+        }
+        assert_eq!(total(&s), 8 * ENTRY);
+        for i in 0..8 {
+            set_mtime(&s, format!("k{i:04}").as_bytes(), 1_000 + i as u64);
+        }
+        assert!(s.load(Stage::Check, b"k0000").is_some());
+        put(&s, 8); // past the cap: sweeps down to 7 entries
+        assert!(s.entry_path(Stage::Check, b"k0000").exists());
+        assert!(!s.entry_path(Stage::Check, b"k0001").exists());
+        assert!(!s.entry_path(Stage::Check, b"k0002").exists());
+        assert_eq!(total(&s), low_water(8 * ENTRY));
+    }
+
+    #[test]
+    fn saves_into_a_full_store_scan_on_a_budget() {
+        let cap = 64 * ENTRY;
+        let s = temp_store("budget", cap);
+        for i in 0..64 {
+            put(&s, i);
+        }
+        let scans = s.ledger().scans;
+        for i in 64..128 {
+            put(&s, i);
+        }
+        // One sweep per `cap / 8` bytes written: 8 entries here.
+        let swept = s.ledger().scans - scans;
+        assert!((1..=9).contains(&swept), "{swept} scans for 64 saves");
+        assert!(total(&s) <= cap);
+        // `gc` reseeds the ledger from its own scan.
+        s.gc().unwrap();
+        assert_eq!(s.ledger().bytes, Some(total(&s).max(low_water(cap))));
     }
 
     #[test]
