@@ -42,18 +42,13 @@ impl Cfg {
         self.succs.len()
     }
 
-    /// The entry block.
-    pub fn entry(&self) -> usize {
-        self.entry
-    }
-
     /// Successors of `b`, in edge-insertion order.
-    pub fn succs(&self, b: usize) -> &[usize] {
+    pub(crate) fn succs(&self, b: usize) -> &[usize] {
         &self.succs[b]
     }
 
     /// Predecessors of `b`.
-    pub fn preds(&self, b: usize) -> &[usize] {
+    pub(crate) fn preds(&self, b: usize) -> &[usize] {
         &self.preds[b]
     }
 
@@ -81,7 +76,7 @@ impl Cfg {
     /// on the DFS stack — discovered from the entry and all extra
     /// roots. An empty result means every region reachable through
     /// the graph is loop-free.
-    pub fn back_edges_from(&self, extra_roots: &[usize]) -> Vec<(usize, usize)> {
+    pub(crate) fn back_edges_from(&self, extra_roots: &[usize]) -> Vec<(usize, usize)> {
         #[derive(Clone, Copy, PartialEq)]
         enum Color {
             White,
@@ -130,16 +125,11 @@ impl Cfg {
         self.back_edges_from(extra_roots).is_empty()
     }
 
-    /// Whether the graph has no back edges reachable from the entry.
-    pub fn is_loop_free(&self) -> bool {
-        self.back_edges_from(&[]).is_empty()
-    }
-
     /// Reverse postorder from the entry — the iteration order that
     /// makes forward analyses converge in one pass on loop-free
     /// graphs. Unreachable blocks are appended afterwards in index
     /// order so every block gets visited.
-    pub fn rpo(&self) -> Vec<usize> {
+    pub(crate) fn rpo(&self) -> Vec<usize> {
         let n = self.node_count();
         let mut seen = vec![false; n];
         let mut post = Vec::with_capacity(n);
@@ -172,7 +162,7 @@ mod tests {
     #[test]
     fn straight_line_is_loop_free() {
         let g = Cfg::new(3, 0, [(0, 1), (1, 2)]);
-        assert!(g.is_loop_free());
+        assert!(g.is_loop_free_from(&[]));
         assert_eq!(g.reachable_from(&[]), vec![true, true, true]);
         assert_eq!(g.rpo(), vec![0, 1, 2]);
     }
@@ -182,7 +172,7 @@ mod tests {
         let g = Cfg::new(2, 0, [(0, 1), (1, 1)]);
         assert_eq!(g.back_edges_from(&[]), vec![(1, 1)]);
         let g = Cfg::new(3, 0, [(0, 1), (1, 2), (2, 1)]);
-        assert!(!g.is_loop_free());
+        assert!(!g.is_loop_free_from(&[]));
     }
 
     #[test]
@@ -190,7 +180,7 @@ mod tests {
         // A cycle between blocks 1 and 2, unreachable from the entry:
         // invisible without roots, found once block 1 is a root.
         let g = Cfg::new(3, 0, [(1, 2), (2, 1)]);
-        assert!(g.is_loop_free());
+        assert!(g.is_loop_free_from(&[]));
         assert!(!g.is_loop_free_from(&[1]));
         assert_eq!(g.reachable_from(&[]), vec![true, false, false]);
         assert_eq!(g.reachable_from(&[1]), vec![true, true, true]);
@@ -202,7 +192,7 @@ mod tests {
         let rpo = g.rpo();
         assert_eq!(rpo[0], 0);
         assert_eq!(rpo[3], 3);
-        assert!(g.is_loop_free());
+        assert!(g.is_loop_free_from(&[]));
     }
 
     #[test]

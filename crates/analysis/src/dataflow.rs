@@ -47,22 +47,13 @@ pub trait Analysis {
     fn transfer(&self, block: usize, fact: &Self::Fact) -> Self::Fact;
 }
 
-/// The fixed point: one input and one output fact per block (inputs
-/// are block-entry facts for forward problems and block-exit facts for
-/// backward ones).
-#[derive(Clone, Debug)]
-pub struct Solution<F> {
-    /// The fact flowing *into* each block's transfer function.
-    pub inputs: Vec<F>,
-    /// The fact flowing *out of* each block's transfer function.
-    pub outputs: Vec<F>,
-}
-
 /// Runs `analysis` over `cfg` to its least fixed point with a
 /// deterministic worklist (blocks revisited in index order, seeded in
 /// reverse postorder for forward problems and its reverse for backward
-/// ones).
-pub fn solve<A: Analysis>(analysis: &A, cfg: &Cfg) -> Solution<A::Fact> {
+/// ones). Returns the fact flowing *into* each block's transfer
+/// function: block-entry facts for forward problems and block-exit
+/// facts for backward ones.
+pub fn solve<A: Analysis>(analysis: &A, cfg: &Cfg) -> Vec<A::Fact> {
     let n = cfg.node_count();
     let mut inputs: Vec<A::Fact> = vec![analysis.init_fact(); n];
     let mut outputs: Vec<A::Fact> = vec![analysis.init_fact(); n];
@@ -100,13 +91,17 @@ pub fn solve<A: Analysis>(analysis: &A, cfg: &Cfg) -> Solution<A::Fact> {
             }
         }
     }
-    Solution { inputs, outputs }
+    inputs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bitset::BitSet;
+
+    fn elems(s: BitSet) -> Vec<usize> {
+        (0..64).filter(|&i| s.contains(i)).collect()
+    }
 
     /// Forward may-reach: which blocks have been passed through on
     /// some path (gen the block's own index, union join).
@@ -139,16 +134,16 @@ mod tests {
     fn forward_reach_on_a_diamond() {
         let cfg = Cfg::new(4, 0, [(0, 1), (0, 2), (1, 3), (2, 3)]);
         let sol = solve(&Reach, &cfg);
-        assert_eq!(sol.inputs[3].iter().collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(sol.outputs[3].iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        assert_eq!(elems(sol[3]), vec![0, 1, 2]);
+        assert_eq!(elems(Reach.transfer(3, &sol[3])), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn forward_reach_converges_on_a_loop() {
         let cfg = Cfg::new(3, 0, [(0, 1), (1, 1), (1, 2)]);
         let sol = solve(&Reach, &cfg);
-        assert_eq!(sol.inputs[1].iter().collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(sol.outputs[2].iter().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(elems(sol[1]), vec![0, 1]);
+        assert_eq!(elems(Reach.transfer(2, &sol[2])), vec![0, 1, 2]);
     }
 
     /// Backward liveness over a two-variable program encoded in facts.
@@ -177,7 +172,7 @@ mod tests {
             let (used, defined) = self.blocks[block];
             // live-in = used ∪ (live-out ∖ defined)
             let mut out = BitSet::EMPTY;
-            for v in fact.iter() {
+            for v in elems(*fact) {
                 if !defined.contains(v) {
                     out.insert(v);
                 }
@@ -210,9 +205,9 @@ mod tests {
         let sol = solve(&live, &cfg);
         // x is live into block 1 but dead into block 0's transfer
         // output (block 0 defines it).
-        assert!(sol.outputs[1].contains(0));
-        assert_eq!(sol.outputs[0].iter().collect::<Vec<_>>(), vec![]);
-        assert_eq!(sol.inputs[1].iter().collect::<Vec<_>>(), vec![1]);
+        assert!(live.transfer(1, &sol[1]).contains(0));
+        assert_eq!(elems(live.transfer(0, &sol[0])), vec![]);
+        assert_eq!(elems(sol[1]), vec![1]);
     }
 
     /// Definite initialization: boundary fact at entry, intersection
@@ -258,8 +253,8 @@ mod tests {
         let sol = solve(&init, &cfg);
         // Only one branch defines r1, so it is not definitely
         // initialized at the join.
-        assert_eq!(sol.inputs[3], Some(BitSet::EMPTY));
-        assert_eq!(sol.inputs[1], Some(BitSet::EMPTY));
-        assert_eq!(sol.outputs[1], Some(r1));
+        assert_eq!(sol[3], Some(BitSet::EMPTY));
+        assert_eq!(sol[1], Some(BitSet::EMPTY));
+        assert_eq!(init.transfer(1, &sol[1]), Some(r1));
     }
 }

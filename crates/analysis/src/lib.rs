@@ -7,12 +7,12 @@
 //! instantiated many times (PAPERS.md: the "Fundamental Constructs"
 //! line — analyses over a small IR, reused):
 //!
-//! - [`cfg`](mod@cfg) — control-flow graphs over numbered basic blocks:
+//! - `cfg` — control-flow graphs over numbered basic blocks:
 //!   reachability, back-edge detection (loop-freeness), reverse
 //!   postorder;
-//! - [`dataflow`] — a direction-agnostic worklist solver over any
-//!   join-semilattice of facts ([`dataflow::Analysis`]);
-//! - [`bitset`] — a dense 64-element bit set, the fact domain for
+//! - `dataflow` — a direction-agnostic worklist solver over any
+//!   join-semilattice of facts ([`Analysis`]);
+//! - `bitset` — a dense 64-element bit set, the fact domain for
 //!   register-file analyses (the T register file has 8 registers);
 //! - [`diag`] — span-attributed diagnostics with a deterministic
 //!   normal form (sorted, deduplicated), so every consumer renders
@@ -24,17 +24,17 @@
 //! must-analysis), the `funtal lint` rules (dead register writes as a
 //! backward liveness analysis, unreachable blocks as CFG
 //! reachability), and static fuel-bound inference (loop-free regions
-//! via [`cfg::Cfg::is_loop_free`]).
+//! via [`Cfg::is_loop_free_from`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitset;
-pub mod cfg;
-pub mod dataflow;
+mod bitset;
+mod cfg;
+mod dataflow;
 pub mod diag;
 
 pub use bitset::BitSet;
 pub use cfg::Cfg;
-pub use dataflow::{solve, Analysis, Direction, Solution};
+pub use dataflow::{solve, Analysis, Direction};
 pub use diag::{normalize, Diagnostic, Severity};

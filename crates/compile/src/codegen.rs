@@ -65,16 +65,16 @@ pub struct Compiled {
     /// All generated blocks, shared.
     pub heap: Vec<(Label, Arc<HeapVal>)>,
     /// The entry point of each definition.
-    pub entries: BTreeMap<String, Entry>,
+    pub(crate) entries: BTreeMap<String, Entry>,
 }
 
 /// A compiled definition's entry point.
 #[derive(Clone, Debug)]
-pub struct Entry {
+pub(crate) struct Entry {
     /// The label of its first block.
-    pub label: Label,
+    pub(crate) label: Label,
     /// Its arity.
-    pub arity: usize,
+    pub(crate) arity: usize,
     /// The lowering of the definition's [`wrap`](Compiled::wrap),
     /// built the first time it is asked for.
     lowered: OnceLock<LoweredProgram>,
@@ -404,7 +404,7 @@ impl<'d> Builder<'d> {
 
 /// Compiles one definition into blocks (entry block named after the
 /// definition).
-pub fn compile_def(def: &Def, opts: CodegenOpts) -> Vec<(Label, HeapVal)> {
+pub(crate) fn compile_def(def: &Def, opts: CodegenOpts) -> Vec<(Label, HeapVal)> {
     let mut bld = Builder::new(def, opts);
     let n = bld.n;
     let entry_label = Label::new(def.name.as_str());

@@ -17,7 +17,7 @@ use crate::lang::{Def, MExpr};
 
 /// The recursive-self type `µa.(a, int, …, int) → int` for an `n`-ary
 /// self-recursive definition.
-pub fn self_mu_ty(arity: usize) -> FTy {
+pub(crate) fn self_mu_ty(arity: usize) -> FTy {
     let mut params = vec![fvar_ty("a")];
     params.extend(std::iter::repeat_n(fint(), arity));
     fmu("a", arrow(params, fint()))

@@ -78,7 +78,7 @@ impl Jit {
     }
 
     /// The current mode of a definition.
-    pub fn mode(&self, name: &str) -> Mode {
+    pub(crate) fn mode(&self, name: &str) -> Mode {
         if self.hot.contains(name) {
             Mode::Compiled
         } else {

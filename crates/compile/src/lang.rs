@@ -108,7 +108,7 @@ impl MExpr {
 
     /// True when the expression (and so its definition) makes no calls
     /// at all.
-    pub fn is_call_free(&self) -> bool {
+    pub(crate) fn is_call_free(&self) -> bool {
         let mut s = BTreeSet::new();
         self.callees(&mut s);
         s.is_empty()
@@ -123,7 +123,7 @@ pub struct Def {
     /// Parameter names.
     pub params: Vec<String>,
     /// The body.
-    pub body: MExpr,
+    pub(crate) body: MExpr,
 }
 
 impl Def {
@@ -137,14 +137,14 @@ impl Def {
     }
 
     /// The set of functions this definition calls.
-    pub fn callees(&self) -> BTreeSet<String> {
+    pub(crate) fn callees(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         self.body.callees(&mut out);
         out
     }
 
     /// True if the definition calls itself.
-    pub fn is_self_recursive(&self) -> bool {
+    pub(crate) fn is_self_recursive(&self) -> bool {
         self.callees().contains(&self.name)
     }
 }
@@ -293,7 +293,7 @@ impl Program {
 
     /// Topological order of the call graph (callees before callers,
     /// self-loops ignored). `validate` guarantees this exists.
-    pub fn topo_order(&self) -> Vec<String> {
+    pub(crate) fn topo_order(&self) -> Vec<String> {
         let mut order = Vec::new();
         let mut done: BTreeSet<String> = BTreeSet::new();
         fn visit(p: &Program, name: &str, done: &mut BTreeSet<String>, order: &mut Vec<String>) {

@@ -42,8 +42,3 @@ pub mod codegen;
 pub mod femit;
 pub mod jit;
 pub mod lang;
-
-pub use codegen::{compile_def, compile_program, CodegenOpts, Compiled};
-pub use femit::def_to_fexpr;
-pub use jit::{Jit, Mode};
-pub use lang::{Def, MExpr, MiniFError, Program};

@@ -53,7 +53,7 @@ const _: () = assert!(REG_FILE == Reg::ALL.len());
 /// Why one [`BcModule`] failed verification. Offsets (`at`) index the
 /// module's flat op stream; `ord` is a fragment ordinal.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BcVerifyError {
+pub(crate) enum BcVerifyError {
     /// The op stream is empty (even an empty entry lowers to a
     /// terminator).
     EmptyModule,
@@ -244,9 +244,9 @@ impl std::error::Error for BcVerifyError {}
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModuleVerifyError {
     /// Index of the rejected module.
-    pub module: usize,
+    pub(crate) module: usize,
     /// What the verifier found.
-    pub error: BcVerifyError,
+    pub(crate) error: BcVerifyError,
 }
 
 impl fmt::Display for ModuleVerifyError {
@@ -675,8 +675,8 @@ impl Analysis for InitAnalysis<'_> {
 fn check_init(m: &BcModule, regions: &ModuleRegions) -> Result<(), BcVerifyError> {
     let analysis = InitAnalysis { m, regions };
     let sol = solve(&analysis, &regions.cfg);
-    for r in 0..regions.cfg.node_count() {
-        let Some(mut fact) = sol.inputs[r] else {
+    for (r, fact) in sol.iter().enumerate() {
+        let Some(mut fact) = *fact else {
             continue; // statically unreachable and not enterable
         };
         let range = regions.range(r, m.ops.len());

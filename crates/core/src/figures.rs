@@ -14,7 +14,7 @@ use crate::translate::fty_to_tty;
 
 /// The continuation type `box ∀[].{r1: int; ζ} ε` shared by the figure
 /// blocks.
-pub fn int_cont_ty(z: &str, e: &str) -> TTy {
+pub(crate) fn int_cont_ty(z: &str, e: &str) -> TTy {
     code_ty(vec![], chi([(r1(), int())]), zvar(z), q_var(e))
 }
 

@@ -15,12 +15,12 @@
 //!   stack effects to F.
 //!
 //! This crate provides the FT type system ([`check`], Fig 7), the
-//! boundary type/value translations ([`translate`], Figs 9–10), the
+//! boundary type/value translations (`translate`, Figs 9–10), the
 //! two FT machines — the Fig 8 substitution oracle ([`machine`]) and
-//! the fast machine ([`machine_fast`] for F, [`machine_bc`] for T) —
-//! the bytecode verifier ([`bc_verify`]), `funtal lint` ([`lint`]),
+//! the fast machine (`machine_fast` for F, `machine_bc` for T) —
+//! the bytecode verifier (`bc_verify`), `funtal lint` (`lint`),
 //! exact fuel bounds that run the fast machine under a static loop
-//! gate ([`cost`]), the paper's mixed
+//! gate (`cost`), the paper's mixed
 //! examples ([`figures`]: the JIT example of Fig 11, the two-block
 //! equivalence of Fig 16, the two factorials of Fig 17, and the push-7
 //! stack-modifying lambda of §4.2), and the §4.2 mutable-reference
@@ -46,23 +46,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bc_verify;
+mod bc_verify;
 pub mod check;
-pub mod cost;
+mod cost;
 pub mod figures;
 mod intern;
-pub mod lint;
+mod lint;
 pub mod machine;
-pub mod machine_bc;
-pub mod machine_fast;
+mod machine_bc;
+mod machine_fast;
 pub mod mutref;
-pub mod translate;
+mod translate;
 
-pub use bc_verify::{verify_lowered, BcVerifyError, ModuleVerifyError};
-pub use check::{type_of_fexpr, typecheck, typecheck_component, FtCtx, Gamma};
+pub use bc_verify::verify_lowered;
+pub use check::{typecheck, typecheck_component, Gamma};
 pub use cost::{infer_fuel, FuelBound};
 pub use funtal_analysis::diag::{normalize, Diagnostic, Severity};
 pub use lint::lint_program;
-pub use machine::{eval_to_value, run, run_fexpr, EvalStrategy, FtOutcome, RunCfg};
 pub use machine_bc::{prelower, run_prelowered, LoweredProgram};
-pub use translate::{f_to_t, fty_to_tty, t_to_f};
+pub use translate::fty_to_tty;

@@ -511,8 +511,8 @@ fn dead_register_writes(
         if !region_reach[*r] {
             continue;
         }
-        // `inputs` of a backward problem are block-exit facts.
-        let mut live = sol.inputs[b];
+        // `solve` gives a backward problem its block-exit facts.
+        let mut live = sol[b];
         if let Some(bf) = lb.boundary[b] {
             live = live.union(bf);
         }

@@ -31,9 +31,9 @@ pub enum EvalStrategy {
     /// specification, kept as the differential-testing oracle.
     Substitution,
     /// The fast machine: the CEK-style F side of
-    /// [`crate::machine_fast`] (explicit continuation stack + value
+    /// `crate::machine_fast` (explicit continuation stack + value
     /// environment) with T code on the bytecode VM of
-    /// [`crate::machine_bc`] (each component lowered whole to a flat
+    /// `crate::machine_bc` (each component lowered whole to a flat
     /// linear IR over a flat heap). Observably identical to the oracle,
     /// including fuel accounting, events, and fresh labels. The
     /// default.

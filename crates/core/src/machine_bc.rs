@@ -1321,7 +1321,7 @@ impl Machine<'_> {
 /// state from `mem` and writing the final state back — observably
 /// identical (outcomes, events, fuel, final memory, fresh labels) to
 /// the substitution oracle.
-pub fn run_bc(
+pub(crate) fn run_bc(
     mem: &mut Memory,
     comp: &Component,
     cfg: RunCfg,

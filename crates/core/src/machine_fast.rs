@@ -52,7 +52,7 @@ use crate::translate::{check_wrappable, end_block, fty_to_tty, lambda_glue_block
 /// folds, instantiated words) behind a shared, interned [`WordVal`] so
 /// moves never deep-clone.
 #[derive(Clone, Debug, PartialEq)]
-pub enum TWord {
+pub(crate) enum TWord {
     /// `()`.
     Unit,
     /// An integer.
@@ -88,7 +88,7 @@ pub(crate) enum FastHeapVal {
 /// and a plain `Vec` stack. Mirrors [`Memory`]'s fresh-label naming
 /// exactly so both strategies allocate identical labels.
 #[derive(Debug, Default)]
-pub struct FastMem {
+pub(crate) struct FastMem {
     pub(crate) heap: Vec<FastHeapVal>,
     pub(crate) index: HashMap<Label, u32>,
     pub(crate) names: Vec<Label>,
@@ -456,7 +456,7 @@ pub(crate) fn lower_op(u: &SmallVal) -> FastOp {
 /// values never leave the evaluation thread) so projection and unfold
 /// are O(1).
 #[derive(Clone, Debug)]
-pub enum FastVal {
+pub(crate) enum FastVal {
     /// `()`.
     Unit,
     /// An integer.
@@ -477,7 +477,7 @@ pub enum FastVal {
 /// A closure: the interned `IKind::Lam` node plus the environment its
 /// free variables are looked up in.
 #[derive(Debug)]
-pub struct Closure {
+pub(crate) struct Closure {
     lam: IExpr,
     env: Env,
 }

@@ -103,7 +103,7 @@ fn pick_name(base: &str, avoid: impl Fn(&TyVar) -> bool) -> TyVar {
 }
 
 /// The code type of a translated arrow with explicit `ζ`/`ε` names.
-pub fn arrow_code_ty(
+pub(crate) fn arrow_code_ty(
     params: &[FTy],
     phi_in: &[TTy],
     phi_out: &[TTy],
@@ -131,7 +131,7 @@ pub fn arrow_code_ty(
 
 /// The continuation type `box ∀[].{r1: τ'𝒯; φo :: ζ} ε` of a translated
 /// arrow.
-pub fn arrow_cont_ty(phi_out: &[TTy], ret: &FTy, z: &TyVar, e: &TyVar) -> TTy {
+pub(crate) fn arrow_cont_ty(phi_out: &[TTy], ret: &FTy, z: &TyVar, e: &TyVar) -> TTy {
     TTy::code(
         vec![],
         RegFileTy::from_pairs([(b::r1(), fty_to_tty(ret))]),
@@ -150,7 +150,7 @@ pub fn arrow_cont_ty(phi_out: &[TTy], ret: &FTy, z: &TyVar, e: &TyVar) -> TTy {
 ///
 /// Fails when `v` is not a value of shape `ty` (well-typed boundaries
 /// never hit this).
-pub fn f_to_t(mem: &mut Memory, v: &FExpr, ty: &FTy) -> RResult<WordVal> {
+pub(crate) fn f_to_t(mem: &mut Memory, v: &FExpr, ty: &FTy) -> RResult<WordVal> {
     match (v, ty) {
         (FExpr::Int(n), FTy::Int) => Ok(WordVal::Int(*n)),
         (FExpr::Unit, FTy::Unit) => Ok(WordVal::Unit),
@@ -207,7 +207,7 @@ pub fn f_to_t(mem: &mut Memory, v: &FExpr, ty: &FTy) -> RResult<WordVal> {
 
 /// Builds the λ→code glue block (deviations D3/D4; see the module docs
 /// for the scheme).
-pub fn lambda_glue_block(
+pub(crate) fn lambda_glue_block(
     lam_value: FExpr,
     params: &[FTy],
     phi_in: &[TTy],
@@ -347,7 +347,7 @@ pub fn lambda_glue_block(
 /// For arrows this builds the Fig 10 wrapper: a lambda that imports each
 /// argument, pushes it, installs a fresh halting continuation block
 /// `ℓend` in `ra`, and `call`s the code pointer.
-pub fn t_to_f(mem: &mut Memory, w: &WordVal, ty: &FTy) -> RResult<FExpr> {
+pub(crate) fn t_to_f(mem: &mut Memory, w: &WordVal, ty: &FTy) -> RResult<FExpr> {
     match (w, ty) {
         (WordVal::Int(n), FTy::Int) => Ok(FExpr::Int(*n)),
         (WordVal::Unit, FTy::Unit) => Ok(FExpr::Unit),

@@ -4,7 +4,7 @@
 //! The disk tier ([`funtal_store::DiskStore`]) moves opaque byte
 //! payloads. Only the FT typing judgment is worth replaying from disk,
 //! so both persisted stages store *types*, framed by [`crate::wire`]
-//! (one [canonical](crate::codec) type per `\n`-separated line):
+//! (one canonical type per `\n`-separated line):
 //!
 //! | stage   | store key bytes                | payload                                   |
 //! |---------|--------------------------------|-------------------------------------------|

@@ -43,6 +43,20 @@ use crate::Pipeline;
 /// and the substitution oracle's context depth can be large.
 const WORKER_STACK_BYTES: usize = 64 * 1024 * 1024;
 
+/// Spawns `f` on a thread of `scope` with `WORKER_STACK_BYTES` of
+/// stack. Every job runs on such a thread — `Batch::run`'s workers and
+/// the `funtal` binary's commands alike — so whether a deeply nested
+/// program fits cannot depend on the entry point.
+pub fn spawn_worker<'scope, T: Send + 'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> std::thread::ScopedJoinHandle<'scope, T> {
+    std::thread::Builder::new()
+        .stack_size(WORKER_STACK_BYTES)
+        .spawn_scoped(scope, f)
+        .expect("spawning a worker thread")
+}
+
 /// The longest job line `batch` and `serve` accept, in bytes (1 MiB).
 /// A longer line becomes its own `error[driver]` result; its rest is
 /// read and discarded in bounded chunks, never held whole.
@@ -132,14 +146,6 @@ impl Job {
                 tier: Some(tier),
                 profile: false,
             },
-        }
-    }
-
-    /// A `check` job over FT source.
-    pub fn check(id: impl Into<String>, src: impl Into<String>) -> Job {
-        Job {
-            id: id.into(),
-            kind: JobKind::Check { src: src.into() },
         }
     }
 
@@ -296,7 +302,7 @@ impl Job {
     /// readable, and preserves the rejecting error's stage and message
     /// so the result line renders the diagnostic verbatim. `batch` job
     /// files and `serve`'s stdin both go through here.
-    pub fn parse_line(line: &str, lineno: usize) -> Option<Job> {
+    pub(crate) fn parse_line(line: &str, lineno: usize) -> Option<Job> {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             return None;
@@ -333,7 +339,7 @@ impl Job {
     }
 
     /// Reads a JSON-lines job stream line by line with
-    /// [`Job::parse_line`]. A line that is not UTF-8 or is longer than
+    /// `Job::parse_line`. A line that is not UTF-8 or is longer than
     /// [`MAX_JOB_LINE_BYTES`] becomes its own invalid job, so the jobs
     /// after it still run; only an I/O error ends the stream early.
     pub fn read_jsonl<R: BufRead>(mut r: R) -> impl Iterator<Item = std::io::Result<Job>> {
@@ -360,11 +366,6 @@ impl Job {
                 return Some(Ok(job));
             }
         })
-    }
-
-    /// Parses a whole JSON-lines job stream with [`Job::read_jsonl`].
-    pub fn parse_jsonl(text: &str) -> Vec<Job> {
-        Job::read_jsonl(text.as_bytes()).flatten().collect()
     }
 }
 
@@ -524,7 +525,7 @@ pub struct BatchReport {
 
 impl BatchReport {
     /// Jobs that succeeded.
-    pub fn ok_count(&self) -> usize {
+    pub(crate) fn ok_count(&self) -> usize {
         self.outcomes.iter().filter(|o| o.result.is_ok()).count()
     }
 
@@ -678,10 +679,10 @@ impl Batch {
     ///
     /// Jobs are claimed from a shared counter; each worker loops
     /// claim → execute → report until the list is drained. Every
-    /// worker — including a lone one — runs on a spawned thread with
-    /// `WORKER_STACK_BYTES` of stack, so whether a deeply recursive
-    /// program fits cannot depend on the worker count (results are a
-    /// pure function of the job list, and that includes not crashing).
+    /// worker — including a lone one — runs on a [`spawn_worker`]
+    /// thread, so whether a deeply recursive program fits cannot depend
+    /// on the worker count (results are a pure function of the job
+    /// list, and that includes not crashing).
     pub fn run(&self, jobs: &[Job]) -> BatchReport {
         let workers = self.workers.min(jobs.len()).max(1);
         let mut outcomes: Vec<Option<JobOutcome>> = Vec::new();
@@ -693,17 +694,14 @@ impl Batch {
                 for _ in 0..workers {
                     let tx = tx.clone();
                     let next = &next;
-                    std::thread::Builder::new()
-                        .stack_size(WORKER_STACK_BYTES)
-                        .spawn_scoped(scope, move || loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(job) = jobs.get(i) else { break };
-                            let out = self.run_job(job);
-                            if tx.send((i, out)).is_err() {
-                                break;
-                            }
-                        })
-                        .expect("spawning a batch worker");
+                    spawn_worker(scope, move || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(i) else { break };
+                        let out = self.run_job(job);
+                        if tx.send((i, out)).is_err() {
+                            break;
+                        }
+                    });
                 }
                 drop(tx);
                 for (i, out) in rx {
@@ -847,9 +845,16 @@ impl Batch {
 mod tests {
     use super::*;
 
+    /// Every job of a JSON-lines text, read as `serve` and `batch` read it.
+    fn read_jobs(text: &str) -> Vec<Job> {
+        Job::read_jsonl(text.as_bytes())
+            .map(Result::unwrap)
+            .collect()
+    }
+
     #[test]
     fn jobs_parse_from_jsonl() {
-        let jobs = Job::parse_jsonl(concat!(
+        let jobs = read_jobs(concat!(
             "# comment\n",
             "{\"id\":\"a\",\"cmd\":\"run\",\"src\":\"1 + 2\"}\n",
             "\n",
@@ -877,7 +882,7 @@ mod tests {
             "{\"cmd\":\"run\",\"src\":\"1\",\"fuel\":-3}", // bad fuel
             "{not json",                                   // not JSON at all
         ] {
-            let jobs = Job::parse_jsonl(line);
+            let jobs = read_jobs(line);
             assert_eq!(jobs.len(), 1, "line dropped: {line}");
             assert!(
                 matches!(jobs[0].kind, JobKind::Invalid { .. }),
@@ -885,13 +890,13 @@ mod tests {
             );
         }
         // A readable `id` on a malformed line is still echoed.
-        let jobs = Job::parse_jsonl("{\"id\":\"keepme\",\"cmd\":\"run\"}");
+        let jobs = read_jobs("{\"id\":\"keepme\",\"cmd\":\"run\"}");
         assert_eq!(jobs[0].id, "keepme");
     }
 
     #[test]
     fn poison_line_mid_stream_does_not_abort_later_jobs() {
-        let jobs = Job::parse_jsonl(concat!(
+        let jobs = read_jobs(concat!(
             "{\"id\":\"ok1\",\"cmd\":\"run\",\"src\":\"1 + 2\"}\n",
             "{\"id\":\"bad\",\"cmd\":\"run\"}\n",
             "this is not json\n",
@@ -927,7 +932,7 @@ mod tests {
     #[test]
     fn profiled_jobs_attach_a_profile_field() {
         let batch = Batch::new(Pipeline::new());
-        let jobs = Job::parse_jsonl(concat!(
+        let jobs = read_jobs(concat!(
             "{\"id\":\"p\",\"cmd\":\"run\",\"src\":\"1 + 2\",\"profile\":true}\n",
             "{\"id\":\"q\",\"cmd\":\"run\",\"src\":\"1 + 2\"}\n",
         ));
@@ -949,7 +954,12 @@ mod tests {
         let batch = Batch::new(Pipeline::new());
         let report = batch.run(&[
             Job::run("r", "6 * 7"),
-            Job::check("c", "(lam[z](x: int). x)(3)"),
+            Job {
+                id: "c".to_string(),
+                kind: JobKind::Check {
+                    src: "(lam[z](x: int). x)(3)".to_string(),
+                },
+            },
             Job {
                 id: "m".to_string(),
                 kind: JobKind::Compile {
@@ -992,9 +1002,8 @@ mod tests {
 
     #[test]
     fn tier_field_parses_and_bad_tiers_are_rejected() {
-        let jobs = Job::parse_jsonl(
-            "{\"id\":\"b\",\"cmd\":\"run\",\"src\":\"1 + 2\",\"tier\":\"bytecode\"}\n",
-        );
+        let jobs =
+            read_jobs("{\"id\":\"b\",\"cmd\":\"run\",\"src\":\"1 + 2\",\"tier\":\"bytecode\"}\n");
         assert_eq!(
             jobs[0].kind,
             JobKind::Run {
@@ -1009,7 +1018,7 @@ mod tests {
             "{\"cmd\":\"run\",\"src\":\"1\",\"tier\":7}",
         ] {
             assert!(
-                matches!(Job::parse_jsonl(line)[0].kind, JobKind::Invalid { .. }),
+                matches!(read_jobs(line)[0].kind, JobKind::Invalid { .. }),
                 "accepted: {line}"
             );
         }

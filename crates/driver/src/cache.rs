@@ -82,7 +82,7 @@ use crate::wire;
 
 /// Hit/miss counters for one cached stage.
 #[derive(Debug, Default)]
-pub struct StageCounters {
+pub(crate) struct StageCounters {
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -97,7 +97,7 @@ impl StageCounters {
     }
 
     /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> StageStats {
+    pub(crate) fn snapshot(&self) -> StageStats {
         StageStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -240,7 +240,7 @@ pub struct Parsed {
     /// Its canonical rendering (the typecheck cache key).
     pub check_key: String,
     /// Source spans of the term's heap labels, for profiled runs.
-    pub spans: Arc<SpanTable>,
+    pub(crate) spans: Arc<SpanTable>,
 }
 
 /// The shared content-addressed cache for parse, typecheck, and MiniF
@@ -338,19 +338,6 @@ impl ArtifactCache {
         })
     }
 
-    /// The type of a term, from cache or `compute`. Keyed on the
-    /// term's canonical rendering, so differently formatted sources of
-    /// the same program share one typecheck. Renders the term to build
-    /// the key; engine code that holds a [`Parsed`] artifact should
-    /// use [`check_keyed`](ArtifactCache::check_keyed) instead.
-    pub fn check<E>(
-        &self,
-        term: &FExpr,
-        compute: impl FnOnce() -> Result<FTy, E>,
-    ) -> Result<Arc<FTy>, E> {
-        self.check_keyed(&term.to_string(), compute)
-    }
-
     /// The lowered bytecode artifact for a term whose canonical
     /// rendering the caller already holds (a [`Parsed`] artifact's
     /// `check_key`). Keyed like the typecheck stage — on the term, not
@@ -412,19 +399,6 @@ impl ArtifactCache {
             lower: self.lower.counters.snapshot(),
             compile: self.compile.counters.snapshot(),
         }
-    }
-
-    /// Number of distinct artifacts currently cached (all stages).
-    pub fn len(&self) -> usize {
-        self.parse.map.lock().expect("cache poisoned").len()
-            + self.check.map.lock().expect("cache poisoned").len()
-            + self.lower.map.lock().expect("cache poisoned").len()
-            + self.compile.map.lock().expect("cache poisoned").len()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

@@ -10,7 +10,7 @@ use funtal_syntax::free::ftv_fty;
 use funtal_syntax::FTy;
 
 /// Decodes one line of canonical type text.
-pub fn decode_type(line: &str) -> Result<FTy, String> {
+pub(crate) fn decode_type(line: &str) -> Result<FTy, String> {
     let ty = funtal_parser::parse_fty(line).map_err(|e| e.to_string())?;
     if ty.to_string() != line {
         return Err("not canonical type text".into());

@@ -1,15 +1,14 @@
 //! The unified diagnostics type for the whole pipeline.
 //!
 //! Every layer of the workspace has its own error enum (lexer, parser,
-//! the pure-F checker, the shared T/FT checker, the machines, the MiniF
-//! front end). [`FunTalError`] folds them into one type with `From`
-//! impls, so drivers, examples, and tests can use `?` end-to-end instead
-//! of `Box<dyn Error>` plumbing.
+//! the shared T/FT checker, the machines, the MiniF front end).
+//! [`FunTalError`] folds them into one type with `From` impls, so
+//! drivers, examples, and tests can use `?` end-to-end instead of
+//! `Box<dyn Error>` plumbing.
 
 use std::fmt;
 
 use funtal_compile::lang::MiniFError;
-use funtal_fun::check::FTypeError;
 use funtal_parser::lex::LexError;
 use funtal_parser::parse::ParseError;
 use funtal_tal::error::{RuntimeError, TypeError};
@@ -21,8 +20,6 @@ pub enum FunTalError {
     Lex(LexError),
     /// The parser rejected the token stream.
     Parse(ParseError),
-    /// The pure-F reference checker rejected the term.
-    FType(FTypeError),
     /// The T/FT type system rejected the term or component.
     Type(TypeError),
     /// The machine faulted (never on well-typed programs).
@@ -73,7 +70,7 @@ impl FunTalError {
         match self {
             FunTalError::Lex(_) => "lex",
             FunTalError::Parse(_) => "parse",
-            FunTalError::FType(_) | FunTalError::Type(_) => "typecheck",
+            FunTalError::Type(_) => "typecheck",
             FunTalError::Runtime(_) | FunTalError::OutOfFuel { .. } => "run",
             FunTalError::MiniF(_) => "minif",
             FunTalError::Driver(_) => "driver",
@@ -99,13 +96,12 @@ impl FunTalError {
 impl FunTalError {
     /// The bare diagnostic message, without the `error[stage]`/position
     /// envelope that [`Display`](fmt::Display) adds.
-    pub fn message(&self) -> String {
+    pub(crate) fn message(&self) -> String {
         match self {
             // Lex/parse positions live in the envelope (`span`), so the
             // bare message must not repeat them.
             FunTalError::Lex(e) => e.msg.clone(),
             FunTalError::Parse(e) => e.msg.clone(),
-            FunTalError::FType(e) => e.to_string(),
             FunTalError::Type(e) => e.to_string(),
             FunTalError::Runtime(e) => e.to_string(),
             FunTalError::MiniF(e) => e.to_string(),
@@ -145,12 +141,6 @@ impl From<LexError> for FunTalError {
 impl From<ParseError> for FunTalError {
     fn from(e: ParseError) -> Self {
         FunTalError::Parse(e)
-    }
-}
-
-impl From<FTypeError> for FunTalError {
-    fn from(e: FTypeError) -> Self {
-        FunTalError::FType(e)
     }
 }
 

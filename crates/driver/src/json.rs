@@ -55,7 +55,7 @@ impl Json {
     }
 
     /// The boolean content, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,

@@ -33,9 +33,9 @@
 pub mod artifact;
 pub mod batch;
 pub mod cache;
-pub mod codec;
+mod codec;
 pub mod corpus;
-pub mod error;
+mod error;
 pub mod json;
 pub mod minif;
 pub mod report;
@@ -48,7 +48,6 @@ use funtal::LoweredProgram;
 use funtal_compile::codegen::{compile_program, CodegenOpts};
 use funtal_compile::lang::Program;
 use funtal_equiv::{equivalent, EquivCfg, Verdict};
-use funtal_parser::lex::Tok;
 use funtal_syntax::alpha::alpha_eq_fty;
 use funtal_syntax::build::{app, fint_e};
 use funtal_syntax::span::SpanTable;
@@ -58,10 +57,11 @@ use funtal_tal::trace::{CountTracer, VecTracer};
 use funtal_tal::{Profiler, RootLang};
 
 pub use batch::{Batch, BatchReport, Job, JobKind, JobOutcome, JobSuccess};
-pub use cache::{ArtifactCache, CacheStats};
+pub use cache::ArtifactCache;
 pub use error::FunTalError;
 pub use funtal_store::{DiskStore, StoreStats};
-pub use report::{Checked, CompiledMiniF, ProfileReport, RunReport, TraceReport};
+pub use report::{CompiledMiniF, RunReport};
+use report::{ProfileReport, TraceReport};
 
 /// Builds the span table attributing compiled MiniF block labels to
 /// their source definitions: every generated block is named `<def>` or
@@ -225,16 +225,6 @@ impl Pipeline {
         }
     }
 
-    // --- stage 1: lex -----------------------------------------------------
-
-    /// Tokenizes FT concrete syntax (exposed for tooling; [`parse`]
-    /// lexes internally).
-    ///
-    /// [`parse`]: Pipeline::parse
-    pub fn lex(&self, src: &str) -> Result<Vec<Tok>, FunTalError> {
-        Ok(funtal_parser::lex(src)?)
-    }
-
     // --- stage 2: parse ---------------------------------------------------
 
     /// Parses an FT expression from concrete syntax.
@@ -257,15 +247,13 @@ impl Pipeline {
     }
 
     /// Parse + typecheck in one step.
-    pub fn check_source(&self, src: &str) -> Result<Checked, FunTalError> {
-        let expr = self.parse(src)?;
-        let ty = self.check(&expr)?;
-        Ok(Checked { expr, ty })
+    pub fn check_source(&self, src: &str) -> Result<FTy, FunTalError> {
+        self.check(&self.parse(src)?)
     }
 
     /// Type-checks either kind of component — an F expression or a
     /// whole T program — against an optional expected F type.
-    pub fn check_component(
+    pub(crate) fn check_component(
         &self,
         comp: &Component,
         expected: Option<&FTy>,
@@ -356,7 +344,7 @@ impl Pipeline {
     /// speaks for the paper-literal oracle too. Attribution reads only
     /// `spans`, the table recorded at parse time; the machine and its
     /// lowered bytecode carry no spans.
-    pub fn profile_prechecked(
+    pub(crate) fn profile_prechecked(
         &self,
         e: &FExpr,
         ty: FTy,
@@ -370,7 +358,7 @@ impl Pipeline {
     /// An enabled tracer makes the bytecode VM step through the ops
     /// behind every fused head, so each one's tick is attributed to its
     /// own span.
-    pub fn profile_prelowered(
+    pub(crate) fn profile_prelowered(
         &self,
         lowered: &LoweredProgram,
         ty: FTy,
@@ -506,7 +494,6 @@ impl Pipeline {
             ty,
             outcome,
             events: tracer.events,
-            fuel: self.fuel,
         })
     }
 
@@ -531,7 +518,6 @@ impl Pipeline {
             ty,
             outcome,
             events: tracer.events,
-            fuel: self.fuel,
         })
     }
 

@@ -16,6 +16,7 @@ use std::process::ExitCode;
 
 use funtal::machine::EvalStrategy;
 use funtal_compile::codegen::CodegenOpts;
+use funtal_driver::batch::spawn_worker;
 use funtal_driver::{Batch, FunTalError, Job, JobKind, Pipeline};
 use funtal_equiv::EquivCfg;
 
@@ -279,8 +280,8 @@ fn cmd_check(o: &Opts) -> Result<(), FunTalError> {
     }
     let p = pipeline(o);
     for file in &o.files {
-        let checked = p.check_source(&read_file(file)?)?;
-        println!("{file}: {}", checked.ty);
+        let ty = p.check_source(&read_file(file)?)?;
+        println!("{file}: {ty}");
     }
     Ok(())
 }
@@ -716,6 +717,25 @@ fn cmd_store(o: &Opts) -> Result<(), FunTalError> {
     }
 }
 
+/// Dispatches one command.
+fn run_command(cmd: &str, rest: &[String]) -> Result<(), FunTalError> {
+    parse_args(rest).and_then(|o| match cmd {
+        "check" => cmd_check(&o),
+        "run" => cmd_run(&o),
+        "trace" => cmd_trace(&o),
+        "profile" => cmd_profile(&o),
+        "compile" => cmd_compile(&o),
+        "lint" => cmd_lint(&o),
+        "equiv" => cmd_equiv(&o),
+        "batch" => cmd_batch(&o),
+        "serve" => cmd_serve(&o),
+        "store" => cmd_store(&o),
+        other => Err(FunTalError::driver(format!(
+            "unknown command `{other}` (try `funtal --help`)"
+        ))),
+    })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -730,20 +750,12 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let rest = &args[1..];
-    let result = parse_args(rest).and_then(|o| match cmd.as_str() {
-        "check" => cmd_check(&o),
-        "run" => cmd_run(&o),
-        "trace" => cmd_trace(&o),
-        "profile" => cmd_profile(&o),
-        "compile" => cmd_compile(&o),
-        "lint" => cmd_lint(&o),
-        "equiv" => cmd_equiv(&o),
-        "batch" => cmd_batch(&o),
-        "serve" => cmd_serve(&o),
-        "store" => cmd_store(&o),
-        other => Err(FunTalError::driver(format!(
-            "unknown command `{other}` (try `funtal --help`)"
-        ))),
+    // The command runs on a batch worker's stack, so a job's result
+    // does not depend on whether `serve`, `batch` or `run` ran it.
+    let result = std::thread::scope(|scope| {
+        spawn_worker(scope, || run_command(cmd, rest))
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     });
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -1,5 +1,5 @@
-//! Pipeline stage outputs: checked programs, run reports, trace
-//! reports, and compiled MiniF bundles.
+//! Pipeline stage outputs: run, profile and trace reports, and
+//! compiled MiniF bundles.
 
 use std::fmt;
 
@@ -12,15 +12,6 @@ use funtal_tal::Profiler;
 
 use crate::error::FunTalError;
 use crate::json::{obj, Json};
-
-/// A parsed and type-checked FT expression.
-#[derive(Clone, Debug)]
-pub struct Checked {
-    /// The expression.
-    pub expr: FExpr,
-    /// Its FT type (Fig 7).
-    pub ty: FTy,
-}
 
 /// The result of running a program through the full pipeline.
 #[derive(Clone, Debug)]
@@ -150,20 +141,9 @@ pub struct TraceReport {
     pub outcome: FtOutcome,
     /// Every event the machines emitted, in order.
     pub events: Vec<Event>,
-    /// The fuel bound the run was given.
-    pub fuel: u64,
 }
 
 impl TraceReport {
-    /// Only the control-transfer and boundary events (drops the
-    /// per-instruction `Instr`/`FStep` noise) — the Fig 4 / Fig 12
-    /// shape.
-    pub fn transfers(&self) -> impl Iterator<Item = &Event> {
-        self.events
-            .iter()
-            .filter(|e| !matches!(e, Event::Instr | Event::FStep | Event::FBeta))
-    }
-
     /// Renders the trace as an indented control-flow diagram: boundary
     /// crossings indent/dedent (Fig 12), transfers print one per line
     /// (Fig 4).

@@ -1,5 +1,5 @@
 //! Payload framing for persisted verdicts: a known number of
-//! [canonical type](crate::codec) lines joined by `\n`.
+//! canonical type lines joined by `\n`.
 //!
 //! The reader is told how many types to expect (one for a check
 //! entry, one per definition for a compile entry), so a truncated or
@@ -16,7 +16,7 @@ pub fn encode_types<'a>(tys: impl IntoIterator<Item = &'a FTy>) -> Vec<u8> {
 }
 
 /// Decodes a payload that must hold exactly `count` types.
-pub fn decode_types(payload: &[u8], count: usize) -> Result<Vec<FTy>, String> {
+pub(crate) fn decode_types(payload: &[u8], count: usize) -> Result<Vec<FTy>, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("payload: {e}"))?;
     let lines: Vec<&str> = text.split('\n').collect();
     if lines.len() != count {

@@ -117,7 +117,7 @@ fn mutations(toks: &[String], i: usize) -> Vec<Mutation> {
 
 /// `funtal check`'s verdict on one source: the type, or the error line.
 fn verdict(p: &Pipeline, src: &str) -> Result<String, FunTalError> {
-    p.check_source(src).map(|c| c.ty.to_string())
+    p.check_source(src).map(|ty| ty.to_string())
 }
 
 fn render_corpus() -> String {

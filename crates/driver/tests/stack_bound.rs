@@ -5,7 +5,8 @@
 //! bound, as a per-job `error[typecheck]` naming the instruction. Both
 //! machines raise the same `error[run]` when a program the checker
 //! never saw passes it, including through the fast machine's fused
-//! pushes. A `serve` session answers the job after a hostile one.
+//! pushes. A `serve` session answers the job after a hostile one, and
+//! answers a deeply nested job as `batch` does.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -136,4 +137,48 @@ fn serve_answers_after_a_hostile_salloc() {
         lines[1]
     );
     assert!(lines[2].starts_with(r#"{"id":"c","cmd":"run","ok":true,"type":"int","value":"7""#));
+}
+
+/// Runs `funtal <args>` on `stdin`; returns its result lines (a
+/// `batch` summary line is dropped).
+fn result_lines(args: &[&str], stdin: &str) -> Vec<String> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_funtal"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning funtal");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(stdin.as_bytes())
+        .expect("writing jobs");
+    let out = child.wait_with_output().expect("running funtal");
+    assert!(out.status.code().is_some(), "funtal {args:?} was killed");
+    String::from_utf8(out.stdout)
+        .expect("utf-8 stdout")
+        .lines()
+        .filter(|l| !l.starts_with(r#"{"summary""#))
+        .map(str::to_string)
+        .collect()
+}
+
+/// A job's result does not depend on the entry point: `serve` runs on
+/// a batch worker's stack too. 3 000 parentheses overflow the 8 MiB
+/// main thread of a release build and fit a worker's stack in a debug
+/// one.
+#[test]
+fn serve_and_batch_agree_on_a_deeply_nested_job() {
+    let depth = 3_000;
+    let deep = format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+    let session = format!(
+        "{{\"id\":\"deep\",\"cmd\":\"run\",\"src\":\"{deep}\"}}\n\
+         {{\"id\":\"next\",\"cmd\":\"run\",\"src\":\"1 + 2\"}}\n"
+    );
+    let batch = result_lines(&["batch", "-"], &session);
+    assert_eq!(batch.len(), 2, "{batch:?}");
+    assert!(batch[0].starts_with(r#"{"id":"deep","cmd":"run","ok":true,"type":"int","value":"1""#));
+    assert_eq!(result_lines(&["serve"], &session), batch);
 }

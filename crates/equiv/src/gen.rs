@@ -32,7 +32,7 @@ impl SplitMix {
     }
 
     /// A small integer in `[-bound, bound]`.
-    pub fn small_int(&mut self, bound: i64) -> i64 {
+    pub(crate) fn small_int(&mut self, bound: i64) -> i64 {
         let span = (2 * bound + 1) as u64;
         (self.next_u64() % span) as i64 - bound
     }
@@ -198,7 +198,7 @@ pub struct GenCtx {
     /// Human-readable description for counterexample reports.
     pub describe: String,
     /// The result type of the plugged program.
-    pub result_ty: FTy,
+    pub(crate) result_ty: FTy,
     plug: Box<dyn Fn(&FExpr) -> FExpr>,
 }
 
@@ -326,7 +326,7 @@ pub fn gen_type(rng: &mut SplitMix, depth: u32) -> FTy {
 /// T operands have no negative-literal concrete syntax, so immediates
 /// stay non-negative — generated programs must round-trip through the
 /// parser (the batch engine consumes their rendering as source).
-pub fn gen_t_boundary(rng: &mut SplitMix) -> FExpr {
+pub(crate) fn gen_t_boundary(rng: &mut SplitMix) -> FExpr {
     let a = rng.below(20) as i64;
     let b = rng.below(9) as i64;
     let instr = match rng.below(3) {
@@ -347,7 +347,7 @@ pub fn gen_t_boundary(rng: &mut SplitMix) -> FExpr {
 /// F lambda whose body crosses into T, `import`s an F computation over
 /// the argument (the `TFτ` value translation), combines it with
 /// assembly arithmetic, and halts (translating back out via `τFT`).
-pub fn gen_import_lam(rng: &mut SplitMix) -> FExpr {
+pub(crate) fn gen_import_lam(rng: &mut SplitMix) -> FExpr {
     let j = rng.below(5) as i64;
     let k = rng.below(5) as i64;
     let import_body = match rng.below(3) {

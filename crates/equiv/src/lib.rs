@@ -5,15 +5,15 @@
 //! this crate operationalizes it as a **bounded testing relation**
 //! (deviation D8 in DESIGN.md):
 //!
-//! - [`observe`] runs a component for up to `k` steps and records an
-//!   [`Observation`] — the executable analogue of the `O` relation;
-//! - [`logrel::v_rel`] relates two values at an F type: base values
+//! - `observe` runs a component for up to `k` steps and records an
+//!   `Observation` — the executable analogue of the `O` relation;
+//! - `logrel::v_rel` relates two values at an F type: base values
 //!   structurally, tuples pointwise, and functions by applying both to
 //!   the same sampled related inputs — the analogue of `V⟦τ⟧`;
-//! - [`logrel::e_rel`] relates two expressions by comparing their
+//! - `logrel::e_rel` relates two expressions by comparing their
 //!   observations and relating result values — the analogue of
 //!   `E⟦q ⊢ τ;σ⟧` at the `out` marker;
-//! - [`ctx_equiv`] additionally plugs both terms into generated
+//! - [`equivalent`] additionally plugs both terms into generated
 //!   contexts, approximating `≈ctx`.
 //!
 //! Like the step index `k` in the paper's worlds, the fuel bound means a
@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod gen;
-pub mod logrel;
+mod logrel;
 
 use std::fmt;
 
@@ -34,7 +34,7 @@ use funtal_tal::trace::NullTracer;
 
 /// What a fuel-bounded run of a program reveals.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Observation {
+pub(crate) enum Observation {
     /// Terminated with a value (compared structurally at base types,
     /// via [`logrel::v_rel`] otherwise).
     Value(FExpr),
@@ -58,7 +58,7 @@ impl fmt::Display for Observation {
 }
 
 /// Runs a closed F expression and observes the outcome.
-pub fn observe(e: &FExpr, fuel: u64) -> Observation {
+pub(crate) fn observe(e: &FExpr, fuel: u64) -> Observation {
     match run_fexpr_threaded(e, RunCfg::with_fuel(fuel), NullTracer) {
         Ok((FtOutcome::Value(v), _)) => Observation::Value(v),
         Ok((FtOutcome::Halted(w), _)) => Observation::Value(FExpr::Int(match w {
@@ -76,9 +76,9 @@ pub struct Counterexample {
     /// A description of the distinguishing experiment (inputs/context).
     pub experiment: String,
     /// The first program's observation.
-    pub lhs: Observation,
+    pub(crate) lhs: Observation,
     /// The second program's observation.
-    pub rhs: Observation,
+    pub(crate) rhs: Observation,
 }
 
 impl fmt::Display for Counterexample {
@@ -149,7 +149,7 @@ impl Default for EquivCfg {
 /// Compares two observations, relating values with the bounded `V`
 /// relation at `ty`. The counterexample is boxed — it is much larger
 /// than the `Ok` path and flows straight into [`Verdict::Different`].
-pub fn obs_rel(
+pub(crate) fn obs_rel(
     a: &Observation,
     b: &Observation,
     ty: &FTy,
@@ -209,10 +209,4 @@ pub fn equivalent(e1: &FExpr, e2: &FExpr, ty: &FTy, cfg: &EquivCfg) -> Verdict {
         }
     }
     Verdict::NoDifferenceFound { experiments }
-}
-
-/// Contextual-equivalence testing: [`equivalent`] is the public entry
-/// point; this alias emphasizes the `≈ctx` reading.
-pub fn ctx_equiv(e1: &FExpr, e2: &FExpr, ty: &FTy, cfg: &EquivCfg) -> Verdict {
-    equivalent(e1, e2, ty, cfg)
 }

@@ -26,7 +26,7 @@ use crate::{observe, EquivCfg, Observation};
 ///   exactly the induction measure the paper uses for recursive types);
 /// - arrows: apply both sides to the same sampled inputs and relate the
 ///   resulting computations with [`e_rel`].
-pub fn v_rel(
+pub(crate) fn v_rel(
     v1: &FExpr,
     v2: &FExpr,
     ty: &FTy,
@@ -96,7 +96,7 @@ pub fn v_rel(
 
 /// The bounded expression relation `E⟦out ⊢ τ⟧`: run both sides and
 /// compare observations, relating terminal values with [`v_rel`].
-pub fn e_rel(
+pub(crate) fn e_rel(
     e1: &FExpr,
     e2: &FExpr,
     ty: &FTy,

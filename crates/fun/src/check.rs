@@ -80,7 +80,7 @@ impl fmt::Display for FTypeError {
 impl std::error::Error for FTypeError {}
 
 /// A typing environment `Γ`.
-pub type Env = BTreeMap<VarName, FTy>;
+pub(crate) type Env = BTreeMap<VarName, FTy>;
 
 fn expect(a: &FTy, b: &FTy, what: &'static str) -> Result<(), FTypeError> {
     if alpha_eq_fty(a, b) {
@@ -96,7 +96,7 @@ fn expect(a: &FTy, b: &FTy, what: &'static str) -> Result<(), FTypeError> {
 
 /// Checks that a type is pure F: no stack-modifying arrows (whose
 /// prefixes mention T types).
-pub fn pure_fty(t: &FTy) -> Result<(), FTypeError> {
+pub(crate) fn pure_fty(t: &FTy) -> Result<(), FTypeError> {
     match t {
         FTy::Var(_) | FTy::Unit | FTy::Int => Ok(()),
         FTy::Arrow {
@@ -282,12 +282,6 @@ pub fn subst_fty_var(body: &FTy, var: &funtal_syntax::TyVar, replacement: &FTy) 
 pub fn unroll_fty(rec: &FTy) -> Option<FTy> {
     let FTy::Rec(a, body) = rec else { return None };
     Some(subst_fty_var(body, a, rec))
-}
-
-/// Checks a closed pure-F program against an expected type.
-pub fn check_closed(e: &FExpr, expected: &FTy) -> Result<(), FTypeError> {
-    let t = type_of(&Env::new(), e)?;
-    expect(expected, &t, "program result")
 }
 
 #[cfg(test)]

@@ -29,5 +29,5 @@
 pub mod check;
 pub mod eval;
 
-pub use check::{check_closed, type_of, Env, FTypeError};
-pub use eval::{eval, eval_counting, step, FEvalError, FOutcome, FStep};
+pub use check::type_of;
+pub use eval::{eval, FOutcome};

@@ -43,8 +43,7 @@
 pub mod lex;
 pub mod parse;
 
-pub use lex::{lex, LexError, Tok, TokKind};
+pub use lex::lex;
 pub use parse::{
-    parse_fexpr, parse_fexpr_spanned, parse_fty, parse_heap_val, parse_seq, parse_stack,
-    parse_tcomp, parse_tcomp_spanned, parse_tty, ParseError,
+    parse_fexpr, parse_fexpr_spanned, parse_fty, parse_seq, parse_stack, parse_tcomp, parse_tty,
 };

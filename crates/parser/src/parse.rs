@@ -1023,15 +1023,6 @@ pub fn parse_tcomp(src: &str) -> PResult<TComp> {
     p.finish(c)
 }
 
-/// Parses a T component plus its source-span table (see
-/// [`parse_fexpr_spanned`]).
-pub fn parse_tcomp_spanned(src: &str) -> PResult<(TComp, SpanTable)> {
-    let mut p = Parser::new(src)?;
-    let c = p.tcomp()?;
-    let c = p.finish(c)?;
-    Ok((c, p.into_spans()))
-}
-
 /// Parses a T value type.
 pub fn parse_tty(src: &str) -> PResult<TTy> {
     let mut p = Parser::new(src)?;
@@ -1058,13 +1049,6 @@ pub fn parse_seq(src: &str) -> PResult<InstrSeq> {
     let mut p = Parser::new(src)?;
     let s = p.seq()?;
     p.finish(s)
-}
-
-/// Parses a heap value (`code[..]{..} q. I`, `box <..>`, `ref <..>`).
-pub fn parse_heap_val(src: &str) -> PResult<HeapVal> {
-    let mut p = Parser::new(src)?;
-    let h = p.heap_val()?;
-    p.finish(h)
 }
 
 #[cfg(test)]

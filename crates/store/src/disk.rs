@@ -44,7 +44,7 @@
 
 use std::fs;
 use std::io::{self, Read};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
@@ -52,7 +52,7 @@ use std::time::SystemTime;
 use funtal_syntax::hash::{hash_bytes, hash_bytes_from};
 
 /// Magic bytes opening every container file.
-pub const MAGIC: [u8; 4] = *b"FTST";
+pub(crate) const MAGIC: [u8; 4] = *b"FTST";
 
 /// The on-disk format version. Any change to the container layout or
 /// to a payload's encoding must bump this; old entries then reject on
@@ -95,7 +95,7 @@ impl Stage {
     }
 
     /// The stage's container tag byte.
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             Stage::Check => 0,
             Stage::Compile => 1,
@@ -103,7 +103,7 @@ impl Stage {
     }
 
     /// Inverse of [`Stage::tag`].
-    pub fn from_tag(tag: u8) -> Option<Stage> {
+    pub(crate) fn from_tag(tag: u8) -> Option<Stage> {
         Stage::ALL.into_iter().find(|s| s.tag() == tag)
     }
 
@@ -220,7 +220,7 @@ pub struct EntryInfo {
     /// File size in bytes.
     pub bytes: u64,
     /// Last-access time (the LRU clock; touched on every hit).
-    pub mtime: SystemTime,
+    pub(crate) mtime: SystemTime,
 }
 
 /// What an eviction pass did.
@@ -292,11 +292,6 @@ impl DiskStore {
             tmp_seq: AtomicU64::new(0),
             ledger: Mutex::default(),
         })
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// The configured size cap in bytes (`0` = unlimited).
@@ -455,7 +450,7 @@ impl DiskStore {
     /// Evicts least-recently-used entries until the store fits in
     /// `cap_bytes` (`0` = remove nothing, report only), and reseeds the
     /// ledger from the scan.
-    pub fn enforce_cap(&self, cap_bytes: u64) -> io::Result<GcReport> {
+    pub(crate) fn enforce_cap(&self, cap_bytes: u64) -> io::Result<GcReport> {
         self.sweep(&mut self.ledger(), cap_bytes, cap_bytes)
     }
 
@@ -585,16 +580,28 @@ pub fn parse_container(
 mod tests {
     use super::*;
 
-    fn temp_store(tag: &str, cap: u64) -> DiskStore {
+    /// A scratch directory removed on drop, also when the test panics.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A fresh store in its own scratch directory. Bind the guard
+    /// before the store so the store drops first.
+    fn temp_store(tag: &str, cap: u64) -> (TempDir, DiskStore) {
         let dir =
             std::env::temp_dir().join(format!("funtal_store_unit_{}_{}", std::process::id(), tag));
         let _ = fs::remove_dir_all(&dir);
-        DiskStore::open(dir, cap).expect("open store")
+        let store = DiskStore::open(&dir, cap).expect("open store");
+        (TempDir(dir), store)
     }
 
     #[test]
     fn save_load_round_trip_counts_protocol() {
-        let s = temp_store("roundtrip", 0);
+        let (_dir, s) = temp_store("roundtrip", 0);
         assert_eq!(s.load(Stage::Check, b"k"), None); // cold: miss
         s.save(Stage::Check, b"k", b"artifact").unwrap();
         let got = s.load(Stage::Check, b"k").expect("warm load");
@@ -607,7 +614,7 @@ mod tests {
 
     #[test]
     fn stages_do_not_alias() {
-        let s = temp_store("stages", 0);
+        let (_dir, s) = temp_store("stages", 0);
         s.save(Stage::Check, b"k", b"check-art").unwrap();
         assert_eq!(s.load(Stage::Compile, b"k"), None);
         assert_eq!(
@@ -618,7 +625,7 @@ mod tests {
 
     #[test]
     fn key_mismatch_rejects_never_serves() {
-        let s = temp_store("collide", 0);
+        let (_dir, s) = temp_store("collide", 0);
         s.save(Stage::Check, b"first-key", b"first-payload")
             .unwrap();
         // Simulate a 64-bit digest collision: the container for
@@ -639,7 +646,7 @@ mod tests {
 
     #[test]
     fn explicit_reject_removes_and_counts() {
-        let s = temp_store("reject", 0);
+        let (_dir, s) = temp_store("reject", 0);
         s.save(Stage::Compile, b"k", b"payload-that-wont-decode")
             .unwrap();
         assert!(s.load(Stage::Compile, b"k").is_some());
@@ -651,7 +658,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_rejects() {
-        let s = temp_store("bitflip", 0);
+        let (_dir, s) = temp_store("bitflip", 0);
         s.save(Stage::Compile, b"the-key", b"the-payload").unwrap();
         let path = s.entry_path(Stage::Compile, b"the-key");
         let original = fs::read(&path).unwrap();
@@ -676,7 +683,7 @@ mod tests {
 
     #[test]
     fn truncations_reject() {
-        let s = temp_store("trunc", 0);
+        let (_dir, s) = temp_store("trunc", 0);
         s.save(Stage::Check, b"key", b"some payload bytes").unwrap();
         let path = s.entry_path(Stage::Check, b"key");
         let original = fs::read(&path).unwrap();
@@ -688,7 +695,7 @@ mod tests {
 
     #[test]
     fn version_bump_rejects() {
-        let s = temp_store("version", 0);
+        let (_dir, s) = temp_store("version", 0);
         s.save(Stage::Check, b"key", b"payload").unwrap();
         let path = s.entry_path(Stage::Check, b"key");
         let mut bytes = fs::read(&path).unwrap();
@@ -700,7 +707,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_cap_and_recency() {
-        let s = temp_store("lru", 0);
+        let (_dir, s) = temp_store("lru", 0);
         let payload = vec![0u8; 128];
         s.save(Stage::Check, b"old", &payload).unwrap();
         s.save(Stage::Check, b"mid", &payload).unwrap();
@@ -731,7 +738,7 @@ mod tests {
 
     #[test]
     fn gc_with_zero_cap_reports_without_removing() {
-        let s = temp_store("gc0", 0);
+        let (_dir, s) = temp_store("gc0", 0);
         s.save(Stage::Check, b"a", b"x").unwrap();
         let report = s.gc().unwrap();
         assert_eq!(report.removed, 0);
@@ -741,7 +748,7 @@ mod tests {
 
     #[test]
     fn huge_key_lengths_reject_without_panicking() {
-        let s = temp_store("keylen", 0);
+        let (_dir, s) = temp_store("keylen", 0);
         s.save(Stage::Check, b"k", b"artifact").unwrap();
         let good = fs::read(s.entry_path(Stage::Check, b"k")).unwrap();
         let rest_len = good.len() - 23;
@@ -778,7 +785,7 @@ mod tests {
 
     #[test]
     fn load_touches_the_lru_clock() {
-        let s = temp_store("touch", 0);
+        let (_dir, s) = temp_store("touch", 0);
         s.save(Stage::Check, b"k", b"artifact").unwrap();
         set_mtime(&s, b"k", 1_000);
         assert!(s.load(Stage::Check, b"k").is_some());
@@ -791,12 +798,12 @@ mod tests {
 
     #[test]
     fn failed_save_removes_its_temp_file() {
-        let s = temp_store("tmpfail", 0);
+        let (dir, s) = temp_store("tmpfail", 0);
         // A non-empty directory at the entry's path makes the rename fail.
         let path = s.entry_path(Stage::Check, b"k");
         fs::create_dir_all(path.join("occupied")).unwrap();
         assert!(s.save(Stage::Check, b"k", b"artifact").is_err());
-        let leftovers: Vec<_> = fs::read_dir(s.root().join("check"))
+        let leftovers: Vec<_> = fs::read_dir(dir.0.join("check"))
             .unwrap()
             .map(|e| e.unwrap().file_name())
             .filter(|n| n.to_string_lossy().starts_with(".tmp-"))
@@ -806,7 +813,7 @@ mod tests {
 
     #[test]
     fn eviction_goes_on_past_an_entry_already_gone() {
-        let s = temp_store("gone", 0);
+        let (_dir, s) = temp_store("gone", 0);
         for i in 0..4 {
             put(&s, i);
             set_mtime(&s, format!("k{i:04}").as_bytes(), 1_000 + i as u64);
@@ -823,7 +830,7 @@ mod tests {
     #[test]
     fn one_writer_stays_within_the_cap() {
         let cap = 16 * ENTRY;
-        let s = temp_store("bound1", cap);
+        let (_dir, s) = temp_store("bound1", cap);
         for i in 0..160 {
             put(&s, i);
             assert!(total(&s) <= cap, "save {i}: {} > {cap}", total(&s));
@@ -834,8 +841,8 @@ mod tests {
     #[test]
     fn two_writers_stay_within_the_cap_plus_an_eighth() {
         let cap = 16 * ENTRY;
-        let a = temp_store("bound2", cap);
-        let b = DiskStore::open(a.root(), cap).unwrap();
+        let (dir, a) = temp_store("bound2", cap);
+        let b = DiskStore::open(&dir.0, cap).unwrap();
         for i in 0..160 {
             put(if i % 2 == 0 { &a } else { &b }, i);
             assert!(total(&a) <= cap + cap / 8, "save {i}: {}", total(&a));
@@ -844,7 +851,7 @@ mod tests {
 
     #[test]
     fn a_sweep_keeps_the_recently_loaded_entry() {
-        let s = temp_store("recent", 8 * ENTRY);
+        let (_dir, s) = temp_store("recent", 8 * ENTRY);
         for i in 0..8 {
             put(&s, i);
         }
@@ -863,7 +870,7 @@ mod tests {
     #[test]
     fn saves_into_a_full_store_scan_on_a_budget() {
         let cap = 64 * ENTRY;
-        let s = temp_store("budget", cap);
+        let (_dir, s) = temp_store("budget", cap);
         for i in 0..64 {
             put(&s, i);
         }
@@ -882,9 +889,9 @@ mod tests {
 
     #[test]
     fn temp_files_are_invisible_to_entries() {
-        let s = temp_store("tmpvis", 0);
+        let (dir, s) = temp_store("tmpvis", 0);
         s.save(Stage::Check, b"a", b"x").unwrap();
-        fs::write(s.root().join("check").join(".tmp-999-0"), b"partial").unwrap();
+        fs::write(dir.0.join("check").join(".tmp-999-0"), b"partial").unwrap();
         let entries = s.entries(Stage::Check).unwrap();
         assert_eq!(entries.len(), 1);
     }

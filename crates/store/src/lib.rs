@@ -12,7 +12,7 @@
 //! moves opaque byte payloads; the driver encodes each verdict as
 //! canonical type text and re-parses it on load.
 //!
-//! [`disk`] holds [`DiskStore`]: atomic temp-file + rename writes, a
+//! `disk` holds [`DiskStore`]: atomic temp-file + rename writes, a
 //! container header that stores the *full key* (so a 64-bit digest
 //! collision can never serve a wrong artifact), checksums, per-stage
 //! hit/miss/reject counters, and size-capped mtime-LRU eviction.
@@ -22,9 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod disk;
+mod disk;
 
-pub use disk::{
-    parse_container, ContainerError, DiskStore, EntryInfo, GcReport, Stage, StageDiskStats,
-    StoreStats, FORMAT_VERSION,
-};
+pub use disk::{parse_container, DiskStore, Stage, StageDiskStats, StoreStats, FORMAT_VERSION};

@@ -130,7 +130,7 @@ impl Reg {
     }
 
     /// The register's name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Reg::R1 => "r1",
             Reg::R2 => "r2",
@@ -167,7 +167,7 @@ pub fn fresh_tyvar(base: &TyVar, avoid: impl Fn(&TyVar) -> bool) -> TyVar {
 }
 
 /// Returns a term variable named like `base` that is not in `avoid`.
-pub fn fresh_varname(base: &VarName, avoid: impl Fn(&VarName) -> bool) -> VarName {
+pub(crate) fn fresh_varname(base: &VarName, avoid: impl Fn(&VarName) -> bool) -> VarName {
     let stem = base.as_str().split('#').next().unwrap_or("x");
     let mut i: u64 = 1;
     loop {

@@ -50,7 +50,6 @@ pub mod term;
 pub mod ty;
 
 pub use ids::{Label, Reg, TyVar, VarName};
-pub use span::{Span, SpanTable};
 pub use term::{
     ArithOp, CodeBlock, Component, FExpr, HeapFrag, HeapVal, Instr, InstrSeq, Lam, SmallVal, TComp,
     Terminator, WordVal,

@@ -21,7 +21,7 @@ fn ren(map: &Renaming, l: &Label) -> Label {
 }
 
 /// Renames labels in a word value.
-pub fn rename_word(w: &WordVal, map: &Renaming) -> WordVal {
+pub(crate) fn rename_word(w: &WordVal, map: &Renaming) -> WordVal {
     match w {
         WordVal::Loc(l) => WordVal::Loc(ren(map, l)),
         WordVal::Unit | WordVal::Int(_) => w.clone(),
@@ -42,7 +42,7 @@ pub fn rename_word(w: &WordVal, map: &Renaming) -> WordVal {
 }
 
 /// Renames labels in a small value.
-pub fn rename_small(u: &SmallVal, map: &Renaming) -> SmallVal {
+pub(crate) fn rename_small(u: &SmallVal, map: &Renaming) -> SmallVal {
     match u {
         SmallVal::Reg(_) => u.clone(),
         SmallVal::Word(w) => SmallVal::Word(rename_word(w, map)),
@@ -63,7 +63,7 @@ pub fn rename_small(u: &SmallVal, map: &Renaming) -> SmallVal {
 }
 
 /// Renames labels in an instruction.
-pub fn rename_instr(i: &Instr, map: &Renaming) -> Instr {
+pub(crate) fn rename_instr(i: &Instr, map: &Renaming) -> Instr {
     match i {
         Instr::Arith { op, rd, rs, src } => Instr::Arith {
             op: *op,
@@ -137,7 +137,7 @@ pub fn rename_heap_val(h: &HeapVal, map: &Renaming) -> HeapVal {
 
 /// Renames labels in a T component, respecting shadowing by the
 /// component's own heap.
-pub fn rename_tcomp(c: &TComp, map: &Renaming) -> TComp {
+pub(crate) fn rename_tcomp(c: &TComp, map: &Renaming) -> TComp {
     // Labels defined by this component's own heap shadow the renaming.
     let inner: Renaming = map
         .iter()
@@ -158,7 +158,7 @@ pub fn rename_tcomp(c: &TComp, map: &Renaming) -> TComp {
 }
 
 /// Renames labels in an F expression (reaching through boundaries).
-pub fn rename_fexpr(e: &FExpr, map: &Renaming) -> FExpr {
+pub(crate) fn rename_fexpr(e: &FExpr, map: &Renaming) -> FExpr {
     match e {
         FExpr::Var(_) | FExpr::Unit | FExpr::Int(_) => e.clone(),
         FExpr::Binop { op, lhs, rhs } => FExpr::Binop {

@@ -96,7 +96,7 @@ pub struct SpanTable {
     /// The whole program's span.
     pub root: Span,
     /// Label name → source span.
-    pub labels: BTreeMap<String, Span>,
+    pub(crate) labels: BTreeMap<String, Span>,
 }
 
 impl SpanTable {

@@ -1,21 +1,19 @@
 //! Capture-avoiding substitution of type instantiations `ω ::= τ | σ | q`
 //! for type variables, and of F values for F term variables.
 //!
-//! Type substitution is the engine behind jumping to polymorphic code
-//! blocks (`jmp u[ω̄]`, `call u {σ0, q}`), `unpack`, `protect`, and the
-//! boundary translations.
+//! Type substitution instantiates types only: polymorphic code types
+//! at `jmp u[ω̄]` and `call u {σ0, q}`, `unpack`ed existentials and
+//! unrolled recursive types. The machines erase types, so no type
+//! substitution reaches a term.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::free::{ftv_inst, fv_fexpr};
 use crate::ids::{fresh_tyvar, fresh_varname, TyVar, VarName};
-use crate::term::{
-    CodeBlock, Component, FExpr, HeapFrag, HeapVal, Instr, InstrSeq, Lam, SmallVal, TComp,
-    Terminator, WordVal,
-};
+use crate::term::{CodeBlock, FExpr, HeapVal, Instr, InstrSeq, Lam, TComp};
 use crate::ty::{
-    CodeTy, FTy, HeapTy, Inst, Kind, RegFileTy, RetMarker, StackTail, StackTy, TTy, TyVarDecl,
+    CodeTy, HeapTy, Inst, Kind, RegFileTy, RetMarker, StackTail, StackTy, TTy, TyVarDecl,
 };
 
 /// A finite substitution from type variables to instantiations.
@@ -50,7 +48,7 @@ impl Subst {
     }
 
     /// True if the substitution has no effect.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
@@ -155,7 +153,7 @@ impl Subst {
     }
 
     /// Applies the substitution to a heap type.
-    pub fn heap_ty(&self, h: &HeapTy) -> HeapTy {
+    pub(crate) fn heap_ty(&self, h: &HeapTy) -> HeapTy {
         match h {
             HeapTy::Tuple(ts) => HeapTy::Tuple(ts.iter().map(|t| self.tty(t)).collect()),
             HeapTy::Code(c) => HeapTy::Code(self.code_ty(c)),
@@ -164,7 +162,7 @@ impl Subst {
 
     /// Applies the substitution to a code type (respecting its `∀[∆]`
     /// binders).
-    pub fn code_ty(&self, c: &CodeTy) -> CodeTy {
+    pub(crate) fn code_ty(&self, c: &CodeTy) -> CodeTy {
         let (delta, inner) = self.under_binders(&c.delta);
         let s = inner.as_ref().unwrap_or(self);
         CodeTy {
@@ -232,326 +230,6 @@ impl Subst {
             Inst::Ty(t) => Inst::Ty(self.tty(t)),
             Inst::Stack(s) => Inst::Stack(self.stack(s)),
             Inst::Ret(q) => Inst::Ret(self.ret(q)),
-        }
-    }
-
-    /// Applies the substitution to an F type.
-    pub fn fty(&self, t: &FTy) -> FTy {
-        if self.is_empty() {
-            return t.clone();
-        }
-        match t {
-            FTy::Var(v) => match self.lookup(v) {
-                None => t.clone(),
-                Some(Inst::Ty(TTy::Var(v2))) => FTy::Var(v2.clone()),
-                Some(other) => panic!(
-                    "kind error: substituting {other:?} for F type variable {v} \
-                     (only renamings reach F types)"
-                ),
-            },
-            FTy::Unit | FTy::Int => t.clone(),
-            FTy::Arrow {
-                params,
-                phi_in,
-                phi_out,
-                ret,
-            } => FTy::Arrow {
-                params: params.iter().map(|t| self.fty(t)).collect(),
-                phi_in: phi_in.iter().map(|t| self.tty(t)).collect(),
-                phi_out: phi_out.iter().map(|t| self.tty(t)).collect(),
-                ret: Box::new(self.fty(ret)),
-            },
-            FTy::Rec(v, body) => {
-                let (v2, body) = self.under(v, Kind::Ty, |s| s.fty(body));
-                FTy::Rec(v2, Box::new(body))
-            }
-            FTy::Tuple(ts) => FTy::Tuple(ts.iter().map(|t| self.fty(t)).collect()),
-        }
-    }
-
-    /// Applies the substitution to a word value.
-    pub fn word(&self, w: &WordVal) -> WordVal {
-        match w {
-            WordVal::Unit | WordVal::Int(_) | WordVal::Loc(_) => w.clone(),
-            WordVal::Pack { hidden, body, ann } => WordVal::Pack {
-                hidden: self.tty(hidden),
-                body: Box::new(self.word(body)),
-                ann: self.tty(ann),
-            },
-            WordVal::Fold { ann, body } => WordVal::Fold {
-                ann: self.tty(ann),
-                body: Box::new(self.word(body)),
-            },
-            WordVal::Inst { body, args } => WordVal::Inst {
-                body: Box::new(self.word(body)),
-                args: args.iter().map(|a| self.inst(a)).collect(),
-            },
-        }
-    }
-
-    /// Applies the substitution to a small value.
-    pub fn small(&self, u: &SmallVal) -> SmallVal {
-        match u {
-            SmallVal::Reg(_) => u.clone(),
-            SmallVal::Word(w) => SmallVal::Word(self.word(w)),
-            SmallVal::Pack { hidden, body, ann } => SmallVal::Pack {
-                hidden: self.tty(hidden),
-                body: Box::new(self.small(body)),
-                ann: self.tty(ann),
-            },
-            SmallVal::Fold { ann, body } => SmallVal::Fold {
-                ann: self.tty(ann),
-                body: Box::new(self.small(body)),
-            },
-            SmallVal::Inst { body, args } => SmallVal::Inst {
-                body: Box::new(self.small(body)),
-                args: args.iter().map(|a| self.inst(a)).collect(),
-            },
-        }
-    }
-
-    /// Applies the substitution to an instruction sequence, respecting
-    /// the binders introduced by `unpack`, `protect`, and `import`.
-    pub fn seq(&self, seq: &InstrSeq) -> InstrSeq {
-        self.seq_parts(&seq.instrs, &seq.term)
-    }
-
-    fn seq_parts(&self, instrs: &[Instr], term: &Terminator) -> InstrSeq {
-        if self.is_empty() {
-            return InstrSeq::new(instrs.to_vec(), term.clone());
-        }
-        let Some((head, rest)) = instrs.split_first() else {
-            return InstrSeq::just(self.terminator(term));
-        };
-        let (head2, inner) = match head {
-            Instr::Arith { op, rd, rs, src } => (
-                Instr::Arith {
-                    op: *op,
-                    rd: *rd,
-                    rs: *rs,
-                    src: self.small(src),
-                },
-                self.clone(),
-            ),
-            Instr::Bnz { r, target } => (
-                Instr::Bnz {
-                    r: *r,
-                    target: self.small(target),
-                },
-                self.clone(),
-            ),
-            Instr::Mv { rd, src } => (
-                Instr::Mv {
-                    rd: *rd,
-                    src: self.small(src),
-                },
-                self.clone(),
-            ),
-            Instr::Ld { .. }
-            | Instr::St { .. }
-            | Instr::Ralloc { .. }
-            | Instr::Balloc { .. }
-            | Instr::Salloc(_)
-            | Instr::Sfree(_)
-            | Instr::Sld { .. }
-            | Instr::Sst { .. } => (head.clone(), self.clone()),
-            Instr::Unfold { rd, src } => (
-                Instr::Unfold {
-                    rd: *rd,
-                    src: self.small(src),
-                },
-                self.clone(),
-            ),
-            Instr::Unpack { tv, rd, src } => {
-                let src2 = self.small(src);
-                let (s, tv2) = self
-                    .under_binder(tv, Kind::Ty)
-                    .unwrap_or_else(|| (self.clone(), tv.clone()));
-                (
-                    Instr::Unpack {
-                        tv: tv2,
-                        rd: *rd,
-                        src: src2,
-                    },
-                    s,
-                )
-            }
-            Instr::Protect { phi, zeta } => {
-                let phi2: Vec<TTy> = phi.iter().map(|t| self.tty(t)).collect();
-                let (s, z2) = self
-                    .under_binder(zeta, Kind::Stack)
-                    .unwrap_or_else(|| (self.clone(), zeta.clone()));
-                (
-                    Instr::Protect {
-                        phi: phi2,
-                        zeta: z2,
-                    },
-                    s,
-                )
-            }
-            Instr::Import {
-                rd,
-                zeta,
-                protected,
-                ty,
-                body,
-            } => {
-                let protected2 = self.stack(protected);
-                let (z2, (ty2, body2)) =
-                    self.under(zeta, Kind::Stack, |s| (s.fty(ty), s.fexpr(body)));
-                (
-                    Instr::Import {
-                        rd: *rd,
-                        zeta: z2,
-                        protected: protected2,
-                        ty: ty2,
-                        body: Box::new(body2),
-                    },
-                    // `import`'s binder scopes only over the embedded
-                    // expression, not the rest of the sequence.
-                    self.clone(),
-                )
-            }
-        };
-        let mut out = inner.seq_parts(rest, term);
-        out.instrs.insert(0, head2);
-        out
-    }
-
-    /// Applies the substitution to a terminator.
-    pub fn terminator(&self, t: &Terminator) -> Terminator {
-        match t {
-            Terminator::Jmp(u) => Terminator::Jmp(self.small(u)),
-            Terminator::Call { target, sigma, q } => Terminator::Call {
-                target: self.small(target),
-                sigma: self.stack(sigma),
-                q: self.ret(q),
-            },
-            Terminator::Ret { target, val } => Terminator::Ret {
-                target: *target,
-                val: *val,
-            },
-            Terminator::Halt { ty, sigma, val } => Terminator::Halt {
-                ty: self.tty(ty),
-                sigma: self.stack(sigma),
-                val: *val,
-            },
-        }
-    }
-
-    /// Applies the substitution to a code block (respecting `∆`).
-    pub fn block(&self, b: &CodeBlock) -> CodeBlock {
-        let (delta, inner) = self.under_binders(&b.delta);
-        let s = inner.as_ref().unwrap_or(self);
-        CodeBlock {
-            delta,
-            chi: s.chi(&b.chi),
-            sigma: s.stack(&b.sigma),
-            q: s.ret(&b.q),
-            body: s.seq(&b.body),
-        }
-    }
-
-    /// Applies the substitution to a heap value.
-    pub fn heap_val(&self, h: &HeapVal) -> HeapVal {
-        match h {
-            HeapVal::Code(b) => HeapVal::Code(self.block(b)),
-            HeapVal::Tuple { mutability, fields } => HeapVal::Tuple {
-                mutability: *mutability,
-                fields: fields.iter().map(|w| self.word(w)).collect(),
-            },
-        }
-    }
-
-    /// Applies the substitution to a heap fragment.
-    pub fn heap_frag(&self, h: &HeapFrag) -> HeapFrag {
-        h.iter()
-            .map(|(l, v)| (l.clone(), self.heap_val(v)))
-            .collect()
-    }
-
-    /// Applies the substitution to a T component.
-    pub fn tcomp(&self, c: &TComp) -> TComp {
-        TComp {
-            seq: self.seq(&c.seq),
-            heap: self.heap_frag(&c.heap),
-        }
-    }
-
-    /// Applies the substitution to the type annotations of an F
-    /// expression.
-    pub fn fexpr(&self, e: &FExpr) -> FExpr {
-        if self.is_empty() {
-            return e.clone();
-        }
-        match e {
-            FExpr::Var(_) | FExpr::Unit | FExpr::Int(_) => e.clone(),
-            FExpr::Binop { op, lhs, rhs } => FExpr::Binop {
-                op: *op,
-                lhs: Box::new(self.fexpr(lhs)),
-                rhs: Box::new(self.fexpr(rhs)),
-            },
-            FExpr::If0 {
-                cond,
-                then_branch,
-                else_branch,
-            } => FExpr::If0 {
-                cond: Box::new(self.fexpr(cond)),
-                then_branch: Box::new(self.fexpr(then_branch)),
-                else_branch: Box::new(self.fexpr(else_branch)),
-            },
-            FExpr::Lam(lam) => {
-                let params: Vec<(VarName, FTy)> = lam
-                    .params
-                    .iter()
-                    .map(|(x, t)| (x.clone(), self.fty(t)))
-                    .collect();
-                let (zeta, (phi_in, phi_out, body)) = self.under(&lam.zeta, Kind::Stack, |s| {
-                    (
-                        lam.phi_in.iter().map(|t| s.tty(t)).collect(),
-                        lam.phi_out.iter().map(|t| s.tty(t)).collect(),
-                        s.fexpr(&lam.body),
-                    )
-                });
-                FExpr::Lam(Box::new(Lam {
-                    params,
-                    zeta,
-                    phi_in,
-                    phi_out,
-                    body,
-                }))
-            }
-            FExpr::App { func, args } => FExpr::App {
-                func: Box::new(self.fexpr(func)),
-                args: args.iter().map(|a| self.fexpr(a)).collect(),
-            },
-            FExpr::Fold { ann, body } => FExpr::Fold {
-                ann: self.fty(ann),
-                body: Box::new(self.fexpr(body)),
-            },
-            FExpr::Unfold(body) => FExpr::Unfold(Box::new(self.fexpr(body))),
-            FExpr::Tuple(es) => FExpr::Tuple(es.iter().map(|e| self.fexpr(e)).collect()),
-            FExpr::Proj { idx, tuple } => FExpr::Proj {
-                idx: *idx,
-                tuple: Box::new(self.fexpr(tuple)),
-            },
-            FExpr::Boundary {
-                ty,
-                sigma_out,
-                comp,
-            } => FExpr::Boundary {
-                ty: self.fty(ty),
-                sigma_out: sigma_out.as_ref().map(|s| self.stack(s)),
-                comp: Box::new(self.tcomp(comp)),
-            },
-        }
-    }
-
-    /// Applies the substitution to a component.
-    pub fn component(&self, c: &Component) -> Component {
-        match c {
-            Component::F(e) => Component::F(self.fexpr(e)),
-            Component::T(t) => Component::T(self.tcomp(t)),
         }
     }
 }
@@ -650,7 +328,7 @@ pub fn subst_fvars(e: &FExpr, map: &BTreeMap<VarName, FExpr>) -> FExpr {
 
 /// Substitutes F expressions for free term variables inside a T component
 /// (reaching `import` bodies).
-pub fn subst_fvars_tcomp(c: &TComp, map: &BTreeMap<VarName, FExpr>) -> TComp {
+pub(crate) fn subst_fvars_tcomp(c: &TComp, map: &BTreeMap<VarName, FExpr>) -> TComp {
     if map.is_empty() {
         return c.clone();
     }
@@ -703,6 +381,7 @@ pub fn subst_fvars_seq(seq: &InstrSeq, map: &BTreeMap<VarName, FExpr>) -> InstrS
 mod tests {
     use super::*;
     use crate::ids::Reg;
+    use crate::ty::FTy;
 
     fn z() -> TyVar {
         TyVar::new("z")
@@ -743,28 +422,6 @@ mod tests {
         let q = RetMarker::Var(TyVar::new("e"));
         let out = Subst::one(TyVar::new("e"), Inst::Ret(RetMarker::Reg(Reg::Ra))).ret(&q);
         assert_eq!(out, RetMarker::Reg(Reg::Ra));
-    }
-
-    #[test]
-    fn unpack_binder_shadows_in_rest() {
-        let seq = InstrSeq::new(
-            vec![Instr::Unpack {
-                tv: TyVar::new("a"),
-                rd: Reg::R1,
-                src: SmallVal::Reg(Reg::R2),
-            }],
-            Terminator::Halt {
-                ty: TTy::Var(TyVar::new("a")),
-                sigma: StackTy::nil(),
-                val: Reg::R1,
-            },
-        );
-        let out = Subst::one(TyVar::new("a"), Inst::Ty(TTy::Int)).seq(&seq);
-        // The halt annotation still refers to the unpack-bound `a`.
-        match &out.term {
-            Terminator::Halt { ty, .. } => assert_eq!(ty, &TTy::Var(TyVar::new("a"))),
-            _ => unreachable!(),
-        }
     }
 
     #[test]

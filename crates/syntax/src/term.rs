@@ -30,7 +30,7 @@ impl ArithOp {
     }
 
     /// The T mnemonic (`add`, `sub`, `mul`).
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             ArithOp::Add => "add",
             ArithOp::Sub => "sub",
@@ -435,7 +435,7 @@ impl HeapFrag {
     }
 
     /// Looks up a label.
-    pub fn get(&self, l: &Label) -> Option<&HeapVal> {
+    pub(crate) fn get(&self, l: &Label) -> Option<&HeapVal> {
         self.0.get(l).map(|v| &**v)
     }
 

@@ -145,7 +145,7 @@ pub struct CodeTy {
 
 /// A register-file typing `χ`: a finite map from registers to value types.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct RegFileTy(pub BTreeMap<Reg, TTy>);
+pub struct RegFileTy(pub(crate) BTreeMap<Reg, TTy>);
 
 impl RegFileTy {
     /// The empty register-file typing.
@@ -179,11 +179,6 @@ impl RegFileTy {
     /// Iterates over the entries in register order.
     pub fn iter(&self) -> impl Iterator<Item = (Reg, &TTy)> {
         self.0.iter().map(|(r, t)| (*r, t))
-    }
-
-    /// True if no register is constrained.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
@@ -423,7 +418,7 @@ impl HeapTyping {
     }
 
     /// Iterates over entries in label order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Label, &(Mutability, Arc<HeapTy>))> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Label, &(Mutability, Arc<HeapTy>))> {
         self.0.iter()
     }
 }

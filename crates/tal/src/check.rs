@@ -4,7 +4,7 @@
 //! metafunctions, and component typing `Ψ;∆;χ;σ;q ⊢ (I,H) : τ;σ'`.
 //!
 //! The FT checker reuses everything here via the `*_with` entry points,
-//! which take the instruction rule to check with ([`ExtHook`]): the FT
+//! which take the instruction rule to check with (`ExtHook`): the FT
 //! checker extends [`check_instr`] with the multi-language instructions
 //! (`import`, `protect`).
 
@@ -145,7 +145,7 @@ pub fn ret_type(q: &RetMarker, chi: &RegFileTy, sigma: &StackTy) -> TResult<(TTy
 
 /// `ret-addr-type(q, χ, σ)` (Fig 2): the full code type of the return
 /// continuation at `q` (only defined for register and stack markers).
-pub fn ret_addr_type<'a>(
+pub(crate) fn ret_addr_type<'a>(
     q: &RetMarker,
     chi: &'a RegFileTy,
     sigma: &'a StackTy,
@@ -169,7 +169,7 @@ pub fn ret_addr_type<'a>(
 /// # Errors
 ///
 /// Returns [`TypeError::MultiLanguage`] for `import`/`protect`; the FT
-/// checker's instruction rule ([`ExtHook`]) handles those.
+/// checker's instruction rule (`ExtHook`) handles those.
 pub fn check_instr(mut ctx: TCtx, instr: &Instr) -> TResult<TCtx> {
     match instr {
         Instr::Arith { rd, rs, src, .. } => {
@@ -616,11 +616,11 @@ fn check_call(ctx: &TCtx, target: &SmallVal, sigma0: &StackTy, qarg: &RetMarker)
 /// multi-language instructions (`import`, `protect`). Like
 /// [`check_instr`], it takes the context by value and returns the
 /// context after the instruction.
-pub type ExtHook<'a> = dyn FnMut(TCtx, &Instr) -> TResult<TCtx> + 'a;
+pub(crate) type ExtHook<'a> = dyn FnMut(TCtx, &Instr) -> TResult<TCtx> + 'a;
 
 /// Checks an instruction sequence with the instruction rule `ext`. The
 /// one context moves from instruction to instruction.
-pub fn check_seq_with(mut ctx: TCtx, seq: &InstrSeq, ext: &mut ExtHook<'_>) -> TResult<()> {
+pub(crate) fn check_seq_with(mut ctx: TCtx, seq: &InstrSeq, ext: &mut ExtHook<'_>) -> TResult<()> {
     for (i, instr) in seq.instrs.iter().enumerate() {
         check_marker(&ctx).map_err(|e| e.at(format!("instruction {i} ({instr})")))?;
         ctx = ext(ctx, instr).map_err(|e| e.at(format!("instruction {i} ({instr})")))?;
@@ -701,7 +701,7 @@ pub fn infer_heap_typing<'h>(
 
 /// Checks one code block under a full heap typing, with the instruction
 /// rule `ext`.
-pub fn check_block_with(
+pub(crate) fn check_block_with(
     psi: &HeapTyping,
     label: &Label,
     block: &CodeBlock,
@@ -751,7 +751,7 @@ pub fn check_component_with(
 }
 
 /// Checks a pure-T component.
-pub fn check_component(ctx: TCtx, comp: &TComp) -> TResult<(TTy, StackTy)> {
+pub(crate) fn check_component(ctx: TCtx, comp: &TComp) -> TResult<(TTy, StackTy)> {
     check_component_with(ctx, comp, &mut check_instr)
 }
 

@@ -110,7 +110,7 @@ pub enum TypeError {
 
 impl TypeError {
     /// Wraps the error with a breadcrumb describing where it happened.
-    pub fn at(self, loc: impl fmt::Display) -> TypeError {
+    pub(crate) fn at(self, loc: impl fmt::Display) -> TypeError {
         TypeError::Context {
             at: loc.to_string(),
             cause: Box::new(self),

@@ -9,7 +9,7 @@ use funtal_syntax::{TComp, TTy};
 
 /// The continuation type `box ∀[].{r1: int; ζ} ε` that threads through
 /// Figure 3, parameterized by the names of `ζ` and `ε`.
-pub fn fig3_cont_ty(z: &str, e: &str) -> TTy {
+pub(crate) fn fig3_cont_ty(z: &str, e: &str) -> TTy {
     code_ty(vec![], chi([(r1(), int())]), zvar(z), q_var(e))
 }
 

@@ -16,7 +16,7 @@
 //! - [`machine`] — the small-step abstract machine over memories
 //!   `M = (H, R, S)`, with heap-fragment merging and fuel-bounded
 //!   execution;
-//! - [`wf`], [`value_ty`] — well-formedness and value-typing judgments,
+//! - [`wf`], `value_ty` — well-formedness and value-typing judgments,
 //!   shared with the FT checker in the `funtal` crate;
 //! - [`trace`] — control-flow events used to regenerate Fig 4/Fig 12;
 //! - [`figures`] — Figure 3 reconstructed as a syntax tree.
@@ -47,14 +47,10 @@ pub mod check;
 pub mod error;
 pub mod figures;
 pub mod machine;
-pub mod profile;
+mod profile;
 pub mod trace;
-pub mod value_ty;
+mod value_ty;
 pub mod wf;
 
-pub use check::{check_component, check_program, check_seq, ret_addr_type, ret_type, TCtx};
-pub use error::{RResult, RuntimeError, TResult, TypeError};
-pub use machine::{run_component, run_program, Memory, Outcome, Stack, MAX_STACK_SLOTS};
-pub use profile::{ProfileEntry, Profiler, RootLang};
-pub use trace::{CountTracer, Event, NullTracer, Tracer, VecTracer};
-pub use wf::Delta;
+pub use error::{RuntimeError, TypeError};
+pub use profile::{Profiler, RootLang};

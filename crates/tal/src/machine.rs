@@ -3,7 +3,7 @@
 //!
 //! The machine is *type-erasing*: jumping to a polymorphic block checks
 //! the arity of the instantiations and then discards them, so the block
-//! runs its original body (see [`enter_block_opts`]). Only the dynamic
+//! runs its original body (see `enter_block_opts`). Only the dynamic
 //! type-safety guard (E11 in DESIGN.md) substitutes instantiations, into
 //! the target block's preconditions, to compare them against the
 //! runtime state.
@@ -47,7 +47,7 @@ impl Stack {
     }
 
     /// Number of words on the stack.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.0.len()
     }
 
@@ -57,21 +57,14 @@ impl Stack {
     }
 
     /// Pushes `n` unit words (`salloc n`), within [`MAX_STACK_SLOTS`].
-    pub fn salloc(&mut self, n: usize) -> RResult<()> {
+    pub(crate) fn salloc(&mut self, n: usize) -> RResult<()> {
         check_salloc(self.0.len(), n)?;
         self.0.resize(self.0.len() + n, WordVal::Unit);
         Ok(())
     }
 
-    /// Pops the top word.
-    pub fn pop(&mut self) -> RResult<WordVal> {
-        self.0
-            .pop()
-            .ok_or(RuntimeError::StackUnderflow { need: 1, have: 0 })
-    }
-
     /// Pops the top `n` words, top first.
-    pub fn pop_n(&mut self, n: usize) -> RResult<Vec<WordVal>> {
+    pub(crate) fn pop_n(&mut self, n: usize) -> RResult<Vec<WordVal>> {
         if self.0.len() < n {
             return Err(RuntimeError::StackUnderflow {
                 need: n,
@@ -86,7 +79,7 @@ impl Stack {
     }
 
     /// Reads slot `i` (0 = top).
-    pub fn get(&self, i: usize) -> RResult<&WordVal> {
+    pub(crate) fn get(&self, i: usize) -> RResult<&WordVal> {
         let len = self.0.len();
         if i < len {
             Ok(&self.0[len - 1 - i])
@@ -96,7 +89,7 @@ impl Stack {
     }
 
     /// Writes slot `i` (0 = top).
-    pub fn set(&mut self, i: usize, w: WordVal) -> RResult<()> {
+    pub(crate) fn set(&mut self, i: usize, w: WordVal) -> RResult<()> {
         let len = self.0.len();
         if i < len {
             self.0[len - 1 - i] = w;
@@ -141,7 +134,7 @@ impl Memory {
     }
 
     /// Writes a register.
-    pub fn set_reg(&mut self, r: Reg, w: WordVal) {
+    pub(crate) fn set_reg(&mut self, r: Reg, w: WordVal) {
         self.regs.insert(r, w);
     }
 
@@ -167,7 +160,7 @@ impl Memory {
     /// Allocates a fresh label. Generated names contain `$`, which the
     /// concrete syntax rejects, so they cannot collide with source
     /// labels.
-    pub fn fresh_label(&mut self, hint: &str) -> Label {
+    pub(crate) fn fresh_label(&mut self, hint: &str) -> Label {
         let n = self.next_fresh;
         self.next_fresh += 1;
         Label::new(format!("{hint}${n}"))
@@ -257,7 +250,7 @@ fn as_loc(w: &WordVal) -> RResult<&Label> {
 
 /// Resolves a jump operand to a target label plus pending
 /// instantiations.
-pub fn resolve_target(mem: &Memory, u: &SmallVal) -> RResult<(Label, Vec<Inst>)> {
+pub(crate) fn resolve_target(mem: &Memory, u: &SmallVal) -> RResult<(Label, Vec<Inst>)> {
     let w = eval_small(mem, u)?;
     let (base, insts) = w.peel_insts();
     match base {
@@ -290,7 +283,7 @@ pub struct MachineOpts {
 /// doubling per recursion depth). The annotations in the returned body
 /// are therefore the block's original (possibly open) types; the
 /// dynamic guard substitutes the preconditions on demand.
-pub fn enter_block_opts(
+pub(crate) fn enter_block_opts(
     mem: &Memory,
     label: &Label,
     insts: &[Inst],
@@ -387,7 +380,7 @@ pub enum TStep {
 /// Executes one pure-T instruction's memory effect (everything except
 /// control flow, `bnz`, and the multi-language forms). Shared with the
 /// FT machine.
-pub fn exec_instr(mem: &mut Memory, instr: &Instr) -> RResult<()> {
+pub(crate) fn exec_instr(mem: &mut Memory, instr: &Instr) -> RResult<()> {
     match instr {
         Instr::Arith { op, rd, rs, src } => {
             let a = as_int(mem.reg(*rs)?)?;
@@ -475,11 +468,11 @@ pub fn exec_instr(mem: &mut Memory, instr: &Instr) -> RResult<()> {
 /// `import` raises [`RuntimeError::MultiLanguage`]; `protect` has no
 /// memory effect (it only affects typing) but still counts — and is
 /// traced — as one instruction step.
-pub fn step_seq(mem: &mut Memory, seq: InstrSeq, tracer: &mut dyn Tracer) -> RResult<TStep> {
+pub(crate) fn step_seq(mem: &mut Memory, seq: InstrSeq, tracer: &mut dyn Tracer) -> RResult<TStep> {
     step_seq_opts(mem, seq, tracer, MachineOpts::default())
 }
 
-/// [`step_seq`] with options (the dynamic type-safety guard).
+/// `step_seq` with options (the dynamic type-safety guard).
 pub fn step_seq_opts(
     mem: &mut Memory,
     mut seq: InstrSeq,
@@ -569,7 +562,7 @@ pub enum Outcome {
 ///
 /// The component's local heap fragment is merged (with freshened labels)
 /// before execution, as in §3.
-pub fn run_component(
+pub(crate) fn run_component(
     mem: &mut Memory,
     comp: &TComp,
     fuel: u64,

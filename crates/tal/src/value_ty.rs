@@ -11,7 +11,7 @@ use crate::error::{TResult, TypeError};
 use crate::wf::{apply_insts, wf_tty, Delta};
 
 /// Computes the type of a word value.
-pub fn type_of_word(psi: &HeapTyping, delta: &Delta, w: &WordVal) -> TResult<TTy> {
+pub(crate) fn type_of_word(psi: &HeapTyping, delta: &Delta, w: &WordVal) -> TResult<TTy> {
     match w {
         WordVal::Unit => Ok(TTy::Unit),
         WordVal::Int(_) => Ok(TTy::Int),
@@ -29,7 +29,7 @@ pub fn type_of_word(psi: &HeapTyping, delta: &Delta, w: &WordVal) -> TResult<TTy
 }
 
 /// Computes the type of a small value (an instruction operand).
-pub fn type_of_small(
+pub(crate) fn type_of_small(
     psi: &HeapTyping,
     delta: &Delta,
     chi: &RegFileTy,
@@ -118,7 +118,7 @@ fn instantiate_code(delta: &Delta, body_ty: &TTy, args: &[Inst]) -> TResult<TTy>
 /// `χ'` must be present in `χ` at an alpha-equal type ("we can have more
 /// registers with values in them, but the types of registers that occur
 /// in χ' must match", §3).
-pub fn chi_subtype(chi: &RegFileTy, upper: &RegFileTy) -> TResult<()> {
+pub(crate) fn chi_subtype(chi: &RegFileTy, upper: &RegFileTy) -> TResult<()> {
     for (r, want) in upper.iter() {
         match chi.get(r) {
             None => {

@@ -49,32 +49,17 @@ impl Delta {
     }
 
     /// Returns an environment extended with all of `decls`.
-    pub fn extended_all(&self, decls: &[TyVarDecl]) -> Self {
+    pub(crate) fn extended_all(&self, decls: &[TyVarDecl]) -> Self {
         let mut d = self.clone();
         d.0.extend(decls.iter().cloned());
         d
-    }
-
-    /// Iterates over the binders, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TyVarDecl> {
-        self.0.iter()
-    }
-
-    /// Number of binders.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True if no binders.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
 /// Checks that a binder list has no duplicate names (generated code uses
 /// fresh names; duplicate binders in one `∀` are almost always a bug in
 /// the input program).
-pub fn check_distinct(decls: &[TyVarDecl]) -> TResult<()> {
+pub(crate) fn check_distinct(decls: &[TyVarDecl]) -> TResult<()> {
     for (i, d) in decls.iter().enumerate() {
         if decls[..i].iter().any(|e| e.var == d.var) {
             return Err(TypeError::DuplicateTyVar(d.var.clone()));
@@ -103,7 +88,7 @@ pub fn wf_tty(delta: &Delta, t: &TTy) -> TResult<()> {
 }
 
 /// `∆ ⊢ ψ` for heap types.
-pub fn wf_heap_ty(delta: &Delta, h: &HeapTy) -> TResult<()> {
+pub(crate) fn wf_heap_ty(delta: &Delta, h: &HeapTy) -> TResult<()> {
     match h {
         HeapTy::Tuple(ts) => ts.iter().try_for_each(|t| wf_tty(delta, t)),
         HeapTy::Code(c) => wf_code_ty(delta, c),
@@ -115,7 +100,7 @@ pub fn wf_heap_ty(delta: &Delta, h: &HeapTy) -> TResult<()> {
 /// Beyond scoping, this checks that a register marker names a register
 /// present in `χ` and a stack-index marker points at a visible slot of
 /// `σ`.
-pub fn wf_code_ty(delta: &Delta, c: &CodeTy) -> TResult<()> {
+pub(crate) fn wf_code_ty(delta: &Delta, c: &CodeTy) -> TResult<()> {
     check_distinct(&c.delta)?;
     let inner = delta.extended_all(&c.delta);
     wf_chi(&inner, &c.chi)?;
@@ -138,7 +123,7 @@ pub fn wf_code_ty(delta: &Delta, c: &CodeTy) -> TResult<()> {
 }
 
 /// `∆ ⊢ χ`.
-pub fn wf_chi(delta: &Delta, chi: &RegFileTy) -> TResult<()> {
+pub(crate) fn wf_chi(delta: &Delta, chi: &RegFileTy) -> TResult<()> {
     for (r, t) in chi.iter() {
         wf_tty(delta, t).map_err(|e| e.at(format!("type of {r}")))?;
     }
@@ -164,7 +149,7 @@ pub fn wf_stack(delta: &Delta, s: &StackTy) -> TResult<()> {
 
 /// `∆ ⊢ q` (scoping only; positional checks live in [`wf_code_ty`] and
 /// the instruction judgments).
-pub fn wf_ret(delta: &Delta, q: &RetMarker) -> TResult<()> {
+pub(crate) fn wf_ret(delta: &Delta, q: &RetMarker) -> TResult<()> {
     match q {
         RetMarker::Reg(_) | RetMarker::Stack(_) | RetMarker::Out => Ok(()),
         RetMarker::Var(v) => {
@@ -182,7 +167,7 @@ pub fn wf_ret(delta: &Delta, q: &RetMarker) -> TResult<()> {
 }
 
 /// `∆ ⊢ ω`.
-pub fn wf_inst(delta: &Delta, i: &Inst) -> TResult<()> {
+pub(crate) fn wf_inst(delta: &Delta, i: &Inst) -> TResult<()> {
     match i {
         Inst::Ty(t) => wf_tty(delta, t),
         Inst::Stack(s) => wf_stack(delta, s),
@@ -223,7 +208,7 @@ pub fn wf_fty(delta: &Delta, t: &FTy) -> TResult<()> {
 /// (uninstantiated) binders.
 ///
 /// Each instantiation must be well-formed under `delta`.
-pub fn apply_insts<'d>(
+pub(crate) fn apply_insts<'d>(
     delta: &Delta,
     binders: &'d [TyVarDecl],
     args: &[Inst],
@@ -250,17 +235,9 @@ pub fn apply_insts<'d>(
         // the *types themselves*, which are closed w.r.t. the binder
         // list; apply the accumulated substitution to keep telescopes
         // working.
-        subst.insert(decl.var.clone(), subst_inst(&subst, arg));
+        subst.insert(decl.var.clone(), subst.inst(arg));
     }
     Ok((subst, &binders[args.len()..]))
-}
-
-fn subst_inst(s: &Subst, i: &Inst) -> Inst {
-    match i {
-        Inst::Ty(t) => Inst::Ty(s.tty(t)),
-        Inst::Stack(st) => Inst::Stack(s.stack(st)),
-        Inst::Ret(q) => Inst::Ret(s.ret(q)),
-    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,12 @@
 build:
     cargo build --release
 
-# Run the whole test suite (unit, integration, property, doc tests).
+# Run the whole test suite (unit, integration, property, doc tests),
+# then the store's unit tests in a fresh TMPDIR that must stay empty.
 test:
     cargo test -q
+    tmp=$(mktemp -d) && TMPDIR="$tmp" cargo test -q -p funtal-store \
+        && test -z "$(ls -A "$tmp")" && rmdir "$tmp"
 
 # Run the benchmark suite; `just bench-snapshot` refreshes the
 # committed snapshot (BENCH_pr20.json gates the checker-scaling rows
